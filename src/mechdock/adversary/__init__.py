@@ -4,39 +4,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
-from ..forge import MainParams
-from ..schedmodel import MechanismError
+from ..forge import CONSTRUCTIONS, Spec, resolve_params
 from .blocks import block_chain
-from .engine import Session, Transcript, run
+from .engine import Transcript, run
 from .small import square2, square3, square4
-from .verdicts import (
-    RatioWitness,
-    StrategyIncomplete,
-    Unbounded,
-    WmonViolation,
-    verdict_from_json_dict,
-    verify_verdict,
-)
+from .verdicts import verdict_from_json_dict, verify_verdict
 
-STRATEGIES = ("s2x2", "s3x3", "s3x4", "main")
-
-
-def run_2x2(mech):
-    return run(square2, mech)
-
-
-def run_3x3(mech, a, b, c):
-    return run(square3, mech, a, b, c)
-
-
-def run_3x4(mech, x):
-    return run(square4, mech, x)
-
-
-def run_main(mech, params: MainParams):
-    return run(block_chain, mech, params)
+# Each strategy runs on one construction and takes its parameters.
+STRATEGY_SPECS = {
+    "s2x2": Spec(square2),
+    "s3x3": Spec(square3, CONSTRUCTIONS["e3x3"].params),
+    "s3x4": Spec(square4, CONSTRUCTIONS["f3x4"].params),
+    "main": Spec(block_chain, CONSTRUCTIONS["an"].params),
+}
 
 
 @dataclass
@@ -63,33 +44,12 @@ class Report:
 
 def attack(strategy, mech, params=None):
     """Run one strategy against a mechanism handle and package the report."""
-    params = dict(params or {})
-    if strategy == "s2x2":
-        verdict, transcript = run_2x2(mech)
-    elif strategy == "s3x3":
-        # Decimal roundings of (1, rho, rho*(rho - 1)), rho the root of
-        # SQUARE3_CUBIC. Here the arms of square3 give 1 + c/b = 2.205577,
-        # b/a = 2.2055 and (a+b+c)/c = 2.205574; the guaranteed bound is
-        # their minimum, b/a = 2.2055.
-        defaults = {
-            "a": Fraction(1),
-            "b": Fraction(22055, 10000),
-            "c": Fraction(26589, 10000),
-        }
-        defaults.update(params)
-        params = defaults
-        verdict, transcript = run_3x3(mech, params["a"], params["b"], params["c"])
-    elif strategy == "s3x4":
-        params.setdefault("x", Fraction(141421, 100000))
-        verdict, transcript = run_3x4(mech, params["x"])
-    elif strategy == "main":
-        mp = MainParams.from_alpha(
-            Fraction(params["a"]), int(params["r"]), int(params.get("kc", params["r"]))
-        )
-        params = {"a": mp.a, "r": mp.r, "kc": mp.k_c}
-        verdict, transcript = run_main(mech, mp)
-    else:
+    try:
+        spec = STRATEGY_SPECS[strategy]
+    except KeyError:
         raise ValueError(f"unknown strategy {strategy!r}")
+    params = resolve_params(spec.params, params or {})
+    verdict, transcript = run(spec.fn, mech, *params.values())
     return Report(
         strategy=strategy,
         params=params,

@@ -23,30 +23,11 @@ from ..forge import (
     transition_second_cost,
 )
 from ..schedmodel import Allocation
-from ..wmon import LemmaExpectation
+from ..wmon import _l1, _l2, _l3, _l4
 
 
-def _l1(player, f1=(), f2=()):
-    return LemmaExpectation(
-        variant="L1", player=player, f1=frozenset(f1), f2=frozenset(f2)
-    )
-
-
-def _l2(player, j, k):
-    return LemmaExpectation(variant="L2", player=player, j=j, k=k)
-
-
-def _l3(player, f1=(), f2=()):
-    return LemmaExpectation(
-        variant="L3", player=player, f1=frozenset(f1), f2=frozenset(f2)
-    )
-
-
-def _l4(player, j1, j2):
-    return LemmaExpectation(variant="L4", player=player, j1=j1, j2=j2)
-
-
-def block_chain(s, p: MainParams):
+def block_chain(s, a, r, kc):
+    p = MainParams.from_alpha(a, r, kc)
     check_feasible(p)
     s.bootstrap(build_main(p), f"block chain r={p.r} k_c={p.k_c}")
     transitioned = {}

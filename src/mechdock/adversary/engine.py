@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..exactnum import UNBOUNDED, format_value, leading_ratio, tv
+from ..exactnum import UNBOUNDED, format_value, leading_ratio
 from ..mechlib import minwork_allocate
-from ..schedmodel import MechanismError, makespan, validate_allocation
+from ..schedmodel import checked_query, makespan, validate_allocation
 from ..wmon import (
     LemmaExpectation,
     WmonPreconditionError,
@@ -101,11 +101,8 @@ class Session:
             dummy_of=dummy_of,
         )
         self.transcript.steps.append(step)
-        x2 = self.mech.query(T2)
+        x2 = checked_query(self.mech, T2)
         self.transcript.queries += 1
-        defects = validate_allocation(T2, x2)
-        if defects:
-            raise MechanismError("invalid allocation: " + "; ".join(defects))
         step.owner = list(x2.owner)
         self.prev_T, self.prev_x = self.T, self.x
         self.T, self.x = T2, x2

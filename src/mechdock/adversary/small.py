@@ -13,27 +13,7 @@ from fractions import Fraction
 from ..exactnum import EPS1, EPS2, EPS3, EPS4, INF, ZERO, tv
 from ..forge import d2x2, e3x3, f3x4
 from ..schedmodel import Allocation
-from ..wmon import LemmaExpectation
-
-
-def _l1(player, f1=(), f2=()):
-    return LemmaExpectation(
-        variant="L1", player=player, f1=frozenset(f1), f2=frozenset(f2)
-    )
-
-
-def _l2(player, j, k):
-    return LemmaExpectation(variant="L2", player=player, j=j, k=k)
-
-
-def _l3(player, f1=(), f2=()):
-    return LemmaExpectation(
-        variant="L3", player=player, f1=frozenset(f1), f2=frozenset(f2)
-    )
-
-
-def _l4(player, j1, j2):
-    return LemmaExpectation(variant="L4", player=player, j1=j1, j2=j2)
+from ..wmon import _l1, _l2, _l3, _l4
 
 
 # -- two players, two jobs -------------------------------------------------

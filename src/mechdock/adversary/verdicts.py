@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..exactnum import UNBOUNDED, TieredValue, format_value, leading_ratio, tv
+from ..exactnum import UNBOUNDED, format_value, leading_ratio
 from ..schedmodel import Allocation, Instance, makespan, validate_allocation
-from ..wmon import WmonPreconditionError, wmon_value
+from ..wmon import WmonPreconditionError, WmonViolation, wmon_value
 
 UNBOUNDED_INFINITE = "infinite-assignment"
 UNBOUNDED_TIER_GAP = "tier-gap"
@@ -59,29 +59,6 @@ class Unbounded:
 
 
 @dataclass(frozen=True)
-class WmonViolation:
-    player: int
-    T: Instance
-    x: Allocation
-    Tp: Instance
-    xp: Allocation
-    value: TieredValue
-
-    kind = "WmonViolation"
-
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "player": self.player,
-            "T": self.T.to_json_dict(),
-            "x": self.x.to_json_dict(),
-            "Tprime": self.Tp.to_json_dict(),
-            "xprime": self.xp.to_json_dict(),
-            "value": format_value(self.value),
-        }
-
-
-@dataclass(frozen=True)
 class StrategyIncomplete:
     step: int
     diagnostic: str
@@ -109,14 +86,7 @@ def verdict_from_json_dict(d):
             reason=d["reason"],
         )
     if kind == "WmonViolation":
-        return WmonViolation(
-            player=int(d["player"]),
-            T=Instance.from_json_dict(d["T"]),
-            x=Allocation.from_json_dict(d["x"]),
-            Tp=Instance.from_json_dict(d["Tprime"]),
-            xp=Allocation.from_json_dict(d["xprime"]),
-            value=tv(d["value"]),
-        )
+        return WmonViolation.from_json_dict(d)
     if kind == "StrategyIncomplete":
         return StrategyIncomplete(step=int(d["step"]), diagnostic=d["diagnostic"])
     raise ValueError(f"unknown verdict kind {kind!r}")

@@ -13,13 +13,14 @@ import json
 import sys
 from fractions import Fraction
 
-from .adversary import attack, replay_report, verify_report
+from .adversary import STRATEGY_SPECS, attack, replay_report, verify_report
 from .adversary.verdicts import StrategyIncomplete
 from .forge import (
+    CONSTRUCTIONS,
+    REQUIRED,
     ForgeError,
     MainParams,
-    build_main,
-    build_small,
+    build_instance,
     certified_bound,
     feasibility_defect,
     solve_best_a,
@@ -50,6 +51,35 @@ def _decimal(x):
     return f"{float(x):.6f}"
 
 
+def _add_param_flags(parser, specs):
+    """One --<name> flag per parameter named in a table of specs."""
+    seen = {}
+    for spec in specs.values():
+        for p in spec.params:
+            seen.setdefault(p.name, p.coerce)
+    for name, coerce in seen.items():
+        parser.add_argument(f"--{name}", type=_fraction if coerce is Fraction else int)
+
+
+def _given_params(args, command, name, spec):
+    """The spec's parameters set on the command line, or None after
+    reporting the required ones that are missing."""
+    given = {}
+    missing = []
+    for p in spec.params:
+        value = getattr(args, p.name)
+        if value is not None:
+            given[p.name] = value
+        elif p.default is REQUIRED:
+            missing.append(f"--{p.name}")
+    if missing:
+        verb = "is" if len(missing) == 1 else "are"
+        flags = " and ".join(missing)
+        print(f"{command} {name}: {flags} {verb} required", file=sys.stderr)
+        return None
+    return given
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mechdock",
@@ -58,32 +88,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write an instance file")
-    gen.add_argument(
-        "--construction",
-        required=True,
-        choices=["an", "d2x2", "e3x3", "f3x4", "b_nr", "b_ckv", "c_kv", "b_new"],
-    )
-    gen.add_argument("--a", type=_fraction)
-    gen.add_argument("--b", type=_fraction)
-    gen.add_argument("--c", type=_fraction)
-    gen.add_argument("--x", type=_fraction)
-    gen.add_argument("--b1", type=_fraction)
-    gen.add_argument("--r", type=int)
-    gen.add_argument("--kc", type=int)
-    gen.add_argument("--k", type=int)
+    gen.add_argument("--construction", required=True, choices=list(CONSTRUCTIONS))
+    _add_param_flags(gen, CONSTRUCTIONS)
     gen.add_argument("--out", required=True)
 
     atk = sub.add_parser("attack", help="run an adversary strategy")
-    atk.add_argument(
-        "--strategy", required=True, choices=["main", "s2x2", "s3x3", "s3x4"]
-    )
+    atk.add_argument("--strategy", required=True, choices=sorted(STRATEGY_SPECS))
     atk.add_argument("--mechanism", required=True)
-    atk.add_argument("--a", type=_fraction)
-    atk.add_argument("--b", type=_fraction)
-    atk.add_argument("--c", type=_fraction)
-    atk.add_argument("--x", type=_fraction)
-    atk.add_argument("--r", type=int)
-    atk.add_argument("--kc", type=int)
+    _add_param_flags(atk, STRATEGY_SPECS)
     atk.add_argument("--report")
 
     bounds = sub.add_parser("bounds", help="certify parameter bounds per r")
@@ -97,8 +109,8 @@ def build_parser():
     wm.add_argument("--mechanism", required=True)
     wm.add_argument("--trials", type=int, default=10000)
     wm.add_argument("--seed", type=int, default=0)
-    wm.add_argument("--n", type=int, default=3)
-    wm.add_argument("--m", type=int, default=3)
+    wm.add_argument("--n", type=int, help="players (default: 3, or 2 exhaustive)")
+    wm.add_argument("--m", type=int, help="jobs (default: 3, or 2 exhaustive)")
     wm.add_argument("--grid", default="0,1,2,3,4")
     wm.add_argument("--exhaustive", action="store_true")
     wm.add_argument("--out")
@@ -109,38 +121,12 @@ def build_parser():
 
 
 def cmd_gen(args):
+    spec = CONSTRUCTIONS[args.construction]
+    given = _given_params(args, "gen", args.construction, spec)
+    if given is None:
+        return 2
     try:
-        if args.construction == "an":
-            if args.a is None or args.r is None:
-                print("gen an: --a and --r are required", file=sys.stderr)
-                return 2
-            p = MainParams.from_alpha(args.a, args.r, args.kc)
-            instance = build_main(p)
-        else:
-            params = {}
-            if args.construction == "e3x3":
-                params = {
-                    "a": args.a if args.a is not None else Fraction(1),
-                    "b": args.b if args.b is not None else Fraction(22055, 10000),
-                    "c": args.c if args.c is not None else Fraction(26589, 10000),
-                }
-            elif args.construction == "f3x4":
-                params = {
-                    "x": args.x if args.x is not None else Fraction(141421, 100000)
-                }
-            elif args.construction == "c_kv":
-                if args.a is None or args.k is None:
-                    print("gen c_kv: --a and --k are required", file=sys.stderr)
-                    return 2
-                params = {"a": args.a, "k": args.k}
-            elif args.construction == "b_new":
-                if args.a is None:
-                    print("gen b_new: --a is required", file=sys.stderr)
-                    return 2
-                params = {"a": args.a}
-                if args.b1 is not None:
-                    params["b1"] = args.b1
-            instance = build_small(args.construction, **params)
+        instance = build_instance(args.construction, given)
     except ForgeError as exc:
         print(f"cannot build instance: {exc}", file=sys.stderr)
         return 2
@@ -152,27 +138,17 @@ def cmd_gen(args):
 
 
 def cmd_attack(args):
-    params = {}
-    if args.strategy == "main":
-        if args.a is None or args.r is None:
-            print("attack main: --a and --r are required", file=sys.stderr)
-            return 2
-        params = {"a": args.a, "r": args.r}
-        if args.kc is not None:
-            params["kc"] = args.kc
-    elif args.strategy == "s3x3":
-        for name in ("a", "b", "c"):
-            val = getattr(args, name)
-            if val is not None:
-                params[name] = val
-    elif args.strategy == "s3x4":
-        if args.x is not None:
-            params["x"] = args.x
+    params = _given_params(args, "attack", args.strategy, STRATEGY_SPECS[args.strategy])
+    if params is None:
+        return 2
     mech = None
     try:
         mech = make_mechanism(args.mechanism)
         report = attack(args.strategy, mech, params)
-    except (MechanismError, ForgeError) as exc:
+    except ForgeError as exc:
+        print(f"bad parameters: {exc}", file=sys.stderr)
+        return 2
+    except MechanismError as exc:
         print(f"mechanism failure: {exc}", file=sys.stderr)
         return 4
     finally:
@@ -198,25 +174,20 @@ def cmd_attack(args):
 
 
 def _bound_rows(r_values, kc, optimize, tol):
+    """A row per r at its reference ratio, then (with optimize, or for r
+    without a reference ratio) a row at the optimizer's best a."""
     rows = []
     for r in r_values:
-        if r in REFERENCE_RATIOS:
-            a = REFERENCE_RATIOS[r] - 1
-        else:
-            a, _ = solve_best_a(
-                r, kc if kc is not None else r, Fraction(17, 10), Fraction(199, 100), tol
-            )
         k_c = kc if kc is not None else r
-        p = MainParams.from_alpha(a, r, k_c)
-        feasible = feasibility_defect(p) is None
-        bound = certified_bound(p) if feasible else ""
-        rows.append((r, p.n, k_c, a, bound, feasible))
-        if optimize:
-            a_opt, bound_opt = solve_best_a(
-                r, k_c, Fraction(17, 10), Fraction(199, 100), tol
-            )
-            p_opt = MainParams.from_alpha(a_opt, r, k_c)
-            rows.append((r, p_opt.n, k_c, a_opt, bound_opt, True))
+        if r in REFERENCE_RATIOS:
+            p = MainParams.from_alpha(REFERENCE_RATIOS[r] - 1, r, k_c)
+            feasible = feasibility_defect(p) is None
+            bound = certified_bound(p) if feasible else ""
+            rows.append((r, p.n, k_c, p.a, bound, feasible))
+            if not optimize:
+                continue
+        a, bound = solve_best_a(r, k_c, Fraction(17, 10), Fraction(199, 100), tol)
+        rows.append((r, MainParams.from_alpha(a, r, k_c).n, k_c, a, bound, True))
     return rows
 
 
@@ -253,10 +224,16 @@ def cmd_wmon(args):
     try:
         mech = make_mechanism(args.mechanism)
         if args.exhaustive:
-            violations = exhaustive_pairs(mech, 2, 2, grid)
-            scope = f"exhaustive 2x2 grid {args.grid}"
+            n = 2 if args.n is None else args.n
+            m = 2 if args.m is None else args.m
+            violations = exhaustive_pairs(mech, n, m, grid)
+            scope = f"exhaustive {n}x{m} grid {args.grid}"
         else:
-            spec = FuzzSpec(n=args.n, m=args.m, values=grid)
+            spec = FuzzSpec(
+                n=3 if args.n is None else args.n,
+                m=3 if args.m is None else args.m,
+                values=grid,
+            )
             violations = fuzz(mech, spec, args.trials, args.seed)
             scope = f"{args.trials} seeded trials"
     except MechanismError as exc:

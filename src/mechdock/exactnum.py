@@ -179,7 +179,6 @@ class TieredValue:
 
 INF = TieredValue(infinite=True)
 ZERO = TieredValue()
-ONE = TieredValue.from_rational(1)
 EPS1 = TieredValue.eps(1)
 EPS2 = TieredValue.eps(2)
 EPS3 = TieredValue.eps(3)
@@ -193,10 +192,6 @@ def tv(x):
     if isinstance(x, str):
         return parse_value(x)
     return TieredValue.from_rational(x)
-
-
-def tv_add(u, v):
-    return tv(u) + tv(v)
 
 
 def tv_scale(q, v):
@@ -239,10 +234,6 @@ def tv_compare(u, v):
 
 def tv_max(u, v):
     return u if tv_compare(u, v) != LT else v
-
-
-def tv_min(u, v):
-    return u if tv_compare(u, v) != GT else v
 
 
 def leading_ratio(num, den):

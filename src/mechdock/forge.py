@@ -1,4 +1,5 @@
-"""Builders for every adversarial instance family, plus the parameter engine.
+"""Builders for every adversarial instance family, their parameter table,
+and the parameter engine.
 
 The block-chain construction consists of r three-job blocks (non-trivial
 first job priced b_i for player 1, two trivial companion jobs), a chain of
@@ -171,31 +172,6 @@ def transition_second_cost(a, i, b_i):
     return tv_max(lowered, tv(a**-i))
 
 
-def apply_E(T, i, variant, step, b_i, a):
-    """One step of the two-step block transition.
-
-    Step 1 raises the chosen co-player's trivial job to his first-job
-    price; step 2 lowers player 1's costs for the block's first job and
-    the same companion job. The variant picks which companion job (and
-    hence which co-player) is involved.
-    """
-    a, b_i = Fraction(a), Fraction(b_i)
-    if variant not in ("E1", "E2"):
-        raise ForgeError(f"unknown transition variant {variant!r}")
-    if b_i < a**-i:
-        raise ForgeError(f"b_{i} below a^-{i}: step 2 would not be a decrease")
-    j1 = 3 * (i - 1) + 1
-    jmid = j1 + 1 if variant == "E1" else j1 + 2
-    co = 2 * i if variant == "E1" else 2 * i + 1
-    if step == 1:
-        return T.with_costs([(co, jmid, tv(a ** -(i - 1)))])
-    if step == 2:
-        return T.with_costs(
-            [(1, j1, tv(a**-i)), (1, jmid, transition_second_cost(a, i, b_i))]
-        )
-    raise ForgeError(f"transition step must be 1 or 2, got {step}")
-
-
 def d2x2():
     return Instance([[1, EPS2], [1, EPS1]])
 
@@ -270,23 +246,88 @@ def b_new(a, b1=None):
     return _with_dummy_part(rows)
 
 
-_SMALL_BUILDERS = {
-    "d2x2": d2x2,
-    "e3x3": e3x3,
-    "f3x4": f3x4,
-    "b_nr": b_nr,
-    "b_ckv": b_ckv,
-    "c_kv": c_kv,
-    "b_new": b_new,
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One named parameter: its coercion (applied to strings too) and its
+    default, which is REQUIRED, a value, or a function of the values
+    coerced before it."""
+
+    name: str
+    coerce: type
+    default: object = REQUIRED
+
+
+@dataclass(frozen=True)
+class Spec:
+    """A builder or strategy script with its parameter table."""
+
+    fn: object
+    params: tuple = ()
+
+
+def resolve_params(params, given):
+    """Coerce the given values in table order and fill in the defaults."""
+    unknown = set(given) - {p.name for p in params}
+    if unknown:
+        raise ForgeError(f"unknown parameter(s) {sorted(unknown)}")
+    values = {}
+    for p in params:
+        if p.name in given:
+            values[p.name] = p.coerce(given[p.name])
+        elif p.default is REQUIRED:
+            raise ForgeError(f"parameter {p.name} is required")
+        elif callable(p.default):
+            values[p.name] = p.default(values)
+        else:
+            values[p.name] = p.default
+    return values
+
+
+def build_an(a, r, kc):
+    """The block-chain instance for scale factor a, r blocks, kc chain jobs."""
+    return build_main(MainParams.from_alpha(a, r, kc))
+
+
+# The 3x3 defaults are decimal roundings of (1, rho, rho*(rho - 1)), rho the
+# root of SQUARE3_CUBIC. Here the arms of the 3x3 strategy give 1 + c/b =
+# 2.205577, b/a = 2.2055 and (a+b+c)/c = 2.205574; the guaranteed bound is
+# their minimum, b/a = 2.2055. The 3x4 default rounds sqrt 2.
+CONSTRUCTIONS = {
+    "an": Spec(
+        build_an,
+        (
+            Param("a", Fraction),
+            Param("r", int),
+            Param("kc", int, lambda values: values["r"]),
+        ),
+    ),
+    "d2x2": Spec(d2x2),
+    "e3x3": Spec(
+        e3x3,
+        (
+            Param("a", Fraction, Fraction(1)),
+            Param("b", Fraction, Fraction(22055, 10000)),
+            Param("c", Fraction, Fraction(26589, 10000)),
+        ),
+    ),
+    "f3x4": Spec(f3x4, (Param("x", Fraction, Fraction(141421, 100000)),)),
+    "b_nr": Spec(b_nr),
+    "b_ckv": Spec(b_ckv),
+    "c_kv": Spec(c_kv, (Param("a", Fraction), Param("k", int))),
+    "b_new": Spec(b_new, (Param("a", Fraction), Param("b1", Fraction, None))),
 }
 
 
-def build_small(which, **params):
+def build_instance(which, given=None):
+    """Build a named construction from (possibly string) parameter values."""
     try:
-        builder = _SMALL_BUILDERS[which]
+        spec = CONSTRUCTIONS[which]
     except KeyError:
         raise ForgeError(f"unknown construction {which!r}")
-    return builder(**params)
+    return spec.fn(**resolve_params(spec.params, given or {}))
 
 
 def bound_arms(p):

@@ -10,10 +10,9 @@ into their case trees).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 from .exactnum import LT, tv_compare
-from .optcore import opt_makespan
+from .optcore import SearchError, opt_makespan
 from .schedmodel import (
     Allocation,
     BuiltinMechanism,
@@ -22,15 +21,6 @@ from .schedmodel import (
     MechanismHandle,
     active_players,
 )
-
-BUILTIN_NAMES = ("minwork", "optmakespan", "dictator")
-
-
-@dataclass(frozen=True)
-class BuiltinSpec:
-    name: str
-    params: tuple = field(default_factory=tuple)
-
 
 def minwork_allocate(T):
     """Each job to its cheapest player in tiered order; ties to lowest index."""
@@ -53,9 +43,13 @@ def optmakespan_allocate(T):
     """Lexicographically smallest owner vector achieving the optimal makespan.
 
     Exact but exponential; intended for desk-scale instances (roughly
-    m <= 12 with <= 3 active players per job).
+    m <= 12 with <= 3 active players per job). A search that fails or
+    exceeds its node budget is a mechanism failure.
     """
-    return opt_makespan(T).witness
+    try:
+        return opt_makespan(T).witness
+    except SearchError as exc:
+        raise MechanismError(f"optmakespan: {exc}")
 
 
 def dictator_allocate(T, d):

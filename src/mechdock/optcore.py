@@ -1,30 +1,17 @@
-"""Exact optimization oracles: optimal makespan and allocation unbalance.
+"""Exact optimization oracle: optimal makespan.
 
 opt_makespan is exact branch-and-bound over active players with a fixed
-lexicographic tie-break so witnesses are reproducible. beta_unbalance
-measures how much load the makespan-dictating player could shed relative
-to the best alternative allocation, as a leading-tier ratio.
+lexicographic tie-break so witnesses are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactnum import (
-    GT,
-    INF,
-    LT,
-    UNBOUNDED,
-    ZERO,
-    TieredValue,
-    leading_ratio,
-    tv_compare,
-)
-from .schedmodel import Allocation, Instance, active_players, load, makespan
+from .exactnum import GT, INF, LT, ZERO, TieredValue, tv_compare
+from .schedmodel import Allocation, active_players
 
 NODE_GUARD = 10**8
-BETA_GUARD = 10**7
 
 
 class SearchError(RuntimeError):
@@ -138,63 +125,3 @@ class _SortKey:
 
     def __eq__(self, other):
         return tv_compare(self.v, other.v) == 0
-
-
-def _dummy_respecting_allocations(T):
-    """Yield owner vectors giving each dummy to its owner, others to actives."""
-    dummy_owner = {j: p for p, j in T.dummy_of.items()}
-    choices = []
-    for j in T.jobs():
-        if j in dummy_owner:
-            choices.append([dummy_owner[j]])
-        else:
-            choices.append(sorted(active_players(T, j)))
-    count = 1
-    for c in choices:
-        count *= len(c)
-        if count > BETA_GUARD:
-            raise BudgetExceeded(f"more than {BETA_GUARD} candidate allocations")
-    owner = [0] * T.m
-
-    def walk(j):
-        if j > T.m:
-            yield Allocation(owner)
-            return
-        for i in choices[j - 1]:
-            owner[j - 1] = i
-            yield from walk(j + 1)
-
-    yield from walk(1)
-
-
-def beta_unbalance(T, A, i):
-    """Largest (load drop of player i) / (makespan) over alternative allocations.
-
-    Requires a full dummy part (so any finite-ratio mechanism is pinned to
-    the comparison set) and that i dictates A's makespan. Returns the beta
-    value (a rational, or UNBOUNDED on a tier gap) and an argmax allocation.
-    """
-    if set(T.dummy_of.keys()) != set(T.players()):
-        raise SearchError("beta_unbalance needs a dummy job for every player")
-    load_i = load(T, A, i)
-    if load_i.infinite:
-        raise SearchError("player holds an infinite-cost job")
-    ms = makespan(T, A)
-    if tv_compare(load_i, ms) != 0:
-        raise SearchError(f"player {i} does not dictate the makespan")
-    best = None
-    best_alloc = None
-    for cand in _dummy_respecting_allocations(T):
-        num = load_i - load(T, cand, i)
-        ratio = leading_ratio(num, makespan(T, cand))
-        if best is None or _beta_greater(ratio, best):
-            best, best_alloc = ratio, cand
-    return best, best_alloc
-
-
-def _beta_greater(a, b):
-    if a is UNBOUNDED:
-        return b is not UNBOUNDED
-    if b is UNBOUNDED:
-        return False
-    return a > b

@@ -14,17 +14,7 @@ import select
 import shlex
 import subprocess
 
-from .exactnum import (
-    GT,
-    INF,
-    LT,
-    ZERO,
-    TieredValue,
-    format_value,
-    parse_value,
-    tv,
-    tv_compare,
-)
+from .exactnum import GT, INF, ZERO, format_value, parse_value, tv, tv_compare
 
 DEFAULT_TIMEOUT_MS = 10000
 TIMEOUT_ENV_VAR = "MECHDOCK_TIMEOUT_MS"
@@ -54,9 +44,11 @@ class Instance:
         m = len(rows[0])
         if any(len(r) != m for r in rows):
             raise ModelError("ragged cost matrix")
+        # A finite cost is negative when its leading coefficient is; the
+        # coefficient tuple is read directly because this runs on every cell.
         for i, row in enumerate(rows, start=1):
             for j, c in enumerate(row, start=1):
-                if c.finite and c.standard_part() < 0:
+                if c._coeffs and c._coeffs[0][1] < 0:
                     raise ModelError(f"negative cost at player {i}, job {j}")
         dummy = dict(sorted((int(p), int(j)) for p, j in (dummy_of or {}).items()))
         object.__setattr__(self, "n", len(rows))
@@ -238,6 +230,15 @@ def validate_allocation(T, x):
     return defects
 
 
+def checked_query(mech, T):
+    """Query a mechanism, raising MechanismError on an invalid allocation."""
+    x = mech.query(T)
+    defects = validate_allocation(T, x)
+    if defects:
+        raise MechanismError("invalid allocation: " + "; ".join(defects))
+    return x
+
+
 class MechanismHandle:
     """Deterministic black box: same instance, same allocation."""
 
@@ -245,9 +246,6 @@ class MechanismHandle:
 
     def query(self, T):
         raise NotImplementedError
-
-    def clone(self):
-        return self
 
     def close(self):
         pass
@@ -271,7 +269,6 @@ class ExternalMechanism(MechanismHandle):
     """
 
     def __init__(self, command):
-        self.command = command
         self.name = f"extern:{command}"
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         try:
@@ -292,6 +289,8 @@ class ExternalMechanism(MechanismHandle):
         try:
             ms = int(raw) if raw else DEFAULT_TIMEOUT_MS
         except ValueError:
+            ms = DEFAULT_TIMEOUT_MS
+        if ms < 0:
             ms = DEFAULT_TIMEOUT_MS
         return ms / 1000.0
 
@@ -317,9 +316,6 @@ class ExternalMechanism(MechanismHandle):
             return Allocation.from_json_dict(reply)
         except (ValueError, KeyError, TypeError) as exc:
             raise MechanismError(f"bad mechanism reply {line!r}: {exc}")
-
-    def clone(self):
-        return ExternalMechanism(self.command)
 
     def close(self):
         proc = getattr(self, "_proc", None)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import GT, LT, ZERO, TieredValue, format_value, tv, tv_compare
-from .schedmodel import Allocation, Instance, validate_allocation
+from .schedmodel import Allocation, Instance, checked_query
 
 
 class WmonPreconditionError(ValueError):
@@ -101,6 +101,26 @@ class LemmaExpectation:
     k: int = 0
     j1: int = 0
     j2: int = 0
+
+
+def _l1(player, f1=(), f2=()):
+    return LemmaExpectation(
+        variant="L1", player=player, f1=frozenset(f1), f2=frozenset(f2)
+    )
+
+
+def _l2(player, j, k):
+    return LemmaExpectation(variant="L2", player=player, j=j, k=k)
+
+
+def _l3(player, f1=(), f2=()):
+    return LemmaExpectation(
+        variant="L3", player=player, f1=frozenset(f1), f2=frozenset(f2)
+    )
+
+
+def _l4(player, j1, j2):
+    return LemmaExpectation(variant="L4", player=player, j1=j1, j2=j2)
 
 
 @dataclass
@@ -275,8 +295,11 @@ class FuzzSpec:
     values: tuple = (0, 1, 2, 3, 4)
 
 
-@dataclass
-class ViolationRecord:
+@dataclass(frozen=True)
+class WmonViolation:
+    """An instance pair differing in one player's row, with the mechanism's
+    answers, whose weak-monotonicity sum is positive."""
+
     player: int
     T: Instance
     x: Allocation
@@ -284,8 +307,11 @@ class ViolationRecord:
     xp: Allocation
     value: TieredValue
 
+    kind = "WmonViolation"
+
     def to_json_dict(self):
         return {
+            "kind": self.kind,
             "player": self.player,
             "T": self.T.to_json_dict(),
             "x": self.x.to_json_dict(),
@@ -304,16 +330,6 @@ class ViolationRecord:
             xp=Allocation.from_json_dict(d["xprime"]),
             value=tv(d["value"]),
         )
-
-
-def _query_checked(M, T):
-    x = M.query(T)
-    defects = validate_allocation(T, x)
-    if defects:
-        from .schedmodel import MechanismError
-
-        raise MechanismError("; ".join(defects))
-    return x
 
 
 def fuzz(M, spec, trials, seed):
@@ -341,12 +357,12 @@ def fuzz(M, spec, trials, seed):
             moved = row[j - 1].standard_part() + delta
             row[j - 1] = tv(max(Fraction(0), moved))
         Tp = T.with_row(i, row)
-        x = _query_checked(M, T)
-        xp = _query_checked(M, Tp)
+        x = checked_query(M, T)
+        xp = checked_query(M, Tp)
         report = wmon_value(T, x, Tp, xp, i)
         if report.violated:
             violations.append(
-                ViolationRecord(player=i, T=T, x=x, Tp=Tp, xp=xp, value=report.value)
+                WmonViolation(player=i, T=T, x=x, Tp=Tp, xp=xp, value=report.value)
             )
     return violations
 
@@ -365,7 +381,7 @@ def exhaustive_pairs(M, n, m, values):
 
     def answer(T):
         if T not in cache:
-            cache[T] = _query_checked(M, T)
+            cache[T] = checked_query(M, T)
         return cache[T]
 
     violations = []
@@ -380,7 +396,7 @@ def exhaustive_pairs(M, n, m, values):
                 report = wmon_value(T, answer(T), Tp, answer(Tp), i)
                 if report.violated:
                     violations.append(
-                        ViolationRecord(
+                        WmonViolation(
                             player=i,
                             T=T,
                             x=answer(T),

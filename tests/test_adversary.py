@@ -3,16 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from mechdock.adversary import (
-    Report,
-    attack,
-    replay_report,
-    run_2x2,
-    run_3x3,
-    run_3x4,
-    run_main,
-    verify_report,
-)
+from mechdock.adversary import attack, replay_report, verify_report
+from mechdock.adversary.blocks import block_chain
+from mechdock.adversary.engine import run
+from mechdock.adversary.small import square2, square3, square4
 from mechdock.adversary.verdicts import (
     RatioWitness,
     StrategyIncomplete,
@@ -22,13 +16,13 @@ from mechdock.adversary.verdicts import (
     verify_verdict,
 )
 from mechdock.exactnum import UNBOUNDED, leading_ratio, tv
-from mechdock.forge import MainParams
 from mechdock.mechlib import SeededStub, make_mechanism
 from mechdock.schedmodel import Allocation, makespan
 
 RHO_B = Fraction(22055, 10000)
 RHO_C = Fraction(26589, 10000)
 SQRT2 = Fraction(141421, 100000)
+A_R3 = Fraction(1873, 1000)
 
 
 def _assert_sound(verdict):
@@ -37,7 +31,7 @@ def _assert_sound(verdict):
 
 
 def test_2x2_minwork_exact_ratio_two():
-    verdict, transcript = run_2x2(make_mechanism("minwork"))
+    verdict, transcript = run(square2, make_mechanism("minwork"))
     _assert_sound(verdict)
     assert isinstance(verdict, RatioWitness)
     assert verdict.claimed_bound == 2
@@ -49,13 +43,13 @@ def test_2x2_minwork_exact_ratio_two():
 
 
 def test_2x2_dictator_unbounded():
-    verdict, _ = run_2x2(make_mechanism("dictator:2"))
+    verdict, _ = run(square2, make_mechanism("dictator:2"))
     _assert_sound(verdict)
     assert isinstance(verdict, Unbounded)
 
 
 def test_3x3_minwork_case_three_two():
-    verdict, _ = run_3x3(make_mechanism("minwork"), 1, RHO_B, RHO_C)
+    verdict, _ = run(square3, make_mechanism("minwork"), 1, RHO_B, RHO_C)
     _assert_sound(verdict)
     assert isinstance(verdict, RatioWitness)
     assert verdict.claimed_bound == (1 + RHO_B + RHO_C) / RHO_C
@@ -63,19 +57,19 @@ def test_3x3_minwork_case_three_two():
 
 
 def test_3x3_integer_parameters():
-    verdict, _ = run_3x3(make_mechanism("minwork"), 1, 2, 3)
+    verdict, _ = run(square3, make_mechanism("minwork"), 1, 2, 3)
     _assert_sound(verdict)
     assert isinstance(verdict, RatioWitness)
     assert verdict.claimed_bound == Fraction(2)  # (1+2+3)/3
 
 
 def test_3x3_dictator3():
-    verdict, _ = run_3x3(make_mechanism("dictator:3"), 1, RHO_B, RHO_C)
+    verdict, _ = run(square3, make_mechanism("dictator:3"), 1, RHO_B, RHO_C)
     _assert_sound(verdict)
 
 
 def test_3x4_minwork_sqrt2_bound():
-    verdict, transcript = run_3x4(make_mechanism("minwork"), SQRT2)
+    verdict, transcript = run(square4, make_mechanism("minwork"), SQRT2)
     _assert_sound(verdict)
     assert isinstance(verdict, RatioWitness)
     assert verdict.claimed_bound == (2 + SQRT2) / SQRT2
@@ -83,14 +77,13 @@ def test_3x4_minwork_sqrt2_bound():
 
 
 def test_3x4_formula_point():
-    verdict, _ = run_3x4(make_mechanism("minwork"), 2)
+    verdict, _ = run(square4, make_mechanism("minwork"), 2)
     _assert_sound(verdict)
     assert verdict.claimed_bound == Fraction(2)  # min(1+2, (2+2)/2)
 
 
 def test_main_minwork_reference_point():
-    p = MainParams.from_alpha(Fraction(1873, 1000), 3, 3)
-    verdict, transcript = run_main(make_mechanism("minwork"), p)
+    verdict, transcript = run(block_chain, make_mechanism("minwork"), A_R3, 3, 3)
     _assert_sound(verdict)
     assert isinstance(verdict, RatioWitness)
     assert verdict.claimed_bound == 1 + Fraction(1873, 1000)
@@ -98,54 +91,52 @@ def test_main_minwork_reference_point():
 
 
 def test_main_dictator_unbounded():
-    p = MainParams.from_alpha(Fraction(1873, 1000), 3, 3)
-    verdict, _ = run_main(make_mechanism("dictator:1"), p)
+    verdict, _ = run(block_chain, make_mechanism("dictator:1"), A_R3, 3, 3)
     _assert_sound(verdict)
     assert isinstance(verdict, Unbounded)
     assert verdict.reason == "infinite-assignment"
 
 
 def test_main_warmup_single_block():
-    p = MainParams.from_alpha(Fraction(18019, 10000), 1, 40)
-    verdict, _ = run_main(make_mechanism("minwork"), p)
+    mech = make_mechanism("minwork")
+    verdict, _ = run(block_chain, mech, Fraction(18019, 10000), 1, 40)
     _assert_sound(verdict)
     assert isinstance(verdict, RatioWitness)
     assert float(verdict.claimed_bound) >= 1 + 1.8019 - 1e-3
 
 
 def test_main_optmakespan_small():
-    p = MainParams.from_alpha(Fraction(17, 10), 1, 1)
-    verdict, _ = run_main(make_mechanism("optmakespan"), p)
+    mech = make_mechanism("optmakespan")
+    verdict, _ = run(block_chain, mech, Fraction(17, 10), 1, 1)
     _assert_sound(verdict)
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_2x2_stub_sweep_small(seed):
-    verdict, _ = run_2x2(SeededStub(seed))
+    verdict, _ = run(square2, SeededStub(seed))
     _assert_sound(verdict)
-    verdict, _ = run_2x2(SeededStub(seed, active_only=True))
+    verdict, _ = run(square2, SeededStub(seed, active_only=True))
     _assert_sound(verdict)
 
 
 def test_small_strategy_stub_sweeps():
     for seed in range(300):
         for stub in (SeededStub(seed), SeededStub(seed, active_only=True)):
-            v, _ = run_3x3(stub, 1, RHO_B, RHO_C)
+            v, _ = run(square3, stub, 1, RHO_B, RHO_C)
             _assert_sound(v)
-            v, _ = run_3x4(stub, SQRT2)
+            v, _ = run(square4, stub, SQRT2)
             _assert_sound(v)
 
 
 def test_main_stub_sweep():
-    p = MainParams.from_alpha(Fraction(9, 5), 2, 2)
     for seed in range(150):
         for stub in (SeededStub(seed), SeededStub(seed, active_only=True)):
-            v, _ = run_main(stub, p)
+            v, _ = run(block_chain, stub, Fraction(9, 5), 2, 2)
             _assert_sound(v)
 
 
 def test_verdict_json_roundtrip_and_tamper_detection():
-    verdict, _ = run_2x2(make_mechanism("minwork"))
+    verdict, _ = run(square2, make_mechanism("minwork"))
     d = verdict.to_json_dict()
     back = verdict_from_json_dict(json.loads(json.dumps(d)))
     assert verify_verdict(back) == []

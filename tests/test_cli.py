@@ -146,6 +146,21 @@ def test_attack_requires_main_params():
     assert main(["attack", "--strategy", "main", "--mechanism", "minwork"]) == 2
 
 
+def test_attack_infeasible_parameters_are_a_usage_error(capsys):
+    # a = 199/100 at r = 3 pushes b_1 below its floor: the parameters are
+    # wrong, the mechanism is never queried.
+    argv = ["attack", "--strategy", "main", "--r", "3", "--a", "199/100"]
+    assert main(argv + ["--mechanism", "minwork"]) == 2
+    err = capsys.readouterr().err
+    assert "below its floor" in err and "mechanism failure" not in err
+
+
+def test_attack_optmakespan_budget_is_a_mechanism_failure(capsys):
+    argv = ["attack", "--strategy", "main", "--r", "10", "--a", "1966/1000"]
+    assert main(argv + ["--mechanism", "optmakespan"]) == 4
+    assert "mechanism failure: optmakespan" in capsys.readouterr().err
+
+
 def test_bounds_reference_rows(tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     rc = main(["bounds", "--r-list", "3,4,5", "--out", str(out)])
@@ -164,6 +179,10 @@ def test_bounds_optimize_adds_rows(tmp_path):
     assert main(["bounds", "--r-list", "3", "--optimize", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3  # header + table row + optimizer row
+    # without a reference ratio the table row is the optimizer's row
+    assert main(["bounds", "--r-list", "6", "--optimize", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 2
 
 
 def test_wmon_fuzz_clean_and_exhaustive_violation(tmp_path, capsys):
@@ -187,6 +206,14 @@ def test_wmon_fuzz_clean_and_exhaustive_violation(tmp_path, capsys):
     )
     assert rc == 0
     assert len(json.loads(out.read_text())) >= 1
+
+
+def test_wmon_exhaustive_honours_shape(capsys):
+    argv = ["wmon", "--mechanism", "minwork", "--exhaustive", "--grid", "0,1"]
+    assert main(argv + ["--n", "3", "--m", "1"]) == 0
+    assert "over exhaustive 3x1 grid 0,1" in capsys.readouterr().out
+    assert main(argv) == 0
+    assert "over exhaustive 2x2 grid 0,1" in capsys.readouterr().out
 
 
 def test_wmon_zero_trials():

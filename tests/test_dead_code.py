@@ -1,0 +1,69 @@
+"""Every definition under src/mechdock is used somewhere in src/.
+
+A module-level function, class or constant, or a method, whose name is
+never loaded (read as a name or attribute, or imported) in the package
+is reachable only from tests, or from nothing. Dunder methods are called
+by the interpreter and are exempt. The allowlist names the deliberate
+cross-check oracles, which the tests compare the program against.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mechdock"
+
+ALLOWED = {
+    "compute_b_closed": "closed form the tests check the b_k recurrence against",
+    "poly_root": "bisection the tests use to derive the parameter constants",
+    "SINGLE_BLOCK_CUBIC": "polynomial whose root is the single-block scale factor",
+    "SQUARE3_CUBIC": "polynomial whose root gives the 3x3 defaults",
+    "GOLDEN_QUADRATIC": "reference polynomial for the bisection oracle",
+    "__version__": "package metadata read by tools, not by the package",
+}
+
+
+def _definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item.name, item.lineno
+
+
+def _loads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_no_definition_is_unused_in_src():
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    loaded = {name for tree in trees.values() for name in _loads(tree)}
+    unused = [
+        f"{path.relative_to(SRC)}:{line} {name}"
+        for path, tree in trees.items()
+        for name, line in _definitions(tree)
+        if name not in loaded and name not in ALLOWED
+    ]
+    assert unused == []
+
+
+def test_allowlist_names_only_unused_definitions():
+    trees = [ast.parse(path.read_text()) for path in SRC.rglob("*.py")]
+    loaded = {name for tree in trees for name in _loads(tree)}
+    defined = {name for tree in trees for name, _ in _definitions(tree)}
+    assert set(ALLOWED) <= defined
+    assert not set(ALLOWED) & loaded

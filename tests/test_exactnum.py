@@ -11,7 +11,6 @@ from mechdock.exactnum import (
     GT,
     INF,
     LT,
-    ONE,
     UNBOUNDED,
     ZERO,
     ExactNumError,
@@ -21,24 +20,23 @@ from mechdock.exactnum import (
     leading_ratio,
     parse_value,
     tv,
-    tv_add,
     tv_compare,
     tv_scale,
 )
 
 
 def test_add_rationals():
-    assert tv_add(tv(1), tv(Fraction(1, 2))) == tv(Fraction(3, 2))
+    assert tv(1) + tv(Fraction(1, 2)) == tv(Fraction(3, 2))
 
 
 def test_add_cancels_tiers():
     u = tv(1) - 2 * EPS1
-    assert tv_add(u, EPS1) == tv(1) - EPS1
+    assert u + EPS1 == tv(1) - EPS1
 
 
 def test_add_infinity_absorbs():
-    assert tv_add(INF, EPS2) == INF
-    assert tv_add(tv(5), INF) == INF
+    assert INF + EPS2 == INF
+    assert tv(5) + INF == INF
 
 
 def test_scale_distributes_over_tiers():
@@ -69,18 +67,18 @@ def test_compare_negative_leading():
 
 
 def test_leading_ratio_standard():
-    assert leading_ratio(tv(2) - 2 * EPS1, ONE) == Fraction(2)
+    assert leading_ratio(tv(2) - 2 * EPS1, tv(1)) == Fraction(2)
     assert leading_ratio(tv(3), tv(2)) == Fraction(3, 2)
 
 
 def test_leading_ratio_tier_gap_unbounded():
     assert leading_ratio(EPS1, EPS2) is UNBOUNDED
-    assert leading_ratio(INF, ONE) is UNBOUNDED
+    assert leading_ratio(INF, tv(1)) is UNBOUNDED
 
 
 def test_leading_ratio_zero_coeff_at_leading_tier():
     # numerator has no weight at the denominator's leading tier
-    assert leading_ratio(EPS2, ONE + EPS1) == 0
+    assert leading_ratio(EPS2, tv(1) + EPS1) == 0
 
 
 def test_leading_ratio_rejects_bad_denominator():

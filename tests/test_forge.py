@@ -10,13 +10,12 @@ from mechdock.forge import (
     FeasibilityError,
     ForgeError,
     MainParams,
-    apply_E,
     b_ckv,
     b_new,
     b_nr,
     bound_arms,
     build_main,
-    build_small,
+    build_instance,
     c_kv,
     certified_bound,
     compute_b,
@@ -155,22 +154,6 @@ def test_transition_second_cost_branches():
     assert transition_second_cost(a, 1, 1 / a) == tv(2 / a) - EPS1
 
 
-def test_apply_E_steps():
-    p = MainParams.from_alpha(Fraction(9, 5), 2, 2)
-    T = build_main(p)
-    a = p.a
-    T1 = apply_E(T, 1, "E1", 1, p.b[0], a)
-    assert T1.cost(2, 2) == tv(1)
-    T2 = apply_E(T1, 1, "E1", 2, p.b[0], a)
-    assert T2.cost(1, 1) == tv(1 / a)
-    assert T2.cost(1, 2) == transition_second_cost(a, 1, p.b[0])
-    # mirror variant touches job 3 and the odd co-player
-    U1 = apply_E(T, 2, "E2", 1, p.b[1], a)
-    assert U1.cost(5, 6) == tv(1 / a)
-    with pytest.raises(ForgeError):
-        apply_E(T, 1, "E1", 3, p.b[0], a)
-
-
 def test_small_builders():
     assert d2x2().row(1) == (tv(1), EPS2)
     assert d2x2().row(2) == (tv(1), EPS1)
@@ -210,9 +193,9 @@ def test_self_contained_reference_builders():
     assert blk.cost(1, 1) == tv(2 / Fraction(18019, 10000))
     assert (blk.n, blk.m) == (3, 6)
 
-    assert build_small("d2x2") == d2x2()
+    assert build_instance("d2x2") == d2x2()
     with pytest.raises(ForgeError):
-        build_small("nope")
+        build_instance("nope")
 
 
 def test_certified_bound_reference_points():

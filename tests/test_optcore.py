@@ -9,7 +9,6 @@ from mechdock.optcore import (
     BudgetExceeded,
     OptResult,
     SearchError,
-    beta_unbalance,
     opt_makespan,
 )
 from mechdock.schedmodel import Allocation, Instance, active_players, makespan
@@ -101,39 +100,3 @@ def test_opt_unassignable_job():
     T = Instance([[1, "inf"], [1, 1]])
     with pytest.raises(SearchError):
         opt_makespan(T, forbidden={2})
-
-
-def test_beta_on_dummy_instance():
-    A = Allocation([1, 1, 2])  # player 1 holds the shared job
-    beta, aprime = beta_unbalance(NR, A, 1)
-    assert beta == Fraction(1)
-    assert aprime == Allocation([2, 1, 2])
-
-
-def test_beta_symmetric_case():
-    A = Allocation([2, 1, 2])
-    beta, aprime = beta_unbalance(NR, A, 2)
-    assert beta == Fraction(1)
-    assert aprime == Allocation([1, 1, 2])
-
-
-def test_beta_zero_when_no_improvement():
-    # job 1 has no taker besides player 1: the load cannot be shed
-    T = Instance([[1, 0, "inf"], ["inf", "inf", 0]], dummy_of={1: 2, 2: 3})
-    beta, _ = beta_unbalance(T, Allocation([1, 1, 2]), 1)
-    assert beta == Fraction(0)
-
-
-def test_beta_requires_dictating_player():
-    with pytest.raises(SearchError):
-        beta_unbalance(NR, Allocation([1, 1, 2]), 2)
-
-
-def test_beta_argmax_reevaluates():
-    from mechdock.exactnum import leading_ratio
-    from mechdock.schedmodel import load
-
-    A = Allocation([1, 1, 2])
-    beta, aprime = beta_unbalance(NR, A, 1)
-    num = load(NR, A, 1) - load(NR, aprime, 1)
-    assert leading_ratio(num, makespan(NR, aprime)) == beta

@@ -66,8 +66,12 @@ def test_validate_allocation():
 def test_instance_rejects_negative_costs():
     with pytest.raises(ModelError):
         Instance([[tv(-1), 1], [1, 1]])
-    # negative only at infinitesimal tiers is allowed
+    # a purely infinitesimal cost is negative when its leading tier is
+    with pytest.raises(ModelError):
+        Instance([["-1e1", 1], [1, 1]])
+    # negative only at lower tiers is allowed
     Instance([[tv(1) - 2 * EPS1, 1], [1, 1]])
+    Instance([[EPS1 - EPS2, 1], [1, 1]])
 
 
 def test_instance_dummy_structure_enforced():
@@ -126,11 +130,6 @@ def test_external_mechanism_protocol():
         assert mech.query(T) == Allocation([1, 2])
         # second query over the same pipe
         assert mech.query(NR) == Allocation([1, 1, 2])
-        clone = mech.clone()
-        try:
-            assert clone.query(T) == Allocation([1, 2])
-        finally:
-            clone.close()
     finally:
         mech.close()
 
@@ -152,5 +151,14 @@ def test_external_mechanism_timeout(monkeypatch):
     try:
         with pytest.raises(MechanismError, match="timed out"):
             mech.query(Instance([[1]]))
+    finally:
+        mech.close()
+
+
+def test_external_mechanism_negative_timeout_uses_default(monkeypatch):
+    monkeypatch.setenv("MECHDOCK_TIMEOUT_MS", "-5")
+    mech = _extern()
+    try:
+        assert mech.query(Instance([[1, 2], [3, 1]])) == Allocation([1, 2])
     finally:
         mech.close()

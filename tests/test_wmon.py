@@ -10,8 +10,8 @@ from mechdock.wmon import (
     FuzzSpec,
     HypothesisError,
     LemmaExpectation,
-    ViolationRecord,
     WmonPreconditionError,
+    WmonViolation,
     exhaustive_pairs,
     fuzz,
     infer,
@@ -183,9 +183,9 @@ def test_exhaustive_grid_finds_optmakespan_violation():
 
 
 def test_violation_record_roundtrip():
-    rec = ViolationRecord(
+    rec = WmonViolation(
         player=2, T=G1, x=G1_ALLOC, Tp=G2, xp=Allocation([1, 1, 1]), value=tv(1)
     )
-    assert ViolationRecord.from_json_dict(rec.to_json_dict()).to_json_dict() == (
-        rec.to_json_dict()
-    )
+    d = rec.to_json_dict()
+    assert d["kind"] == "WmonViolation"
+    assert WmonViolation.from_json_dict(d) == rec
