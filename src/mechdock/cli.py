@@ -61,7 +61,7 @@ def _add_param_flags(parser, specs):
         parser.add_argument(f"--{name}", type=_fraction if coerce is Fraction else int)
 
 
-def _given_params(args, command, name, spec):
+def _given_params(args, name, spec):
     """The spec's parameters set on the command line, or None after
     reporting the required ones that are missing."""
     given = {}
@@ -75,7 +75,7 @@ def _given_params(args, command, name, spec):
     if missing:
         verb = "is" if len(missing) == 1 else "are"
         flags = " and ".join(missing)
-        print(f"{command} {name}: {flags} {verb} required", file=sys.stderr)
+        print(f"{args.command} {name}: {flags} {verb} required", file=sys.stderr)
         return None
     return given
 
@@ -121,8 +121,7 @@ def build_parser():
 
 
 def cmd_gen(args):
-    spec = CONSTRUCTIONS[args.construction]
-    given = _given_params(args, "gen", args.construction, spec)
+    given = _given_params(args, args.construction, CONSTRUCTIONS[args.construction])
     if given is None:
         return 2
     try:
@@ -138,7 +137,7 @@ def cmd_gen(args):
 
 
 def cmd_attack(args):
-    params = _given_params(args, "attack", args.strategy, STRATEGY_SPECS[args.strategy])
+    params = _given_params(args, args.strategy, STRATEGY_SPECS[args.strategy])
     if params is None:
         return 2
     mech = None
@@ -223,17 +222,14 @@ def cmd_wmon(args):
     mech = None
     try:
         mech = make_mechanism(args.mechanism)
+        shape = 2 if args.exhaustive else 3
+        n = shape if args.n is None else args.n
+        m = shape if args.m is None else args.m
         if args.exhaustive:
-            n = 2 if args.n is None else args.n
-            m = 2 if args.m is None else args.m
             violations = exhaustive_pairs(mech, n, m, grid)
             scope = f"exhaustive {n}x{m} grid {args.grid}"
         else:
-            spec = FuzzSpec(
-                n=3 if args.n is None else args.n,
-                m=3 if args.m is None else args.m,
-                values=grid,
-            )
+            spec = FuzzSpec(n=n, m=m, values=grid)
             violations = fuzz(mech, spec, args.trials, args.seed)
             scope = f"{args.trials} seeded trials"
     except MechanismError as exc:
