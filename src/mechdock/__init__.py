@@ -9,7 +9,6 @@ strategies that interrogate mechanisms and emit verifiable witnesses.
 from .exactnum import (
     INF,
     UNBOUNDED,
-    Rational,
     TieredValue,
     format_value,
     leading_ratio,
@@ -21,8 +20,6 @@ from .schedmodel import (
     Instance,
     MechanismError,
     active_players,
-    is_trivial,
-    load,
     makespan,
     validate_allocation,
 )

@@ -5,9 +5,10 @@ lemma-predicted step. Deviations are resolved in a fixed order: the
 allocation is validated, an assignment at infinite cost (which covers a
 misallocated dummy) short-circuits to an unbounded-ratio verdict, a
 failed prediction whose instance pair has a positive monotonicity sum
-becomes a violation verdict, and anything left is an engine defect. The
-case scripts therefore terminate with a sound verdict against every
-valid mechanism answer.
+becomes a violation verdict, and anything left is an engine defect.
+Every verdict leaves through Session.finish, which re-checks it with the
+same offline check `verify` runs, so a verdict that check would reject
+ends the run as StrategyIncomplete instead.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..exactnum import UNBOUNDED, format_value, leading_ratio
+from ..exactnum import format_value
 from ..mechlib import minwork_allocate
-from ..schedmodel import checked_query, makespan, validate_allocation
+from ..schedmodel import checked_query
 from ..wmon import (
     LemmaExpectation,
     WmonPreconditionError,
@@ -32,6 +33,7 @@ from .verdicts import (
     StrategyIncomplete,
     Unbounded,
     WmonViolation,
+    verify_verdict,
 )
 
 
@@ -109,7 +111,7 @@ class Session:
         for j in T2.jobs():
             if T2.cost(x2.owner_of(j), j).infinite:
                 step.branch = f"job {j} assigned at infinite cost"
-                raise Finished(
+                self.finish(
                     Unbounded(
                         instance=T2,
                         mech_alloc=x2,
@@ -144,7 +146,7 @@ class Session:
             self.fail(f"prediction failed but the pair is unevaluable: {exc}")
         if report.violated:
             step.branch = "prediction failed; weak monotonicity violated"
-            raise Finished(
+            self.finish(
                 WmonViolation(
                     player=cons.player,
                     T=self.prev_T,
@@ -165,35 +167,17 @@ class Session:
     # -- terminals ---------------------------------------------------------
 
     def finish_ratio(self, certificate, bound):
-        bound = Fraction(bound)
-        defects = validate_allocation(self.T, certificate)
-        if defects:
-            self.fail("scripted certificate invalid: " + "; ".join(defects))
-        ms_cert = makespan(self.T, certificate)
-        if ms_cert.infinite or ms_cert.is_zero():
-            self.fail("scripted certificate has no usable makespan")
-        ratio = leading_ratio(makespan(self.T, self.x), ms_cert)
-        if ratio is not UNBOUNDED and ratio < bound:
-            self.fail(f"scripted bound {bound} not reached (ratio {ratio})")
-        raise Finished(
+        self.finish(
             RatioWitness(
                 instance=self.T,
                 mech_alloc=self.x,
                 certificate=certificate,
-                claimed_bound=bound,
+                claimed_bound=Fraction(bound),
             )
         )
 
     def finish_tier_gap(self, certificate):
-        defects = validate_allocation(self.T, certificate)
-        if defects:
-            self.fail("scripted certificate invalid: " + "; ".join(defects))
-        ms_cert = makespan(self.T, certificate)
-        if ms_cert.infinite or ms_cert.is_zero():
-            self.fail("scripted certificate has no usable makespan")
-        if leading_ratio(makespan(self.T, self.x), ms_cert) is not UNBOUNDED:
-            self.fail("scripted tier gap did not materialize")
-        raise Finished(
+        self.finish(
             Unbounded(
                 instance=self.T,
                 mech_alloc=self.x,
@@ -201,6 +185,13 @@ class Session:
                 reason=UNBOUNDED_TIER_GAP,
             )
         )
+
+    def finish(self, verdict):
+        """End the run with a verdict that passes its offline check."""
+        defects = verify_verdict(verdict)
+        if defects:
+            self.fail(f"{verdict.kind} fails its check: " + "; ".join(defects))
+        raise Finished(verdict)
 
     def fail(self, diagnostic):
         raise Finished(

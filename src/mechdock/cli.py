@@ -1,6 +1,10 @@
 """Command-line surface: generate instances, attack mechanisms, certify
 parameter bounds, fuzz for monotonicity violations, verify reports.
 
+`verify` re-checks a report's verdict from its stored data, then replays
+its strategy: against the rebuilt mechanism for a built-in selector, and
+against the answers its transcript recorded for an `extern:` one.
+
 All stored numbers are exact grammar strings; decimals are rendered for
 display only. Exit codes: 0 success / sound verdict, 1 verification
 failure, 2 usage error, 3 incomplete strategy, 4 mechanism failure.
@@ -17,15 +21,15 @@ from .adversary import STRATEGY_SPECS, attack, replay_report, verify_report
 from .adversary.verdicts import StrategyIncomplete
 from .forge import (
     CONSTRUCTIONS,
-    REQUIRED,
     ForgeError,
     MainParams,
     build_instance,
     certified_bound,
     feasibility_defect,
+    resolve_params,
     solve_best_a,
 )
-from .mechlib import make_mechanism
+from .mechlib import RecordedAnswers, make_mechanism
 from .schedmodel import MechanismError
 from .wmon import FuzzSpec, exhaustive_pairs, fuzz
 
@@ -51,33 +55,21 @@ def _decimal(x):
     return f"{float(x):.6f}"
 
 
+def _param_types(specs):
+    """Each parameter named in a table of specs, with its coercion."""
+    return {p.name: p.coerce for spec in specs.values() for p in spec.params}
+
+
 def _add_param_flags(parser, specs):
     """One --<name> flag per parameter named in a table of specs."""
-    seen = {}
-    for spec in specs.values():
-        for p in spec.params:
-            seen.setdefault(p.name, p.coerce)
-    for name, coerce in seen.items():
+    for name, coerce in _param_types(specs).items():
         parser.add_argument(f"--{name}", type=_fraction if coerce is Fraction else int)
 
 
-def _given_params(args, name, spec):
-    """The spec's parameters set on the command line, or None after
-    reporting the required ones that are missing."""
-    given = {}
-    missing = []
-    for p in spec.params:
-        value = getattr(args, p.name)
-        if value is not None:
-            given[p.name] = value
-        elif p.default is REQUIRED:
-            missing.append(f"--{p.name}")
-    if missing:
-        verb = "is" if len(missing) == 1 else "are"
-        flags = " and ".join(missing)
-        print(f"{args.command} {name}: {flags} {verb} required", file=sys.stderr)
-        return None
-    return given
+def _set_params(args, specs):
+    """The parameter flags set on the command line, checked by the caller."""
+    values = {name: getattr(args, name) for name in _param_types(specs)}
+    return {name: v for name, v in values.items() if v is not None}
 
 
 def build_parser():
@@ -121,11 +113,8 @@ def build_parser():
 
 
 def cmd_gen(args):
-    given = _given_params(args, args.construction, CONSTRUCTIONS[args.construction])
-    if given is None:
-        return 2
     try:
-        instance = build_instance(args.construction, given)
+        instance = build_instance(args.construction, _set_params(args, CONSTRUCTIONS))
     except ForgeError as exc:
         print(f"cannot build instance: {exc}", file=sys.stderr)
         return 2
@@ -137,11 +126,10 @@ def cmd_gen(args):
 
 
 def cmd_attack(args):
-    params = _given_params(args, args.strategy, STRATEGY_SPECS[args.strategy])
-    if params is None:
-        return 2
+    spec = STRATEGY_SPECS[args.strategy]
     mech = None
     try:
+        params = resolve_params(spec.params, _set_params(args, STRATEGY_SPECS))
         mech = make_mechanism(args.mechanism)
         report = attack(args.strategy, mech, params)
     except ForgeError as exc:
@@ -259,15 +247,23 @@ def cmd_verify(args):
         print(f"cannot read report: {exc}", file=sys.stderr)
         return 1
     defects = verify_report(report)
-    if not defects and not str(report.get("mechanism", "")).startswith("extern:"):
+    recorded = not defects and str(report.get("mechanism")).startswith("extern:")
+
+    def rebuild(selector):
+        if recorded:
+            return RecordedAnswers(selector, report.get("transcript", []))
+        return make_mechanism(selector)
+
+    if not defects:
         try:
-            defects = replay_report(report, make_mechanism)
-        except (MechanismError, ForgeError, ValueError, KeyError) as exc:
+            defects = replay_report(report, rebuild)
+        except (MechanismError, ForgeError, ValueError, KeyError, TypeError) as exc:
             defects = [f"replay failed: {exc}"]
     if defects:
         print(f"verification failed: {defects[0]}", file=sys.stderr)
         return 1
-    print("report verified")
+    source = "recorded answers" if recorded else f"mechanism {report['mechanism']}"
+    print(f"report verified: verdict checked, replay against {source} matched")
     return 0
 
 

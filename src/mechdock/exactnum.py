@@ -15,8 +15,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 LT, EQ, GT = -1, 0, 1
 
 
@@ -230,10 +228,6 @@ def tv_compare(u, v):
         a += 1
         b += 1
     return EQ
-
-
-def tv_max(u, v):
-    return u if tv_compare(u, v) != LT else v
 
 
 def leading_ratio(num, den):

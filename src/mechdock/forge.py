@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import EPS1, EPS2, EPS3, EPS4, INF, tv, tv_max
+from .exactnum import EPS1, EPS2, EPS3, EPS4, INF, tv
 from .schedmodel import Instance
 
 
@@ -92,10 +92,8 @@ class MainParams:
             raise ForgeError("z disagrees with the chain sum")
 
     @classmethod
-    def from_alpha(cls, a, r, k_c=None):
+    def from_alpha(cls, a, r, k_c):
         a = Fraction(a)
-        if k_c is None:
-            k_c = r
         b, z, _ = compute_b(a, r, k_c)
         return cls(a=a, r=r, k_c=k_c, b=b, z=z)
 
@@ -169,7 +167,7 @@ def transition_second_cost(a, i, b_i):
     """Player 1's reduced price for a block's companion job (tiered max)."""
     a, b_i = Fraction(a), Fraction(b_i)
     lowered = tv(2 * a**-i) - (tv(b_i - a**-i) + EPS1)
-    return tv_max(lowered, tv(a**-i))
+    return max(lowered, tv(a**-i))
 
 
 def d2x2():
@@ -269,16 +267,18 @@ class Spec:
 
 
 def resolve_params(params, given):
-    """Coerce the given values in table order and fill in the defaults."""
+    """Coerce the given values in table order and fill in the defaults;
+    unknown or missing names raise one ForgeError naming them all."""
     unknown = set(given) - {p.name for p in params}
     if unknown:
         raise ForgeError(f"unknown parameter(s) {sorted(unknown)}")
+    missing = [p.name for p in params if p.default is REQUIRED and p.name not in given]
+    if missing:
+        raise ForgeError(f"missing parameter(s) {missing}")
     values = {}
     for p in params:
         if p.name in given:
             values[p.name] = p.coerce(given[p.name])
-        elif p.default is REQUIRED:
-            raise ForgeError(f"parameter {p.name} is required")
         elif callable(p.default):
             values[p.name] = p.default(values)
         else:

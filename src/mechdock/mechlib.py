@@ -84,6 +84,23 @@ class SeededStub(MechanismHandle):
         return Allocation(owner)
 
 
+class RecordedAnswers(MechanismHandle):
+    """Answers each query with the next allocation a report's transcript
+    recorded, so a replay can check an external mechanism's transcript
+    without running it; a query past the last recorded answer fails."""
+
+    def __init__(self, name, transcript):
+        self.name = name
+        self._steps = iter(transcript)
+
+    def query(self, T):
+        step = next(self._steps, None)
+        try:
+            return Allocation(step["owner"])
+        except (KeyError, TypeError, ValueError):
+            raise MechanismError("the transcript recorded no answer for this query")
+
+
 def make_mechanism(selector):
     """Build a mechanism handle from a CLI selector string."""
     if selector == "minwork":

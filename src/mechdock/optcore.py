@@ -29,18 +29,8 @@ class OptResult:
     explored: int
 
 
-def _allowed_players(T, forbidden):
-    allowed = []
-    for j in T.jobs():
-        players = sorted(active_players(T, j) - set(forbidden))
-        if not players:
-            raise SearchError(f"job {j} has no allowed active player")
-        allowed.append(players)
-    return allowed
-
-
-def opt_makespan(T, forbidden=frozenset()):
-    """Exact minimum makespan over allocations avoiding forbidden players.
+def opt_makespan(T):
+    """Exact minimum makespan over allocations to active players.
 
     Phase 1 finds the optimal value by depth-first branch-and-bound with
     jobs ordered by descending cheapest active cost (pruning on current
@@ -48,7 +38,12 @@ def opt_makespan(T, forbidden=frozenset()):
     order so the returned owner vector is the lexicographically smallest
     one achieving the optimum.
     """
-    allowed = _allowed_players(T, forbidden)
+    allowed = []
+    for j in T.jobs():
+        players = sorted(active_players(T, j))
+        if not players:
+            raise SearchError(f"job {j} has no active player")
+        allowed.append(players)
     space = 1
     for players in allowed:
         space *= len(players)
@@ -58,9 +53,9 @@ def opt_makespan(T, forbidden=frozenset()):
             )
 
     def min_cost(j):
-        return min((T.cost(i, j) for i in allowed[j - 1]), key=_SortKey)
+        return min(T.cost(i, j) for i in allowed[j - 1])
 
-    order = sorted(T.jobs(), key=lambda j: _SortKey(min_cost(j)), reverse=True)
+    order = sorted(T.jobs(), key=min_cost, reverse=True)
 
     loads = {i: ZERO for i in T.players()}
     explored = 0
@@ -111,17 +106,3 @@ def opt_makespan(T, forbidden=frozenset()):
     witness = Allocation(owner)
     return OptResult(value=best_value, witness=witness, explored=explored)
 
-
-class _SortKey:
-    """Adapter making TieredValue usable with sorted()/min()."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return tv_compare(self.v, other.v) == LT
-
-    def __eq__(self, other):
-        return tv_compare(self.v, other.v) == 0

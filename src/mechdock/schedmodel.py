@@ -13,8 +13,9 @@ import os
 import select
 import shlex
 import subprocess
+import time
 
-from .exactnum import GT, INF, ZERO, format_value, parse_value, tv, tv_compare
+from .exactnum import INF, ZERO, format_value, parse_value, tv
 
 DEFAULT_TIMEOUT_MS = 10000
 TIMEOUT_ENV_VAR = "MECHDOCK_TIMEOUT_MS"
@@ -74,9 +75,6 @@ class Instance:
     def dummy_of(self):
         return dict(self._dummy_of)
 
-    def dummy_job(self, i):
-        return self._dummy_of.get(i)
-
     def cost(self, i, j):
         return self._rows[i - 1][j - 1]
 
@@ -95,11 +93,6 @@ class Instance:
         for i, j, v in edits:
             rows[i - 1][j - 1] = tv(v)
         return Instance(rows, self._dummy_of if dummy_of is None else dummy_of)
-
-    def with_row(self, i, row):
-        rows = [list(r) for r in self._rows]
-        rows[i - 1] = [tv(c) for c in row]
-        return Instance(rows, self._dummy_of)
 
     def rows_equal_except(self, other, i):
         """True when the two instances agree on every row but possibly i."""
@@ -156,14 +149,8 @@ class Allocation:
     def owner_of(self, j):
         return self.owner[j - 1]
 
-    def jobs_of(self, i):
-        return tuple(j for j, p in enumerate(self.owner, start=1) if p == i)
-
     def assigns(self, i, j):
         return self.owner[j - 1] == i
-
-    def indicator(self, i, j):
-        return 1 if self.owner[j - 1] == i else 0
 
     def to_json_dict(self):
         return {"owner": list(self.owner)}
@@ -184,38 +171,20 @@ class Allocation:
         return f"Allocation({list(self.owner)})"
 
 
-def load(T, x, i):
-    """Total cost of the jobs player i holds; infinite if any entry is."""
-    total = ZERO
-    for j in x.jobs_of(i):
+def makespan(T, x):
+    """Largest player load under a valid allocation x; infinite if any
+    job is assigned at infinite cost."""
+    loads = [ZERO] * T.n
+    for j, i in enumerate(x.owner, start=1):
         c = T.cost(i, j)
         if c.infinite:
             return INF
-        total = total + c
-    return total
-
-
-def makespan(T, x):
-    best = ZERO
-    for i in T.players():
-        li = load(T, x, i)
-        if li.infinite:
-            return INF
-        if tv_compare(li, best) == GT:
-            best = li
-    return best
+        loads[i - 1] = loads[i - 1] + c
+    return max(loads)
 
 
 def active_players(T, j):
     return frozenset(i for i in T.players() if T.cost(i, j).finite)
-
-
-def is_trivial(T, j):
-    """A job some player can process at zero or purely infinitesimal cost."""
-    return any(
-        T.cost(i, j).finite and T.cost(i, j).standard_part() == 0
-        for i in T.players()
-    )
 
 
 def validate_allocation(T, x):
@@ -270,6 +239,7 @@ class ExternalMechanism(MechanismHandle):
 
     def __init__(self, command):
         self.name = f"extern:{command}"
+        self._pending = b""
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         try:
             self._proc = subprocess.Popen(
@@ -277,8 +247,6 @@ class ExternalMechanism(MechanismHandle):
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
-                text=True,
-                bufsize=1,
             )
         except OSError as exc:
             raise MechanismError(f"cannot launch mechanism {command!r}: {exc}")
@@ -294,23 +262,34 @@ class ExternalMechanism(MechanismHandle):
             ms = DEFAULT_TIMEOUT_MS
         return ms / 1000.0
 
+    def _read_line(self):
+        """One reply line, read from the raw pipe against a single deadline,
+        so a child that stalls mid-line times out as one that never answers."""
+        fd = self._proc.stdout.fileno()
+        timeout = self._timeout_s()
+        deadline = time.monotonic() + timeout
+        buf = self._pending
+        while b"\n" not in buf:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                raise MechanismError(f"mechanism timed out after {timeout:.3f}s")
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                raise MechanismError("mechanism closed its output stream")
+            buf += chunk
+        line, _, self._pending = buf.partition(b"\n")
+        return line.decode("utf-8", "replace")
+
     def query(self, T):
         proc = self._proc
         if proc.poll() is not None:
             raise MechanismError("mechanism process has exited")
         try:
-            proc.stdin.write(T.to_json_line() + "\n")
+            proc.stdin.write(T.to_json_line().encode() + b"\n")
             proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise MechanismError(f"mechanism pipe failure: {exc}")
-        ready, _, _ = select.select([proc.stdout], [], [], self._timeout_s())
-        if not ready:
-            raise MechanismError(
-                f"mechanism timed out after {self._timeout_s():.3f}s"
-            )
-        line = proc.stdout.readline()
-        if not line:
-            raise MechanismError("mechanism closed its output stream")
+        line = self._read_line()
         try:
             reply = json.loads(line)
             return Allocation.from_json_dict(reply)
@@ -330,6 +309,7 @@ class ExternalMechanism(MechanismHandle):
             proc.wait(timeout=2)
         except (OSError, subprocess.TimeoutExpired):
             pass
+        proc.stdout.close()
 
     def __del__(self):
         self.close()

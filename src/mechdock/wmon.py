@@ -28,29 +28,26 @@ class HypothesisError(ValueError):
 
 @dataclass
 class WmonReport:
-    player: int
     value: TieredValue
     violated: bool
-    skipped_terms: list = field(default_factory=list)
 
 
 def wmon_value(T, x, Tp, xp, i):
     """Exact tiered weak-monotonicity sum for player i on an instance pair.
 
-    Jobs where both entries are infinite are skipped and recorded. A job
-    assigned to i at infinite cost is a precondition failure: the engine
-    reports that upstream as an unbounded-ratio event, never as a WMON
-    value. A mixed infinite/finite term whose assignment flips would need
-    -infinity, which tiered values cannot carry; it cannot arise after the
-    upstream infinite-assignment screen and is rejected here.
+    A job assigned to i at infinite cost is a precondition failure: the
+    engine reports that upstream as an unbounded-ratio event, never as a
+    WMON value. So a job infinite in both rows adds nothing. A mixed
+    infinite/finite term whose assignment flips would need -infinity,
+    which tiered values cannot carry; it cannot arise after the upstream
+    infinite-assignment screen and is rejected here.
     """
     if not T.rows_equal_except(Tp, i):
         raise WmonPreconditionError("instances differ outside the given row")
     total = ZERO
-    skipped = []
     for j in T.jobs():
         t, tp = T.cost(i, j), Tp.cost(i, j)
-        xi, xpi = x.indicator(i, j), xp.indicator(i, j)
+        xi, xpi = x.assigns(i, j), xp.assigns(i, j)
         if t.infinite and xi:
             raise WmonPreconditionError(
                 f"job {j} assigned to player {i} at infinite cost in T"
@@ -59,9 +56,6 @@ def wmon_value(T, x, Tp, xp, i):
             raise WmonPreconditionError(
                 f"job {j} assigned to player {i} at infinite cost in T'"
             )
-        if t.infinite and tp.infinite:
-            skipped.append(j)
-            continue
         d = xi - xpi
         if d == 0:
             continue
@@ -71,10 +65,8 @@ def wmon_value(T, x, Tp, xp, i):
             )
         total = total + (t - tp) * Fraction(d)
     return WmonReport(
-        player=i,
         value=total,
         violated=tv_compare(total, ZERO) == GT,
-        skipped_terms=skipped,
     )
 
 
@@ -193,16 +185,22 @@ def infer(exp, T, x, Tp):
     def unchanged(jj):
         return T.cost(i, jj) == Tp.cost(i, jj)
 
-    if exp.variant == "L1":
+    def moves_as_declared(free=()):
+        """L1/L3 premise: F1 held and lowered, F2 unheld and raised, every
+        other job but the free ones unchanged."""
+        v = exp.variant
         for j in exp.f1:
-            _require(x.assigns(i, j), f"L1: job {j} in F1 is not held")
-            _require(lowered(j), f"L1: job {j} in F1 is not strictly lowered")
+            _require(x.assigns(i, j), f"{v}: job {j} in F1 is not held")
+            _require(lowered(j), f"{v}: job {j} in F1 is not strictly lowered")
         for j in exp.f2:
-            _require(not x.assigns(i, j), f"L1: job {j} in F2 is held")
-            _require(raised(j), f"L1: job {j} in F2 is not strictly raised")
+            _require(not x.assigns(i, j), f"{v}: job {j} in F2 is held")
+            _require(raised(j), f"{v}: job {j} in F2 is not strictly raised")
         for j in T.jobs():
-            if j not in exp.f1 and j not in exp.f2:
-                _require(unchanged(j), f"L1: job {j} outside F1/F2 changed")
+            if j not in free and j not in exp.f1 and j not in exp.f2:
+                _require(unchanged(j), f"{v}: job {j} outside F1/F2 changed")
+
+    if exp.variant == "L1":
+        moves_as_declared()
         return Constraints(player=i, keep=set(exp.f1), forbid=set(exp.f2))
 
     if exp.variant == "L2":
@@ -226,15 +224,7 @@ def infer(exp, T, x, Tp):
         _require(jd is not None, "L3: player has no dummy job")
         _require(x.assigns(i, jd), "L3: player does not hold the dummy")
         _require(jd not in exp.f1 and jd not in exp.f2, "L3: dummy inside F1/F2")
-        for j in exp.f1:
-            _require(x.assigns(i, j), f"L3: job {j} in F1 is not held")
-            _require(lowered(j), f"L3: job {j} in F1 is not strictly lowered")
-        for j in exp.f2:
-            _require(not x.assigns(i, j), f"L3: job {j} in F2 is held")
-            _require(raised(j), f"L3: job {j} in F2 is not strictly raised")
-        for j in T.jobs():
-            if j != jd and j not in exp.f1 and j not in exp.f2:
-                _require(unchanged(j), f"L3: job {j} outside F1/F2 changed")
+        moves_as_declared(free={jd})
         return Constraints(
             player=i, keep=set(exp.f1) | {jd}, forbid=set(exp.f2)
         )
@@ -349,14 +339,14 @@ def fuzz(M, spec, trials, seed):
         T = Instance(costs)
         i = rng.randint(1, spec.n)
         jobs = rng.sample(range(1, spec.m + 1), rng.randint(1, spec.m))
-        row = list(T.row(i))
+        edits = []
         for j in jobs:
             delta = Fraction(rng.randint(1, 8), rng.randint(1, 4))
             if rng.random() < 0.5:
                 delta = -delta
-            moved = row[j - 1].standard_part() + delta
-            row[j - 1] = tv(max(Fraction(0), moved))
-        Tp = T.with_row(i, row)
+            moved = T.cost(i, j).standard_part() + delta
+            edits.append((i, j, max(Fraction(0), moved)))
+        Tp = T.with_costs(edits)
         x = checked_query(M, T)
         xp = checked_query(M, Tp)
         report = wmon_value(T, x, Tp, xp, i)
@@ -390,9 +380,10 @@ def exhaustive_pairs(M, n, m, values):
         T = Instance(costs)
         for i in range(1, n + 1):
             for new_row in product(grid, repeat=m):
-                if tuple(tv(v) for v in new_row) == T.row(i):
+                row = tuple(tv(v) for v in new_row)
+                if row == T.row(i):
                     continue
-                Tp = T.with_row(i, [tv(v) for v in new_row])
+                Tp = T.with_costs((i, j, c) for j, c in enumerate(row, start=1))
                 report = wmon_value(T, answer(T), Tp, answer(Tp), i)
                 if report.violated:
                     violations.append(

@@ -16,6 +16,7 @@ from mechdock.adversary.verdicts import (
     verify_verdict,
 )
 from mechdock.exactnum import UNBOUNDED, leading_ratio, tv
+from mechdock.forge import d2x2
 from mechdock.mechlib import SeededStub, make_mechanism
 from mechdock.schedmodel import Allocation, makespan
 
@@ -173,3 +174,24 @@ def test_replay_detects_mechanism_mismatch():
     report = attack("s2x2", make_mechanism("minwork")).to_json_dict()
     report["mechanism"] = "dictator:2"
     assert replay_report(report, make_mechanism)
+
+
+def test_unsound_claim_ends_incomplete_with_the_verdict_check_text():
+    # The certificate is the mechanism's own answer, so the leading ratio
+    # is 1; a script claiming 3 must not get a RatioWitness out.
+    def overclaim(s):
+        s.bootstrap(d2x2(), "start")
+        s.finish_ratio(s.x, Fraction(3))
+
+    verdict, transcript = run(overclaim, make_mechanism("minwork"))
+    assert isinstance(verdict, StrategyIncomplete)
+    assert verdict.step == len(transcript.steps) == 1
+    claimed = RatioWitness(
+        instance=d2x2(),
+        mech_alloc=Allocation([1, 1]),
+        certificate=Allocation([1, 1]),
+        claimed_bound=Fraction(3),
+    )
+    defects = verify_verdict(claimed)
+    assert defects == ["claimed bound 3 not met: leading ratio 1"]
+    assert defects[0] in verdict.diagnostic

@@ -2,11 +2,14 @@ import json
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mechdock.cli import main
 from mechdock.schedmodel import Instance
+
+EXTERN = f"extern:{sys.executable} {Path(__file__).parent / 'extern_minwork.py'}"
 
 
 def test_gen_block_chain(tmp_path, capsys):
@@ -87,7 +90,7 @@ def test_attack_3x3_summary(tmp_path, capsys):
     assert claimed >= Fraction(22055, 10000)
 
 
-def test_attack_main_and_verify_roundtrip(tmp_path):
+def test_attack_main_and_verify_roundtrip(tmp_path, capsys):
     report = tmp_path / "main.json"
     rc = main(
         [
@@ -108,6 +111,8 @@ def test_attack_main_and_verify_roundtrip(tmp_path):
     )
     assert rc == 0
     assert main(["verify", "--report", str(report)]) == 0
+    expected = "verdict checked, replay against mechanism minwork matched"
+    assert expected in capsys.readouterr().out
     doc = json.loads(report.read_text())
     doc["verdict"]["claimed_bound"] = "9"
     report.write_text(json.dumps(doc))
@@ -115,24 +120,37 @@ def test_attack_main_and_verify_roundtrip(tmp_path):
 
 
 def test_attack_extern_mechanism(tmp_path):
-    from pathlib import Path
-
-    script = Path(__file__).parent / "extern_minwork.py"
     report = tmp_path / "e.json"
     rc = main(
-        [
-            "attack",
-            "--strategy",
-            "s2x2",
-            "--mechanism",
-            f"extern:{sys.executable} {script}",
-            "--report",
-            str(report),
-        ]
+        ["attack", "--strategy", "s2x2", "--mechanism", EXTERN, "--report", str(report)]
     )
     assert rc == 0
     doc = json.loads(report.read_text())
     assert doc["verdict"]["kind"] == "RatioWitness"
+
+
+def test_verify_replays_extern_report_against_recorded_answers(tmp_path, capsys):
+    report = tmp_path / "e.json"
+    argv = ["attack", "--strategy", "s2x2", "--mechanism", EXTERN]
+    assert main(argv + ["--report", str(report)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--report", str(report)]) == 0
+    expected = "verdict checked, replay against recorded answers matched"
+    assert expected in capsys.readouterr().out
+    doc = json.loads(report.read_text())
+    # an edited answer sends the replay down another branch
+    tampered = json.loads(json.dumps(doc))
+    tampered["transcript"][0]["owner"] = [2, 2]
+    report.write_text(json.dumps(tampered))
+    assert main(["verify", "--report", str(report)]) == 1
+    assert "verification failed" in capsys.readouterr().err
+    # a dropped answer leaves the replay one answer short
+    truncated = json.loads(json.dumps(doc))
+    truncated["transcript"].pop()
+    truncated["queries"] -= 1
+    report.write_text(json.dumps(truncated))
+    assert main(["verify", "--report", str(report)]) == 1
+    assert "replay failed" in capsys.readouterr().err
 
 
 def test_attack_mechanism_launch_failure():
@@ -142,8 +160,25 @@ def test_attack_mechanism_launch_failure():
     assert rc == 4
 
 
-def test_attack_requires_main_params():
+def test_attack_requires_main_params(capsys):
     assert main(["attack", "--strategy", "main", "--mechanism", "minwork"]) == 2
+    assert "missing parameter(s) ['a', 'r']" in capsys.readouterr().err
+
+
+def test_flags_the_strategy_or_construction_does_not_take_are_usage_errors(
+    tmp_path, capsys
+):
+    argv = ["attack", "--strategy", "s2x2", "--mechanism", "minwork"]
+    assert main(argv + ["--a", "5", "--x", "3"]) == 2
+    assert "unknown parameter(s) ['a', 'x']" in capsys.readouterr().err
+    out = tmp_path / "d.json"
+    argv = ["gen", "--construction", "d2x2", "--a", "5", "--out", str(out)]
+    assert main(argv) == 2
+    assert "unknown parameter(s) ['a']" in capsys.readouterr().err
+    assert not out.exists()
+    # parameters are checked before the mechanism is launched
+    argv = ["attack", "--strategy", "s2x2", "--mechanism", "extern:/nonexistent-bin"]
+    assert main(argv + ["--kc", "1"]) == 2
 
 
 def test_attack_infeasible_parameters_are_a_usage_error(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from mechdock.exactnum import EPS1, EPS2, EPS3, EPS4, INF, tv
 from mechdock.forge import (
+    CONSTRUCTIONS,
     GOLDEN_QUADRATIC,
     SINGLE_BLOCK_CUBIC,
     SQUARE3_CUBIC,
@@ -25,11 +26,12 @@ from mechdock.forge import (
     f3x4,
     feasibility_defect,
     poly_root,
+    resolve_params,
     solve_best_a,
     transition_second_cost,
     z_sum,
 )
-from mechdock.schedmodel import active_players, is_trivial
+from mechdock.schedmodel import active_players
 
 
 def test_compute_b_example_point():
@@ -109,6 +111,13 @@ def test_build_main_structure():
     p = MainParams.from_alpha(Fraction(9, 5), 2, 2)
     T = build_main(p)
     assert (T.n, T.m) == (7, 15)
+
+    def trivial(j):  # some player does j at zero or infinitesimal cost
+        return any(
+            T.cost(i, j).finite and T.cost(i, j).standard_part() == 0
+            for i in T.players()
+        )
+
     # block actives are player 1 plus the block pair
     for i in (1, 2):
         j1, j2, j3 = p.block_jobs(i)
@@ -116,8 +125,8 @@ def test_build_main_structure():
         assert active_players(T, j1) == {1, lo, hi}
         assert active_players(T, j2) == {1, lo}
         assert active_players(T, j3) == {1, hi}
-        assert not is_trivial(T, j1)
-        assert is_trivial(T, j2) and is_trivial(T, j3)
+        assert not trivial(j1)
+        assert trivial(j2) and trivial(j3)
     # chain co-player cost is exactly a times player 1's
     for t in (1, 2):
         j = p.chain_job(t)
@@ -196,6 +205,19 @@ def test_self_contained_reference_builders():
     assert build_instance("d2x2") == d2x2()
     with pytest.raises(ForgeError):
         build_instance("nope")
+
+
+def test_resolve_params_names_every_missing_and_unknown_parameter():
+    params = CONSTRUCTIONS["an"].params
+    with pytest.raises(ForgeError, match=r"missing parameter\(s\) \['a', 'r'\]"):
+        resolve_params(params, {})
+    with pytest.raises(ForgeError, match=r"unknown parameter\(s\) \['k', 'x'\]"):
+        resolve_params(params, {"a": "9/5", "r": 2, "x": 3, "k": 1})
+    assert resolve_params(params, {"a": "9/5", "r": "2"}) == {
+        "a": Fraction(9, 5),
+        "r": 2,
+        "kc": 2,
+    }
 
 
 def test_certified_bound_reference_points():

@@ -4,6 +4,7 @@ import pytest
 
 from mechdock.exactnum import EPS1, EPS2, GT, tv, tv_compare
 from mechdock.mechlib import (
+    RecordedAnswers,
     SeededStub,
     dictator_allocate,
     make_mechanism,
@@ -102,3 +103,15 @@ def test_stub_respects_active_players_when_asked():
 def test_make_mechanism_rejects_unknown():
     with pytest.raises(MechanismError):
         make_mechanism("nope")
+
+
+def test_recorded_answers_replay_in_order_then_fail():
+    steps = [{"owner": [1, 1]}, {"note": "no answer"}, {"owner": [2, 1]}]
+    mech = RecordedAnswers("extern:somewhere", steps)
+    assert mech.name == "extern:somewhere"
+    assert mech.query(D_2X2) == Allocation([1, 1])
+    with pytest.raises(MechanismError, match="no answer"):
+        mech.query(D_2X2)
+    assert mech.query(D_2X2) == Allocation([2, 1])
+    with pytest.raises(MechanismError, match="no answer"):
+        mech.query(D_2X2)

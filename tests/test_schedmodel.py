@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,6 @@ from mechdock.schedmodel import (
     MechanismError,
     ModelError,
     active_players,
-    is_trivial,
-    load,
     makespan,
     validate_allocation,
 )
@@ -22,21 +21,14 @@ from mechdock.schedmodel import (
 NR = Instance([[1, 0, "inf"], [1, "inf", 0]], dummy_of={1: 2, 2: 3})
 
 
-def test_load_basics():
-    T = Instance([[1, 2], [3, 4]])
-    x = Allocation([1, 2])
-    assert load(T, x, 2) == tv(4)
-    assert load(T, x, 1) == tv(1)
-    assert load(Instance([[1, 2], [3, 4]]), Allocation([1, 1]), 2) == ZERO
-
-
-def test_load_infinite_entry():
-    T = Instance([[1, "inf"], [1, 1]])
-    assert load(T, Allocation([1, 1]), 1) == INF
-
-
 def test_makespan():
-    assert makespan(Instance([[1, 2], [3, 4]]), Allocation([1, 2])) == tv(4)
+    T = Instance([[1, 2], [3, 4]])
+    assert makespan(T, Allocation([1, 2])) == tv(4)
+    assert makespan(T, Allocation([1, 1])) == tv(3)  # player 2 holds nothing
+    assert makespan(T, Allocation([2, 2])) == tv(7)
+    assert makespan(Instance([[0, 0], [1, 1]]), Allocation([1, 1])) == ZERO
+    # one job at infinite cost makes the makespan infinite
+    assert makespan(Instance([[1, "inf"], [1, 1]]), Allocation([1, 1])) == INF
     assert makespan(NR, Allocation([1, 1, 2])) == tv(1)
     assert makespan(NR, Allocation([1, 2, 2])) == INF
 
@@ -45,14 +37,6 @@ def test_active_players():
     assert active_players(NR, 2) == {1}
     assert active_players(NR, 1) == {1, 2}
     assert active_players(Instance([[1, 1], [1, 1]]), 1) == {1, 2}
-
-
-def test_is_trivial():
-    assert is_trivial(Instance([[EPS1, 1], [2, 1]]), 1)
-    assert not is_trivial(Instance([[1, 2], [3, 1]]), 1)
-    assert is_trivial(NR, 2)
-    assert not is_trivial(NR, 1)
-    assert not is_trivial(Instance([["inf", 1], [1, 1]]), 2) is None
 
 
 def test_validate_allocation():
@@ -112,8 +96,6 @@ def test_makespan_invariant_under_player_permutation():
         T2 = Instance([T.row(perm.index(p) + 1) for p in range(1, n + 1)])
         x2 = Allocation([perm[x.owner_of(j) - 1] for j in T.jobs()])
         assert makespan(T, x) == makespan(T2, x2)
-        for i in T.players():
-            assert load(T, x, i) == load(T2, x2, perm[i - 1])
 
 
 EXTERN_SCRIPT = Path(__file__).parent / "extern_minwork.py"
@@ -162,3 +144,28 @@ def test_external_mechanism_negative_timeout_uses_default(monkeypatch):
         assert mech.query(Instance([[1, 2], [3, 1]])) == Allocation([1, 2])
     finally:
         mech.close()
+
+
+def test_external_mechanism_partial_reply_times_out(monkeypatch):
+    # The child starts a reply and stalls before its newline.
+    monkeypatch.setenv("MECHDOCK_TIMEOUT_MS", "500")
+    script = (
+        "import sys, time; sys.stdin.readline(); "
+        "sys.stdout.write('{\"owner\": [1'); sys.stdout.flush(); time.sleep(30)"
+    )
+    mech = ExternalMechanism([sys.executable, "-c", script])
+    try:
+        start = time.monotonic()
+        with pytest.raises(MechanismError, match="timed out"):
+            mech.query(Instance([[1]]))
+        assert time.monotonic() - start < 3
+    finally:
+        mech.close()
+
+
+def test_external_mechanism_close_closes_both_pipes():
+    mech = _extern()
+    assert mech.query(Instance([[1, 2], [3, 1]])) == Allocation([1, 2])
+    mech.close()
+    assert mech._proc.stdin.closed
+    assert mech._proc.stdout.closed

@@ -61,7 +61,8 @@ def test_wmon_value_skips_double_infinite():
     T = Instance([["inf", 1], [1, 1]])
     Tp = Instance([["inf", 2], [1, 1]])
     rep = wmon_value(T, Allocation([2, 1]), Tp, Allocation([2, 2]), 1)
-    assert rep.skipped_terms == [1]
+    assert rep.value == tv(-1)  # job 1 adds nothing; job 2 gives (1-2)*(1-0)
+    assert not rep.violated
 
 
 def test_wmon_value_rejects_other_row_changes():
