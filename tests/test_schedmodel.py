@@ -21,14 +21,21 @@ from mechdock.schedmodel import (
 NR = Instance([[1, 0, "inf"], [1, "inf", 0]], dummy_of={1: 2, 2: 3})
 
 
-def test_makespan():
+def test_load_basics():
+    # makespan sums each player's load in one pass and takes the largest
     T = Instance([[1, 2], [3, 4]])
-    assert makespan(T, Allocation([1, 2])) == tv(4)
     assert makespan(T, Allocation([1, 1])) == tv(3)  # player 2 holds nothing
     assert makespan(T, Allocation([2, 2])) == tv(7)
     assert makespan(Instance([[0, 0], [1, 1]]), Allocation([1, 1])) == ZERO
+
+
+def test_load_infinite_entry():
     # one job at infinite cost makes the makespan infinite
     assert makespan(Instance([[1, "inf"], [1, 1]]), Allocation([1, 1])) == INF
+
+
+def test_makespan():
+    assert makespan(Instance([[1, 2], [3, 4]]), Allocation([1, 2])) == tv(4)
     assert makespan(NR, Allocation([1, 1, 2])) == tv(1)
     assert makespan(NR, Allocation([1, 2, 2])) == INF
 
