@@ -80,8 +80,19 @@ class TieredValue:
         raise AttributeError("TieredValue is immutable")
 
     @classmethod
+    def _canonical(cls, items):
+        """A finite value from coefficients already in canonical form, so the
+        normalising constructor can be skipped on the hot paths."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "infinite", False)
+        object.__setattr__(v, "_coeffs", items)
+        return v
+
+    @classmethod
     def from_rational(cls, q):
-        return cls({0: Fraction(q)})
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        return cls._canonical(((0, q),) if q else ())
 
     @classmethod
     def eps(cls, tier, coeff=1):
@@ -121,10 +132,20 @@ class TieredValue:
         other = tv(other)
         if self.infinite or other.infinite:
             return INF
-        merged = dict(self._coeffs)
-        for t, q in other._coeffs:
-            merged[t] = merged.get(t, Fraction(0)) + q
-        return TieredValue(merged)
+        a, b = self._coeffs, other._coeffs
+        if not b:
+            return self
+        if not a:
+            return other
+        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+            q = a[0][1] + b[0][1]
+            return TieredValue._canonical(((a[0][0], q),) if q else ())
+        merged = dict(a)
+        for t, q in b:
+            merged[t] = merged.get(t, 0) + q
+        return TieredValue._canonical(
+            tuple(sorted((t, q) for t, q in merged.items() if q))
+        )
 
     __radd__ = __add__
 
@@ -132,12 +153,7 @@ class TieredValue:
         other = tv(other)
         if other.infinite:
             raise ExactNumError("cannot subtract infinity")
-        if self.infinite:
-            return INF
-        merged = dict(self._coeffs)
-        for t, q in other._coeffs:
-            merged[t] = merged.get(t, Fraction(0)) - q
-        return TieredValue(merged)
+        return self + -other
 
     def __mul__(self, q):
         if isinstance(q, TieredValue):
@@ -149,7 +165,7 @@ class TieredValue:
     def __neg__(self):
         if self.infinite:
             raise ExactNumError("cannot negate infinity")
-        return TieredValue({t: -q for t, q in self._coeffs})
+        return TieredValue._canonical(tuple((t, -q) for t, q in self._coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, TieredValue):
@@ -202,7 +218,7 @@ def tv_scale(q, v):
         return INF
     if q == 0:
         return ZERO
-    return TieredValue({t: q * c for t, c in v.items()})
+    return TieredValue._canonical(tuple((t, q * c) for t, c in v.items()))
 
 
 def tv_compare(u, v):
@@ -215,6 +231,9 @@ def tv_compare(u, v):
     if v.infinite:
         return LT
     iu, iv = u.items(), v.items()
+    if len(iu) == 1 and len(iv) == 1 and iu[0][0] == iv[0][0]:
+        p, q = iu[0][1], iv[0][1]
+        return EQ if p == q else GT if p > q else LT
     a = b = 0
     while a < len(iu) or b < len(iv):
         ta = iu[a][0] if a < len(iu) else None

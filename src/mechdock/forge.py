@@ -140,27 +140,24 @@ def build_main(p):
     """The full n-player block-chain instance with a dummy job per player."""
     check_feasible(p)
     a = Fraction(p.a)
-    rows = [[INF] * p.m for _ in range(p.n)]
+    cols = [{} for _ in range(p.m)]
     for i in range(1, p.r + 1):
         j1, j2, j3 = p.block_jobs(i)
         lo, hi = p.block_coplayers(i)
-        rows[0][j1 - 1] = tv(p.b[i - 1])
-        rows[0][j2 - 1] = tv(2 * a**-i)
-        rows[0][j3 - 1] = tv(2 * a**-i)
-        rows[lo - 1][j1 - 1] = tv(a ** -(i - 1))
-        rows[lo - 1][j2 - 1] = EPS1
-        rows[hi - 1][j1 - 1] = tv(a ** -(i - 1))
-        rows[hi - 1][j3 - 1] = EPS1
+        first, companion = a ** -(i - 1), 2 * a**-i
+        cols[j1 - 1] = {1: p.b[i - 1], lo: first, hi: first}
+        cols[j2 - 1] = {1: companion, lo: EPS1}
+        cols[j3 - 1] = {1: companion, hi: EPS1}
     for t in range(1, p.k_c + 1):
-        j = p.chain_job(t)
-        rows[0][j - 1] = tv(a ** -(p.r + t))
-        rows[p.chain_coplayer(t) - 1][j - 1] = tv(a ** -(p.r + t - 1))
+        cols[p.chain_job(t) - 1] = {
+            1: a ** -(p.r + t),
+            p.chain_coplayer(t): a ** -(p.r + t - 1),
+        }
     dummy_of = {}
     for q in range(1, p.n + 1):
-        j = p.dummy_job(q)
-        rows[q - 1][j - 1] = tv(0)
-        dummy_of[q] = j
-    return Instance(rows, dummy_of)
+        cols[p.dummy_job(q) - 1] = {q: 0}
+        dummy_of[q] = p.dummy_job(q)
+    return Instance.from_columns(p.n, cols, dummy_of)
 
 
 def transition_second_cost(a, i, b_i):

@@ -26,13 +26,10 @@ def minwork_allocate(T):
     """Each job to its cheapest player in tiered order; ties to lowest index."""
     owner = []
     for j in T.jobs():
-        best = None
-        for i in T.players():
-            c = T.cost(i, j)
-            if not c.finite:
-                continue
-            if best is None or tv_compare(c, T.cost(best, j)) == LT:
-                best = i
+        best = best_cost = None
+        for i, c in T.finite_costs(j):
+            if best is None or tv_compare(c, best_cost) == LT:
+                best, best_cost = i, c
         if best is None:
             raise MechanismError(f"job {j} has no finite-cost player")
         owner.append(best)

@@ -1,7 +1,10 @@
 """Instances, allocations, loads/makespan, and the mechanism query interface.
 
 Players and jobs are 1-indexed throughout. Instances and allocations are
-immutable; edits produce new instances. A mechanism is a deterministic
+immutable; edits produce new instances. An instance stores only its finite
+cells, column by column, with infinity implicit (the block-chain instances
+are under 1% finite), and an edit shares every column it does not write.
+The JSON form is still the dense matrix. A mechanism is a deterministic
 black box mapping an instance to an allocation, either built in or an
 external subprocess speaking line-delimited JSON.
 """
@@ -32,41 +35,62 @@ class MechanismError(Exception):
 class Instance:
     """An n x m matrix of processing times, with optional dummy-job metadata.
 
+    Cells are stored by job: each column keeps only its finite entries, a
+    dict from player to cost in ascending player order, and a player the
+    column omits costs infinity. The constructor takes dense rows;
+    from_columns takes the finite entries directly. An edit copies only
+    the columns it touches and shares the rest with the original.
+
     dummy_of maps a player to the index of a job only that player can
     finitely process (the column is infinite for everyone else).
     """
 
-    __slots__ = ("n", "m", "_rows", "_dummy_of")
+    __slots__ = ("n", "m", "_cols", "_dummy_of")
 
     def __init__(self, costs, dummy_of=None):
-        rows = tuple(tuple(tv(c) for c in row) for row in costs)
-        if not rows or not rows[0]:
-            raise ModelError("instance needs at least one player and one job")
-        m = len(rows[0])
-        if any(len(r) != m for r in rows):
-            raise ModelError("ragged cost matrix")
-        # A finite cost is negative when its leading coefficient is; the
-        # coefficient tuple is read directly because this runs on every cell.
-        for i, row in enumerate(rows, start=1):
-            for j, c in enumerate(row, start=1):
-                if c._coeffs and c._coeffs[0][1] < 0:
-                    raise ModelError(f"negative cost at player {i}, job {j}")
+        rows = [[tv(c) for c in row] for row in costs]
+        self._init(len(rows), _dense_columns(rows), dummy_of)
+
+    @classmethod
+    def _of_columns(cls, n, cols, dummy_of):
+        inst = object.__new__(cls)
+        inst._init(n, cols, dummy_of)
+        return inst
+
+    def _init(self, n, cols, dummy_of):
+        """Set the fields from checked columns and check the dummy jobs."""
         dummy = dict(sorted((int(p), int(j)) for p, j in (dummy_of or {}).items()))
-        object.__setattr__(self, "n", len(rows))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_dummy_of", dummy)
         for p, j in dummy.items():
-            if not (1 <= p <= self.n and 1 <= j <= self.m):
+            if not (1 <= p <= n and 1 <= j <= len(cols)):
                 raise ModelError(f"dummy_of entry out of range: {p} -> {j}")
-            if not self.cost(p, j).finite:
+            if p not in cols[j - 1]:
                 raise ModelError(f"player {p}'s dummy job {j} costs infinity")
-            for other in self.players():
-                if other != p and self.cost(other, j).finite:
+            for other in cols[j - 1]:
+                if other != p:
                     raise ModelError(
                         f"job {j} is marked as player {p}'s dummy but player "
                         f"{other} has finite cost for it"
                     )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", len(cols))
+        object.__setattr__(self, "_cols", tuple(cols))
+        object.__setattr__(self, "_dummy_of", dummy)
+
+    @classmethod
+    def from_columns(cls, n, columns, dummy_of=None):
+        """Instance with n players from one {player: cost} mapping per job
+        holding its finite costs; a player a mapping leaves out costs
+        infinity. Bad cells are reported in row-major order."""
+        cols = [{i: tv(c) for i, c in sorted(col.items())} for col in columns]
+        if n < 1 or not cols:
+            raise ModelError("instance needs at least one player and one job")
+        for i, j in sorted((i, j) for j, col in enumerate(cols, start=1) for i in col):
+            if not 1 <= i <= n:
+                raise ModelError(f"player {i} out of range at job {j}")
+            if _negative(cols[j - 1][i]):
+                raise ModelError(f"negative cost at player {i}, job {j}")
+        cols = [{i: c for i, c in col.items() if c.finite} for col in cols]
+        return cls._of_columns(n, cols, dummy_of)
 
     def __setattr__(self, name, value):
         raise AttributeError("Instance is immutable")
@@ -76,10 +100,14 @@ class Instance:
         return dict(self._dummy_of)
 
     def cost(self, i, j):
-        return self._rows[i - 1][j - 1]
+        return self._cols[j - 1].get(i, INF)
+
+    def finite_costs(self, j):
+        """Job j's (player, cost) pairs of finite cost, by ascending player."""
+        return self._cols[j - 1].items()
 
     def row(self, i):
-        return self._rows[i - 1]
+        return tuple(col.get(i, INF) for col in self._cols)
 
     def players(self):
         return range(1, self.n + 1)
@@ -88,26 +116,51 @@ class Instance:
         return range(1, self.m + 1)
 
     def with_costs(self, edits, dummy_of=None):
-        """New instance with (player, job, value) replacements applied."""
-        rows = [list(r) for r in self._rows]
+        """New instance with (player, job, value) replacements applied.
+
+        Only the written cells are checked, and only their columns copied.
+        """
+        written = {}
         for i, j, v in edits:
-            rows[i - 1][j - 1] = tv(v)
-        return Instance(rows, self._dummy_of if dummy_of is None else dummy_of)
+            if not (1 <= i <= self.n and 1 <= j <= self.m):
+                raise ModelError(
+                    f"edit at player {i}, job {j} is outside the "
+                    f"{self.n}x{self.m} instance"
+                )
+            written[i, j] = tv(v)
+        changed = {}
+        for (i, j), c in sorted(written.items()):
+            if _negative(c):
+                raise ModelError(f"negative cost at player {i}, job {j}")
+            col = changed.get(j)
+            if col is None:
+                col = changed[j] = dict(self._cols[j - 1])
+            if c.infinite:
+                col.pop(i, None)
+            else:
+                col[i] = c
+        cols = list(self._cols)
+        for j, col in changed.items():
+            cols[j - 1] = dict(sorted(col.items()))
+        return self._of_columns(
+            self.n, cols, self._dummy_of if dummy_of is None else dummy_of
+        )
 
     def rows_equal_except(self, other, i):
         """True when the two instances agree on every row but possibly i."""
         if (self.n, self.m) != (other.n, other.m):
             return False
-        return all(
-            self._rows[k] == other._rows[k] for k in range(self.n) if k != i - 1
-        )
+        for a, b in zip(self._cols, other._cols):
+            if a is not b and a != b and _without(a, i) != _without(b, i):
+                return False
+        return True
 
     def to_json_dict(self):
-        d = {
-            "n": self.n,
-            "m": self.m,
-            "costs": [[format_value(c) for c in row] for row in self._rows],
-        }
+        costs = [["inf"] * self.m for _ in range(self.n)]
+        for j, col in enumerate(self._cols):
+            for i, c in col.items():
+                costs[i - 1][j] = format_value(c)
+        d = {"n": self.n, "m": self.m, "costs": costs}
         if self._dummy_of:
             d["dummy_of"] = {str(p): j for p, j in self._dummy_of.items()}
         return d
@@ -117,8 +170,12 @@ class Instance:
 
     @classmethod
     def from_json_dict(cls, d):
-        costs = [[parse_value(c) for c in row] for row in d["costs"]]
-        inst = cls(costs, {int(p): int(j) for p, j in d.get("dummy_of", {}).items()})
+        rows = [
+            [INF if text == "inf" else parse_value(text) for text in row]
+            for row in d["costs"]
+        ]
+        dummy = {int(p): int(j) for p, j in d.get("dummy_of", {}).items()}
+        inst = cls._of_columns(len(rows), _dense_columns(rows), dummy)
         if inst.n != d.get("n", inst.n) or inst.m != d.get("m", inst.m):
             raise ModelError("instance dimensions disagree with matrix")
         return inst
@@ -126,13 +183,49 @@ class Instance:
     def __eq__(self, other):
         if not isinstance(other, Instance):
             return NotImplemented
-        return self._rows == other._rows and self._dummy_of == other._dummy_of
+        return (
+            self.n == other.n
+            and self._cols == other._cols
+            and self._dummy_of == other._dummy_of
+        )
 
     def __hash__(self):
-        return hash((self._rows, tuple(self._dummy_of.items())))
+        cols = tuple(tuple(col.items()) for col in self._cols)
+        return hash((self.n, cols, tuple(self._dummy_of.items())))
 
     def __repr__(self):
         return f"Instance({self.n}x{self.m})"
+
+
+def _negative(c):
+    """A finite cost is negative when its leading coefficient is; the
+    coefficient tuple is read directly because this runs on every finite
+    cell."""
+    return bool(c._coeffs) and c._coeffs[0][1] < 0
+
+
+def _dense_columns(rows):
+    """The finite entries of dense rows of tiered values, one dict per job.
+    A negative cost is an error naming the first such cell in row-major
+    order."""
+    if not rows or not rows[0]:
+        raise ModelError("instance needs at least one player and one job")
+    m = len(rows[0])
+    if any(len(r) != m for r in rows):
+        raise ModelError("ragged cost matrix")
+    cols = [{} for _ in range(m)]
+    for i, row in enumerate(rows, start=1):
+        for j, c in enumerate(row):
+            if c.infinite:
+                continue
+            if _negative(c):
+                raise ModelError(f"negative cost at player {i}, job {j + 1}")
+            cols[j][i] = c
+    return cols
+
+
+def _without(col, i):
+    return {p: c for p, c in col.items() if p != i}
 
 
 class Allocation:
@@ -184,7 +277,7 @@ def makespan(T, x):
 
 
 def active_players(T, j):
-    return frozenset(i for i in T.players() if T.cost(i, j).finite)
+    return frozenset(i for i, _ in T.finite_costs(j))
 
 
 def validate_allocation(T, x):
@@ -250,6 +343,7 @@ class ExternalMechanism(MechanismHandle):
             )
         except OSError as exc:
             raise MechanismError(f"cannot launch mechanism {command!r}: {exc}")
+        os.set_blocking(self._proc.stdin.fileno(), False)
 
     @staticmethod
     def _timeout_s():
@@ -262,12 +356,27 @@ class ExternalMechanism(MechanismHandle):
             ms = DEFAULT_TIMEOUT_MS
         return ms / 1000.0
 
-    def _read_line(self):
-        """One reply line, read from the raw pipe against a single deadline,
-        so a child that stalls mid-line times out as one that never answers."""
+    def _write(self, data, deadline, timeout):
+        """Send the request through the raw, non-blocking stdin pipe against
+        the query's deadline, so a child that never reads cannot stall it."""
+        fd = self._proc.stdin.fileno()
+        view = memoryview(data)
+        while view:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([], [fd], [], remaining)[1]:
+                raise MechanismError(f"mechanism timed out after {timeout:.3f}s")
+            try:
+                view = view[os.write(fd, view) :]
+            except BlockingIOError:
+                continue
+            except OSError as exc:
+                raise MechanismError(f"mechanism pipe failure: {exc}")
+
+    def _read_line(self, deadline, timeout):
+        """One reply line, read from the raw pipe against the query's
+        deadline, so a child that stalls mid-line times out as one that
+        never answers."""
         fd = self._proc.stdout.fileno()
-        timeout = self._timeout_s()
-        deadline = time.monotonic() + timeout
         buf = self._pending
         while b"\n" not in buf:
             remaining = deadline - time.monotonic()
@@ -281,15 +390,12 @@ class ExternalMechanism(MechanismHandle):
         return line.decode("utf-8", "replace")
 
     def query(self, T):
-        proc = self._proc
-        if proc.poll() is not None:
+        if self._proc.poll() is not None:
             raise MechanismError("mechanism process has exited")
-        try:
-            proc.stdin.write(T.to_json_line().encode() + b"\n")
-            proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise MechanismError(f"mechanism pipe failure: {exc}")
-        line = self._read_line()
+        timeout = self._timeout_s()
+        deadline = time.monotonic() + timeout
+        self._write(T.to_json_line().encode() + b"\n", deadline, timeout)
+        line = self._read_line(deadline, timeout)
         try:
             reply = json.loads(line)
             return Allocation.from_json_dict(reply)

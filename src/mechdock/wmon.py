@@ -330,12 +330,10 @@ def fuzz(M, spec, trials, seed):
     (clamped at zero), and evaluates the WMON sum on the two answers.
     """
     rng = random.Random(seed)
-    grid = [Fraction(v) for v in spec.values]
+    grid = [tv(Fraction(v)) for v in spec.values]
     violations = []
     for _ in range(trials):
-        costs = [
-            [tv(rng.choice(grid)) for _ in range(spec.m)] for _ in range(spec.n)
-        ]
+        costs = [[rng.choice(grid) for _ in range(spec.m)] for _ in range(spec.n)]
         T = Instance(costs)
         i = rng.randint(1, spec.n)
         jobs = rng.sample(range(1, spec.m + 1), rng.randint(1, spec.m))
@@ -366,7 +364,7 @@ def exhaustive_pairs(M, n, m, values):
     """
     from itertools import product
 
-    grid = [Fraction(v) for v in values]
+    grid = [tv(Fraction(v)) for v in values]
     cache = {}
 
     def answer(T):
@@ -376,11 +374,9 @@ def exhaustive_pairs(M, n, m, values):
 
     violations = []
     for flat in product(grid, repeat=n * m):
-        costs = [[tv(flat[r * m + c]) for c in range(m)] for r in range(n)]
-        T = Instance(costs)
+        T = Instance(flat[r * m : (r + 1) * m] for r in range(n))
         for i in range(1, n + 1):
-            for new_row in product(grid, repeat=m):
-                row = tuple(tv(v) for v in new_row)
+            for row in product(grid, repeat=m):
                 if row == T.row(i):
                     continue
                 Tp = T.with_costs((i, j, c) for j, c in enumerate(row, start=1))

@@ -11,11 +11,10 @@ from mechdock.adversary.verdicts import (
     RatioWitness,
     StrategyIncomplete,
     Unbounded,
-    WmonViolation,
     verdict_from_json_dict,
     verify_verdict,
 )
-from mechdock.exactnum import UNBOUNDED, leading_ratio, tv
+from mechdock.exactnum import leading_ratio
 from mechdock.forge import d2x2
 from mechdock.mechlib import SeededStub, make_mechanism
 from mechdock.schedmodel import Allocation, makespan

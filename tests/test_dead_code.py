@@ -1,4 +1,5 @@
-"""Every definition under src/mechdock is used somewhere in src/.
+"""Every definition under src/mechdock is used somewhere in src/, and
+every module under src/ and tests/ uses each name it imports.
 
 A module-level function, class or constant, or a method, whose name is
 never loaded (read as a name or attribute, or imported) in the package
@@ -6,13 +7,15 @@ is reachable only from tests, or from nothing. Dunder methods are called
 by the interpreter and are exempt. The package's own __init__.py only
 re-exports names, so its imports are not counted as uses. The allowlist
 names the deliberate cross-check oracles, which the tests compare the
-program against.
+program against. The import check applies to each module on its own and
+skips the same __init__.py.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mechdock"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "mechdock"
 REEXPORTS = SRC / "__init__.py"
 
 ALLOWED = {
@@ -83,3 +86,32 @@ def test_allowlist_names_only_unused_definitions():
     defined = {name for tree in trees.values() for name, _ in _definitions(tree)}
     assert set(ALLOWED) <= defined
     assert not set(ALLOWED) & loaded
+
+
+def _imported(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def test_every_imported_name_is_used():
+    paths = sorted(SRC.rglob("*.py")) + sorted(TESTS.rglob("*.py"))
+    unused = []
+    for path in paths:
+        if path == REEXPORTS:
+            continue
+        tree = ast.parse(path.read_text())
+        names = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            f"{path.relative_to(TESTS.parent)}:{line} {name}"
+            for name, line in _imported(tree)
+            if name not in names
+        ]
+    assert unused == []

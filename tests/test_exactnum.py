@@ -186,3 +186,48 @@ def test_scale_distributes(q, u, v):
 @given(_finite_values, _finite_values)
 def test_standard_part_additive(u, v):
     assert (u + v).standard_part() == u.standard_part() + v.standard_part()
+
+
+def test_cancelling_sum_is_canonical_zero():
+    s = tv(1) + tv(-1)
+    assert s.is_zero()
+    assert s == ZERO
+    assert hash(s) == hash(ZERO)
+
+
+# Few tiers and small coefficients, so same-tier singletons, cancellation
+# and empty operands come up often; a bare tier-0 value goes through tv.
+_small_coeffs = st.dictionaries(
+    st.integers(0, 2),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    max_size=2,
+)
+
+
+def _tiered(coeffs):
+    return tv(coeffs[0]) if set(coeffs) == {0} else TieredValue(coeffs)
+
+
+def _is_canonical(v):
+    tiers = [t for t, _ in v.items()]
+    return tiers == sorted(set(tiers)) and all(
+        type(t) is int and type(q) is Fraction and q != 0 for t, q in v.items()
+    )
+
+
+@given(_small_coeffs, _small_coeffs)
+def test_add_and_compare_match_per_tier_reference(p, q):
+    u, v = _tiered(p), _tiered(q)
+    tiers = sorted(set(p) | set(q))
+    for result, sign in ((u + v, 1), (u - v, -1)):
+        expected = {t: p.get(t, 0) + sign * q.get(t, 0) for t in tiers}
+        expected = {t: c for t, c in expected.items() if c}
+        assert dict(result.items()) == expected
+        assert _is_canonical(result)
+        assert result.is_zero() == (result == ZERO) == (not expected)
+        if not expected:
+            assert hash(result) == hash(ZERO)
+    diffs = [p.get(t, 0) - q.get(t, 0) for t in tiers]
+    first = next((d for d in diffs if d), 0)
+    assert tv_compare(u, v) == (GT if first > 0 else LT if first < 0 else EQ)
+    assert _is_canonical(u) and _is_canonical(v)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mechdock.exactnum import EPS1, EPS2, GT, tv, tv_compare
 from mechdock.mechlib import (
@@ -115,3 +116,42 @@ def test_recorded_answers_replay_in_order_then_fail():
     assert mech.query(D_2X2) == Allocation([2, 1])
     with pytest.raises(MechanismError, match="no answer"):
         mech.query(D_2X2)
+
+
+def _dense_minwork(rows):
+    """Reference min-work on a dense matrix: the cheapest finite player of
+    each job, ties to the lowest index; None when a job has none."""
+    owner = []
+    for j in range(len(rows[0])):
+        best = None
+        for i, row in enumerate(rows, start=1):
+            c = tv(row[j])
+            if c.finite and (best is None or c < tv(rows[best - 1][j])):
+                best = i
+        if best is None:
+            return None
+        owner.append(best)
+    return owner
+
+
+@st.composite
+def _matrix_and_edits(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    cell = st.sampled_from(["0", "1", "2", "1e1", "1/2+1e2", "inf"])
+    rows = [[draw(cell) for _ in range(m)] for _ in range(n)]
+    edit = st.tuples(st.integers(1, n), st.integers(1, m), cell)
+    return rows, draw(st.lists(edit, max_size=6))
+
+
+@given(_matrix_and_edits())
+def test_minwork_matches_dense_reference(case):
+    rows, edits = case
+    T = Instance(rows).with_costs(edits)
+    for i, j, v in edits:
+        rows[i - 1][j - 1] = v
+    expected = _dense_minwork(rows)
+    if expected is None:
+        with pytest.raises(MechanismError, match="no finite-cost player"):
+            minwork_allocate(T)
+    else:
+        assert list(minwork_allocate(T).owner) == expected

@@ -4,13 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from mechdock.exactnum import EPS1, EPS2, LT, UNBOUNDED, tv, tv_compare
-from mechdock.optcore import (
-    BudgetExceeded,
-    OptResult,
-    SearchError,
-    opt_makespan,
-)
+from mechdock.exactnum import LT, tv, tv_compare
+from mechdock.optcore import BudgetExceeded, SearchError, opt_makespan
 from mechdock.schedmodel import Allocation, Instance, active_players, makespan
 
 NR = Instance([[1, 0, "inf"], [1, "inf", 0]], dummy_of={1: 2, 2: 3})

@@ -2,11 +2,14 @@ import json
 import random
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mechdock.exactnum import EPS1, EPS2, INF, ZERO, tv
+from mechdock.forge import MainParams, build_main, d2x2
 from mechdock.schedmodel import (
     Allocation,
     ExternalMechanism,
@@ -176,3 +179,105 @@ def test_external_mechanism_close_closes_both_pipes():
     mech.close()
     assert mech._proc.stdin.closed
     assert mech._proc.stdout.closed
+
+
+def test_external_mechanism_unread_request_times_out(monkeypatch):
+    # The request is far larger than a pipe buffer and the child never reads
+    # it, so the write itself must give up at the query's deadline.
+    monkeypatch.setenv("MECHDOCK_TIMEOUT_MS", "500")
+    T = build_main(MainParams.from_alpha(Fraction(199, 100), 36, 36))
+    assert len(T.to_json_line()) > 200_000
+    mech = ExternalMechanism([sys.executable, "-c", "import time; time.sleep(4)"])
+    try:
+        start = time.monotonic()
+        with pytest.raises(MechanismError, match="timed out"):
+            mech.query(T)
+        assert time.monotonic() - start < 1.5
+    finally:
+        mech.close()
+
+
+@pytest.mark.parametrize("cell", [(0, 1), (1, 0), (3, 1), (1, 3), (-1, 2)])
+def test_with_costs_rejects_cells_outside_the_instance(cell):
+    i, j = cell
+    with pytest.raises(ModelError, match=f"player {i}, job {j} is outside the 2x2"):
+        d2x2().with_costs([(1, 1, 5), (i, j, 7)])
+
+
+# Small dense matrices over a few cell values, with the infinite one common,
+# and edit lists over the same values.
+CELLS = ["0", "1", "2", "1e1", "1/2+1e2", "inf"]
+NEGATIVE_CELLS = CELLS + ["-1", "-1e1", "1-1e1", "-1/2+1e2"]
+
+
+@st.composite
+def matrices_and_edits(draw, cells=CELLS, edit_cells=CELLS):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = [[draw(st.sampled_from(cells)) for _ in range(m)] for _ in range(n)]
+    edit = st.tuples(
+        st.integers(1, n), st.integers(1, m), st.sampled_from(edit_cells)
+    )
+    return rows, draw(st.lists(edit, max_size=8))
+
+
+def _applied(rows, edits):
+    rows = [list(row) for row in rows]
+    for i, j, v in edits:
+        rows[i - 1][j - 1] = v
+    return rows
+
+
+@given(matrices_and_edits())
+def test_with_costs_equals_dense_rebuild(case):
+    rows, edits = case
+    T = Instance(rows)
+    applied = _applied(rows, edits)
+    dense = Instance(applied)
+    # the same cells by job, each job's players given in descending order
+    players = list(enumerate(applied, start=1))[::-1]
+    by_job = [{i: row[j - 1] for i, row in players} for j in T.jobs()]
+    for built in (T.with_costs(edits), Instance.from_columns(T.n, by_job)):
+        assert built == dense
+        assert hash(built) == hash(dense)
+        assert built.to_json_dict() == dense.to_json_dict()
+        for i in dense.players():
+            for j in dense.jobs():
+                expected = tv(applied[i - 1][j - 1])
+                assert built.cost(i, j) == dense.cost(i, j) == expected
+    assert Instance(rows) == T  # the original is unchanged
+
+
+@given(matrices_and_edits())
+def test_json_dict_roundtrip(case):
+    rows, edits = case
+    for T in (Instance(rows), Instance(rows).with_costs(edits)):
+        assert Instance.from_json_dict(T.to_json_dict()) == T
+
+
+def _first_negative(rows):
+    for i, row in enumerate(rows, start=1):
+        for j, v in enumerate(row, start=1):
+            if tv(v) < ZERO:
+                return f"negative cost at player {i}, job {j}"
+    return None
+
+
+@given(
+    matrices_and_edits(NEGATIVE_CELLS), matrices_and_edits(CELLS, NEGATIVE_CELLS)
+)
+def test_negative_cost_names_first_cell_in_row_major_order(dense, edited):
+    rows, _ = dense
+    expected = _first_negative(rows)
+    if expected is None:
+        Instance(rows)
+    else:
+        with pytest.raises(ModelError, match=f"^{expected}$"):
+            Instance(rows)
+    # an edit is checked as the dense rebuild of its result would be
+    rows, edits = edited
+    expected = _first_negative(_applied(rows, edits))
+    if expected is None:
+        assert Instance(rows).with_costs(edits) == Instance(_applied(rows, edits))
+    else:
+        with pytest.raises(ModelError, match=f"^{expected}$"):
+            Instance(rows).with_costs(edits)

@@ -1,12 +1,9 @@
-from fractions import Fraction
-
 import pytest
 
 from mechdock.exactnum import EPS1, EPS2, ZERO, tv
 from mechdock.mechlib import make_mechanism
 from mechdock.schedmodel import Allocation, Instance
 from mechdock.wmon import (
-    Constraints,
     FuzzSpec,
     HypothesisError,
     LemmaExpectation,
