@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from ..forge import CONSTRUCTIONS, Spec, resolve_params
+from ..schedmodel import json_text
 from .blocks import block_chain
 from .engine import Transcript, run
 from .small import square2, square3, square4
@@ -39,7 +39,9 @@ class Report:
         }
 
     def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
+        """The stored report: the bytes of json.dumps(self.to_json_dict(),
+        sort_keys=True, indent=1)."""
+        return json_text(self.to_json_dict())
 
 
 def attack(strategy, mech, params=None):
@@ -67,11 +69,35 @@ def replay_report(report_dict, mechanism_factory):
     """
     mech = mechanism_factory(report_dict["mechanism"])
     fresh = attack(report_dict["strategy"], mech, report_dict.get("params", {}))
-    stored = json.dumps(report_dict, sort_keys=True)
-    redone = json.dumps(fresh.to_json_dict(), sort_keys=True)
-    if stored != redone:
+    if not _same_json(fresh.to_json_dict(), report_dict):
         return ["replay produced a different report"]
     return []
+
+
+def _same_json(fresh, stored):
+    """True when a stored JSON tree has the same sort_keys text as a fresh
+    to_json_dict tree: the same type at every node (so 1, true and 1.0
+    differ) and dict keys compared as sets. A list of strings is compared
+    with one ==, as a string equals only a string; so is a list of plain
+    ints once the stored one is checked to hold plain ints only."""
+    kind = type(fresh)
+    if kind is not type(stored):
+        return False
+    if kind is dict:
+        return fresh.keys() == stored.keys() and all(
+            _same_json(value, stored[key]) for key, value in fresh.items()
+        )
+    if kind is list:
+        if len(fresh) != len(stored):
+            return False
+        try:
+            "".join(fresh)
+        except TypeError:
+            if set(map(type, fresh)) == {int}:
+                return fresh == stored and set(map(type, stored)) == {int}
+            return all(map(_same_json, fresh, stored))
+        return fresh == stored
+    return fresh == stored
 
 
 def verify_report(report_dict):

@@ -30,7 +30,7 @@ from .forge import (
     solve_best_a,
 )
 from .mechlib import RecordedAnswers, make_mechanism
-from .schedmodel import MechanismError
+from .schedmodel import MechanismError, json_text
 from .wmon import FuzzSpec, exhaustive_pairs, fuzz
 
 # Certified reference points: block count -> published ratio (a = ratio - 1).
@@ -119,7 +119,7 @@ def cmd_gen(args):
         print(f"cannot build instance: {exc}", file=sys.stderr)
         return 2
     with open(args.out, "w") as fh:
-        fh.write(json.dumps(instance.to_json_dict(), sort_keys=True, indent=1))
+        fh.write(json_text(instance.to_json_dict()))
         fh.write("\n")
     print(f"wrote {instance.n}x{instance.m} instance to {args.out}")
     return 0
@@ -229,11 +229,7 @@ def cmd_wmon(args):
     print(f"{len(violations)} violation(s) over {scope}")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(
-                json.dumps(
-                    [v.to_json_dict() for v in violations], sort_keys=True, indent=1
-                )
-            )
+            fh.write(json_text([v.to_json_dict() for v in violations]))
             fh.write("\n")
         print(f"wrote {args.out}")
     return 0

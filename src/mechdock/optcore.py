@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import GT, INF, LT, ZERO, TieredValue, tv_compare
+from .exactnum import GT, INF, LT, ZERO, tv_compare
 from .schedmodel import Allocation, active_players
 
 NODE_GUARD = 10**8
@@ -24,7 +24,6 @@ class BudgetExceeded(SearchError):
 
 @dataclass
 class OptResult:
-    value: TieredValue
     witness: Allocation
     explored: int
 
@@ -104,5 +103,5 @@ def opt_makespan(T):
     if not rebuild(1):
         raise SearchError("witness reconstruction failed")  # pragma: no cover
     witness = Allocation(owner)
-    return OptResult(value=best_value, witness=witness, explored=explored)
+    return OptResult(witness=witness, explored=explored)
 

@@ -4,9 +4,10 @@ Players and jobs are 1-indexed throughout. Instances and allocations are
 immutable; edits produce new instances. An instance stores only its finite
 cells, column by column, with infinity implicit (the block-chain instances
 are under 1% finite), and an edit shares every column it does not write.
-The JSON form is still the dense matrix. A mechanism is a deterministic
-black box mapping an instance to an allocation, either built in or an
-external subprocess speaking line-delimited JSON.
+The JSON form is still the dense matrix, and json_text writes every stored
+file in one layout. A mechanism is a deterministic black box mapping an
+instance to an allocation, either built in or an external subprocess
+speaking line-delimited JSON.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import select
 import shlex
 import subprocess
 import time
+from json.encoder import encode_basestring_ascii
 
 from .exactnum import INF, ZERO, format_value, parse_value, tv
 
@@ -49,7 +51,8 @@ class Instance:
 
     def __init__(self, costs, dummy_of=None):
         rows = [[tv(c) for c in row] for row in costs]
-        self._init(len(rows), _dense_columns(rows), dummy_of)
+        cells = map(enumerate, rows)
+        self._init(len(rows), _columns(list(map(len, rows)), cells), dummy_of)
 
     @classmethod
     def _of_columns(cls, n, cols, dummy_of):
@@ -146,12 +149,19 @@ class Instance:
             self.n, cols, self._dummy_of if dummy_of is None else dummy_of
         )
 
+    def changed_jobs(self, other):
+        """The jobs, ascending, whose columns differ between two instances of
+        the same shape; a column an edit shared is skipped unread."""
+        for j, (a, b) in enumerate(zip(self._cols, other._cols), start=1):
+            if a is not b and a != b:
+                yield j
+
     def rows_equal_except(self, other, i):
         """True when the two instances agree on every row but possibly i."""
         if (self.n, self.m) != (other.n, other.m):
             return False
-        for a, b in zip(self._cols, other._cols):
-            if a is not b and a != b and _without(a, i) != _without(b, i):
+        for j in self.changed_jobs(other):
+            if _without(self._cols[j - 1], i) != _without(other._cols[j - 1], i):
                 return False
         return True
 
@@ -170,12 +180,26 @@ class Instance:
 
     @classmethod
     def from_json_dict(cls, d):
-        rows = [
-            [INF if text == "inf" else parse_value(text) for text in row]
-            for row in d["costs"]
-        ]
+        """Instance from its JSON form, read sparsely: only the cells that
+        are not "inf" are parsed, each distinct text once. A malformed cell
+        is reported before the matrix shape, as a dense parse would."""
+        widths, cells, parsed = [], [], {}
+        for row in d["costs"]:
+            written = []
+            for j, text in enumerate(row):
+                if text == "inf":
+                    continue
+                try:
+                    c = parsed[text]
+                except KeyError:
+                    c = parsed[text] = parse_value(text)
+                except TypeError:  # unhashable, so not a string
+                    c = parse_value(text)
+                written.append((j, c))
+            widths.append(len(row))
+            cells.append(written)
         dummy = {int(p): int(j) for p, j in d.get("dummy_of", {}).items()}
-        inst = cls._of_columns(len(rows), _dense_columns(rows), dummy)
+        inst = cls._of_columns(len(widths), _columns(widths, cells), dummy)
         if inst.n != d.get("n", inst.n) or inst.m != d.get("m", inst.m):
             raise ModelError("instance dimensions disagree with matrix")
         return inst
@@ -204,18 +228,19 @@ def _negative(c):
     return bool(c._coeffs) and c._coeffs[0][1] < 0
 
 
-def _dense_columns(rows):
-    """The finite entries of dense rows of tiered values, one dict per job.
-    A negative cost is an error naming the first such cell in row-major
-    order."""
-    if not rows or not rows[0]:
+def _columns(widths, cells):
+    """One dict per job of the finite costs, from each row's width and its
+    (0-based job, cost) cells in job order; a row may leave out infinite
+    cells. A negative cost is an error naming the first such cell in
+    row-major order."""
+    if not widths or not widths[0]:
         raise ModelError("instance needs at least one player and one job")
-    m = len(rows[0])
-    if any(len(r) != m for r in rows):
+    m = widths[0]
+    if any(w != m for w in widths):
         raise ModelError("ragged cost matrix")
     cols = [{} for _ in range(m)]
-    for i, row in enumerate(rows, start=1):
-        for j, c in enumerate(row):
+    for i, row in enumerate(cells, start=1):
+        for j, c in row:
             if c.infinite:
                 continue
             if _negative(c):
@@ -226,6 +251,65 @@ def _dense_columns(rows):
 
 def _without(col, i):
     return {p: c for p, c in col.items() if p != i}
+
+
+def json_text(obj):
+    """The text of json.dumps(obj, sort_keys=True, indent=1) for a tree
+    whose dict keys are strings: the layout of every stored report,
+    instance and violation file. The stdlib encodes an indented document
+    in Python one value at a time; here a list of plain ints, or of
+    strings that need no escaping, is written with one join, and the
+    parts are joined once at the end."""
+    parts = []
+    _json_parts(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(obj, newline, parts):
+    """Append obj's text to parts; newline breaks a line and indents it to
+    obj's own depth."""
+    if isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner, sep = newline + " ", "{"
+        for key, value in sorted(obj.items()):
+            parts.append(sep + inner + encode_basestring_ascii(key) + ": ")
+            _json_parts(value, inner, parts)
+            sep = ","
+        parts.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + " "
+        flat = _flat_items(obj, "," + inner)
+        if flat is not None:
+            parts.append("[" + inner + flat + newline + "]")
+            return
+        sep = "["
+        for item in obj:
+            parts.append(sep + inner)
+            _json_parts(item, inner, parts)
+            sep = ","
+        parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(obj))
+
+
+def _flat_items(items, sep):
+    """The items' texts joined by sep when they are all plain ints, or all
+    strings that need no escaping (escaping only lengthens a string);
+    otherwise None."""
+    try:
+        joined = "".join(items)
+    except TypeError:
+        if set(map(type, items)) == {int}:
+            return sep.join(map(str, items))
+        return None
+    if len(encode_basestring_ascii(joined)) != len(joined) + 2:
+        return None
+    return '"' + ('"' + sep + '"').join(items) + '"'
 
 
 class Allocation:

@@ -182,8 +182,13 @@ def infer(exp, T, x, Tp):
             return False
         return tp.infinite or tv_compare(tp, t) == GT
 
-    def unchanged(jj):
-        return T.cost(i, jj) == Tp.cost(i, jj)
+    def changed_outside(declared):
+        """The first job outside `declared` whose player-i cost changed;
+        the rows agree elsewhere, so only the differing columns are read."""
+        for jj in T.changed_jobs(Tp):
+            if jj not in declared and T.cost(i, jj) != Tp.cost(i, jj):
+                return jj
+        return None
 
     def moves_as_declared(free=()):
         """L1/L3 premise: F1 held and lowered, F2 unheld and raised, every
@@ -195,9 +200,8 @@ def infer(exp, T, x, Tp):
         for j in exp.f2:
             _require(not x.assigns(i, j), f"{v}: job {j} in F2 is held")
             _require(raised(j), f"{v}: job {j} in F2 is not strictly raised")
-        for j in T.jobs():
-            if j not in free and j not in exp.f1 and j not in exp.f2:
-                _require(unchanged(j), f"{v}: job {j} outside F1/F2 changed")
+        jj = changed_outside(exp.f1 | exp.f2 | set(free))
+        _require(jj is None, f"{v}: job {jj} outside F1/F2 changed")
 
     if exp.variant == "L1":
         moves_as_declared()
@@ -209,9 +213,8 @@ def infer(exp, T, x, Tp):
         _require(x.assigns(i, j), "L2: job j is not held")
         _require(lowered(j), "L2: job j is not strictly lowered")
         _require(lowered(k), "L2: job k is not strictly lowered")
-        for jj in T.jobs():
-            if jj not in (j, k):
-                _require(unchanged(jj), f"L2: job {jj} outside {{j,k}} changed")
+        jj = changed_outside({j, k})
+        _require(jj is None, f"L2: job {jj} outside {{j,k}} changed")
         d_j = T.cost(i, j) - Tp.cost(i, j)
         d_k = T.cost(i, k) - Tp.cost(i, k)
         cons = Constraints(player=i, one_of=[frozenset({j, k})])
@@ -235,9 +238,8 @@ def infer(exp, T, x, Tp):
         _require(x.assigns(i, j1) and x.assigns(i, j2), "L4: jobs not both held")
         _require(lowered(j1), "L4: job j1 is not strictly lowered")
         _require(raised(j2), "L4: job j2 is not strictly raised")
-        for jj in T.jobs():
-            if jj not in (j1, j2):
-                _require(unchanged(jj), f"L4: job {jj} outside {{j1,j2}} changed")
+        jj = changed_outside({j1, j2})
+        _require(jj is None, f"L4: job {jj} outside {{j1,j2}} changed")
         return Constraints(player=i, implications=[(j2, j1)])
 
     raise HypothesisError(f"unknown lemma variant {exp.variant!r}")
@@ -254,7 +256,7 @@ def keep_lowered_constraints(T, x, Tp, i, keep):
     _require(T.rows_equal_except(Tp, i), "instances differ outside the row")
     other_total = ZERO
     decreases = {}
-    for j in T.jobs():
+    for j in T.changed_jobs(Tp):
         t, tp = T.cost(i, j), Tp.cost(i, j)
         if t == tp:
             continue

@@ -175,6 +175,48 @@ def test_replay_detects_mechanism_mismatch():
     assert replay_report(report, make_mechanism)
 
 
+def _tampers(stored):
+    """(label, path, value) edits of a stored s2x2 report."""
+    step = stored["transcript"][0]
+    at = step["owner"].index(1)
+    for label, value in (("true", True), ("1.0", 1.0), ("2", 2)):
+        owner = list(step["owner"])
+        owner[at] = value
+        yield f"step owner 1 -> {label}", ("transcript", 0, "owner"), owner
+    owner = list(stored["verdict"]["mech_allocation"]["owner"])
+    owner[owner.index(1)] = True
+    yield "verdict owner 1 -> true", ("verdict", "mech_allocation", "owner"), owner
+    yield "params key order", ("params",), dict(reversed(stored["params"].items()))
+    yield "keys in reverse", (), dict(reversed(stored.items()))
+    dropped = dict(stored["verdict"])
+    del dropped["claimed_bound"]
+    yield "dropped key", ("verdict",), dropped
+    yield "added key", ("verdict",), {**stored["verdict"], "extra": 0}
+    costs = [list(row) for row in stored["verdict"]["instance"]["costs"]]
+    costs[0][0] = " " + costs[0][0]
+    yield "cell text", ("verdict", "instance", "costs"), costs
+    yield "queries as text", ("queries",), str(stored["queries"])
+
+
+def _edited(tree, path, value):
+    if not path:
+        return value
+    copy = dict(tree) if isinstance(tree, dict) else list(tree)
+    copy[path[0]] = _edited(tree[path[0]], path[1:], value)
+    return copy
+
+
+def test_replay_fails_exactly_when_the_sorted_text_differs():
+    stored = json.loads(attack("s2x2", make_mechanism("minwork")).to_json())
+    assert replay_report(stored, make_mechanism) == []
+    text = json.dumps(stored, sort_keys=True)
+    for label, path, value in _tampers(stored):
+        tampered = _edited(stored, path, value)
+        differs = json.dumps(tampered, sort_keys=True) != text
+        assert differs == (label not in ("params key order", "keys in reverse"))
+        assert bool(replay_report(tampered, make_mechanism)) == differs, label
+
+
 def test_unsound_claim_ends_incomplete_with_the_verdict_check_text():
     # The certificate is the mechanism's own answer, so the leading ratio
     # is 1; a script claiming 3 must not get a RatioWitness out.

@@ -1,4 +1,5 @@
-"""Byte-level pins on attack reports and generated instances.
+"""Byte-level pins on attack reports, generated instances and wmon
+violation files.
 
 `verify` replays a report against the same program, so a change that
 alters both the strategy and its replay passes it. These digests were
@@ -53,6 +54,19 @@ INSTANCE_DIGESTS = {
     "b_new": "ba17b935cc10c9ff4e0df5272f916d6b25e848567eab86ea2a99814decb8e534",
 }
 
+# wmon runs whose violation lists, written with --out, are pinned below.
+WMON_RUNS = {
+    "optmakespan-exhaustive": ["optmakespan", "--exhaustive", "--grid", "1,2,3"],
+    "optmakespan-fuzz": ["optmakespan", "--trials", "200", "--seed", "3"],
+    "stub-fuzz": ["stub:4", "--trials", "100", "--seed", "1", "--n", "2", "--m", "4"],
+}
+
+WMON_DIGESTS = {
+    "optmakespan-exhaustive": "5ee6e9bc051e0b51f9256123822bb68c04d7ccbb30aa999d2f1a4dbbb38a2fce",
+    "optmakespan-fuzz": "d359e4ad2ad689bdae22323f3608343c650562092e6829aec4b2b2242cf3568a",
+    "stub-fuzz": "fea221968b64425daa0bb7231084f41c7e80a1e324d989b6db9f29a56ade1c54",
+}
+
 
 def _selectors(strategy):
     players = 2 if strategy == "s2x2" else 3
@@ -85,3 +99,13 @@ def test_gen_instances_match_golden_digests(tmp_path):
         assert main(["gen", "--construction", name, *flags, "--out", str(out)]) == 0
         got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == INSTANCE_DIGESTS
+
+
+def test_wmon_out_files_match_golden_digests(tmp_path):
+    got = {}
+    for name, (mechanism, *flags) in WMON_RUNS.items():
+        out = tmp_path / f"{name}.json"
+        argv = ["wmon", "--mechanism", mechanism, *flags, "--out", str(out)]
+        assert main(argv) == 0
+        got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == WMON_DIGESTS

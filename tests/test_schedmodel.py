@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from mechdock.exactnum import EPS1, EPS2, INF, ZERO, tv
+from mechdock.exactnum import EPS1, EPS2, INF, ZERO, parse_value, tv
 from mechdock.forge import MainParams, build_main, d2x2
 from mechdock.schedmodel import (
     Allocation,
@@ -17,6 +17,7 @@ from mechdock.schedmodel import (
     MechanismError,
     ModelError,
     active_players,
+    json_text,
     makespan,
     validate_allocation,
 )
@@ -281,3 +282,75 @@ def test_negative_cost_names_first_cell_in_row_major_order(dense, edited):
     else:
         with pytest.raises(ModelError, match=f"^{expected}$"):
             Instance(rows).with_costs(edits)
+
+
+# Cells a stored matrix may hold: repeated texts, an infinity not spelled
+# "inf", negatives, and malformed cells of every JSON type.
+JSON_CELLS = (
+    ["inf"] * 4
+    + ["0", "1", "1e1", "1/2+1e2", " inf", "-1", "1-1e1", "1/0", "x", ""]
+    + [5, 1.5, True, None, ["1"], {"1": "1"}]
+)
+
+
+@st.composite
+def stored_matrices(draw):
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    width = st.sampled_from([m, m, m, m + 1, max(m - 1, 0)])  # mostly even
+    rows = [
+        [draw(st.sampled_from(JSON_CELLS)) for _ in range(draw(width))]
+        for _ in range(n)
+    ]
+    d = {"costs": rows}
+    dummy = draw(st.sampled_from([None, {"1": 1}, {"2": "3"}, {"x": 1}]))
+    if dummy is not None:
+        d["dummy_of"] = dummy
+    return d
+
+
+def _dense_reference(d):
+    """Every cell parsed, then the dense constructor."""
+    rows = [[parse_value(text) for text in row] for row in d["costs"]]
+    return Instance(rows, {int(p): int(j) for p, j in d.get("dummy_of", {}).items()})
+
+
+def _outcome(build, d):
+    try:
+        return build(d)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(stored_matrices())
+def test_from_json_dict_matches_dense_parse(d):
+    assert _outcome(Instance.from_json_dict, d) == _outcome(_dense_reference, d)
+
+
+# JSON trees whose lists are often all plain strings or all plain ints, so
+# the writer's one-join paths and its per-item path both run.
+PLAIN_TEXT = st.text(alphabet="0123456789/+-e inf", max_size=6)
+ANY_TEXT = st.text(
+    alphabet=st.sampled_from('a"\\\n\t\x00\x1f\x7fé€\u2028😀') | st.characters(),
+    max_size=6,
+)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**30), 10**30)
+    | st.floats()
+    | PLAIN_TEXT
+    | ANY_TEXT
+)
+JSON_TREES = st.recursive(
+    SCALARS | st.lists(PLAIN_TEXT) | st.lists(st.integers()),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(ANY_TEXT | PLAIN_TEXT, kids, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_TREES)
+def test_json_text_is_the_indent_1_dump(tree):
+    assert json_text(tree) == json.dumps(tree, sort_keys=True, indent=1)

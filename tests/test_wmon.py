@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mechdock.exactnum import EPS1, EPS2, ZERO, tv
@@ -187,3 +189,39 @@ def test_violation_record_roundtrip():
     d = rec.to_json_dict()
     assert d["kind"] == "WmonViolation"
     assert WmonViolation.from_json_dict(d) == rec
+
+
+# Player 2's row [2, 1, 3, 2, 2] becomes [3, 0, 1, 9, 7]: job 1 is raised,
+# jobs 2 and 3 lowered, jobs 4 and 5 raised; player 2 holds jobs 2-5.
+M1 = Instance([[1, 2, 3, 4, 5], [2, 1, 3, 2, 2]])
+M1_ALLOC = Allocation([1, 2, 2, 2, 2])
+M2_ROW = [3, 0, 1, 9, 7]
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_lemma_checks_name_the_first_job_changed_outside_the_declared_ones(shared):
+    # the same messages whether the edit shares unchanged columns or not
+    if shared:
+        M2 = M1.with_costs((2, j, c) for j, c in enumerate(M2_ROW, start=1))
+    else:
+        M2 = Instance([[1, 2, 3, 4, 5], M2_ROW])
+    cases = [
+        (
+            LemmaExpectation(variant="L1", player=2, f1=frozenset({3}), f2=frozenset({1})),
+            "L1: job 2 outside F1/F2 changed",
+        ),
+        (
+            LemmaExpectation(variant="L2", player=2, j=3, k=2),
+            "L2: job 1 outside {j,k} changed",
+        ),
+        (
+            LemmaExpectation(variant="L4", player=2, j1=3, j2=4),
+            "L4: job 1 outside {j1,j2} changed",
+        ),
+    ]
+    for exp, message in cases:
+        with pytest.raises(HypothesisError, match=f"^{re.escape(message)}$"):
+            infer(exp, M1, M1_ALLOC, M2)
+    message = "keep-lowered: job 1 is not a finite decrease"
+    with pytest.raises(HypothesisError, match=f"^{message}$"):
+        keep_lowered_constraints(M1, M1_ALLOC, M2, 2, keep={3})
