@@ -7,7 +7,10 @@ A separate symbolic +infinity sits above every finite value.
 
 Comparison is lexicographic by ascending tier; the algebra is a module over
 the rationals (values can be added and scaled by rationals, but two tiered
-values are never multiplied).
+values are never multiplied). Coefficients are Fractions in lowest terms;
+the comparison, the sign tests and the rendering read their integer
+numerators and denominators directly, since Fraction's own comparisons
+and str() go through the numbers.Rational machinery on every call.
 """
 
 from __future__ import annotations
@@ -222,30 +225,39 @@ def tv_scale(q, v):
 
 
 def tv_compare(u, v):
-    """Total order: returns LT, EQ, or GT."""
-    u, v = tv(u), tv(v)
-    if u.infinite and v.infinite:
-        return EQ
-    if u.infinite:
-        return GT
-    if v.infinite:
-        return LT
-    iu, iv = u.items(), v.items()
-    if len(iu) == 1 and len(iv) == 1 and iu[0][0] == iv[0][0]:
-        p, q = iu[0][1], iv[0][1]
-        return EQ if p == q else GT if p > q else LT
-    a = b = 0
-    while a < len(iu) or b < len(iv):
-        ta = iu[a][0] if a < len(iu) else None
-        tb = iv[b][0] if b < len(iv) else None
-        if tb is None or (ta is not None and ta < tb):
-            return GT if iu[a][1] > 0 else LT
-        if ta is None or tb < ta:
-            return LT if iv[b][1] > 0 else GT
-        if iu[a][1] != iv[b][1]:
-            return GT if iu[a][1] > iv[b][1] else LT
-        a += 1
-        b += 1
+    """Total order: returns LT, EQ, or GT.
+
+    Tiers are scanned from the coarsest: the first tier where the values
+    differ decides, by the sign of the coefficient only one of them has
+    there, or else by the two coefficients. Coefficients p and q compare
+    as the integers p.numerator * q.denominator and q.numerator *
+    p.denominator (both denominators are positive), or as the numerators
+    alone when the denominators agree. Operands that are already tiered
+    values are not coerced.
+    """
+    if type(u) is not TieredValue:
+        u = tv(u)
+    if type(v) is not TieredValue:
+        v = tv(v)
+    if u.infinite or v.infinite:
+        return EQ if u.infinite and v.infinite else GT if u.infinite else LT
+    iu, iv = u._coeffs, v._coeffs
+    for (ta, p), (tb, q) in zip(iu, iv):
+        if ta != tb:
+            if ta < tb:
+                return GT if p.numerator > 0 else LT
+            return LT if q.numerator > 0 else GT
+        pd, qd = p.denominator, q.denominator
+        if pd == qd:
+            a, b = p.numerator, q.numerator
+        else:
+            a, b = p.numerator * qd, q.numerator * pd
+        if a != b:
+            return GT if a > b else LT
+    if len(iu) > len(iv):
+        return GT if iu[len(iv)][1].numerator > 0 else LT
+    if len(iv) > len(iu):
+        return LT if iv[len(iu)][1].numerator > 0 else GT
     return EQ
 
 
@@ -311,17 +323,25 @@ def parse_value(text):
 
 
 def format_value(v):
-    """Canonical rendering: ascending tiers, reduced fractions, no spaces."""
+    """Canonical rendering: ascending tiers, reduced fractions, no spaces.
+
+    Each coefficient is written from its integers: the sign, then the
+    numerator's magnitude, then "/denominator" unless that is 1.
+    """
     v = tv(v)
     if v.infinite:
         return "inf"
-    if not v.items():
+    if not v._coeffs:
         return "0"
     parts = []
-    for idx, (t, q) in enumerate(v.items()):
-        body = str(abs(q)) + (f"e{t}" if t else "")
-        if idx == 0:
-            parts.append(("-" if q < 0 else "") + body)
-        else:
-            parts.append(("-" if q < 0 else "+") + body)
+    for t, q in v._coeffs:
+        num, den = q.numerator, q.denominator
+        if num < 0:
+            parts.append("-")
+            num = -num
+        elif parts:
+            parts.append("+")
+        parts.append(str(num) if den == 1 else f"{num}/{den}")
+        if t:
+            parts.append(f"e{t}")
     return "".join(parts)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactnum import GT, INF, LT, ZERO, tv_compare
-from .schedmodel import Allocation, active_players
+from .schedmodel import Allocation
 
 NODE_GUARD = 10**8
 
@@ -35,28 +35,30 @@ def opt_makespan(T):
     jobs ordered by descending cheapest active cost (pruning on current
     max load >= incumbent). Phase 2 rebuilds the witness in job-index
     order so the returned owner vector is the lexicographically smallest
-    one achieving the optimum.
+    one achieving the optimum. Each job's (player, cost) choices are read
+    once, by ascending player; a branch is undone by restoring the load
+    it replaced.
     """
-    allowed = []
+    choices = []
     for j in T.jobs():
-        players = sorted(active_players(T, j))
-        if not players:
+        finite = tuple(T.finite_costs(j))
+        if not finite:
             raise SearchError(f"job {j} has no active player")
-        allowed.append(players)
+        choices.append(finite)
     space = 1
-    for players in allowed:
-        space *= len(players)
+    for finite in choices:
+        space *= len(finite)
         if space > NODE_GUARD:
             raise BudgetExceeded(
                 f"search space exceeds {NODE_GUARD} nodes before pruning"
             )
 
     def min_cost(j):
-        return min(T.cost(i, j) for i in allowed[j - 1])
+        return min(c for _, c in choices[j - 1])
 
-    order = sorted(T.jobs(), key=min_cost, reverse=True)
+    order = [choices[j - 1] for j in sorted(T.jobs(), key=min_cost, reverse=True)]
 
-    loads = {i: ZERO for i in T.players()}
+    loads = [ZERO] * (T.n + 1)
     explored = 0
     best_value = INF
 
@@ -65,16 +67,16 @@ def opt_makespan(T):
         if idx == len(order):
             best_value = current_max
             return
-        j = order[idx]
-        for i in allowed[j - 1]:
+        for i, c in order[idx]:
             explored += 1
-            new_load = loads[i] + T.cost(i, j)
+            old = loads[i]
+            new_load = old + c
             new_max = new_load if tv_compare(new_load, current_max) == GT else current_max
             if tv_compare(new_max, best_value) != LT:
                 continue
             loads[i] = new_load
             descend(idx + 1, new_max)
-            loads[i] = loads[i] - T.cost(i, j)
+            loads[i] = old
 
     descend(0, ZERO)
     if best_value.infinite:
@@ -82,26 +84,26 @@ def opt_makespan(T):
 
     # Phase 2: lexicographically smallest witness at the known optimum.
     owner = [0] * T.m
-    loads = {i: ZERO for i in T.players()}
+    loads = [ZERO] * (T.n + 1)
 
     def rebuild(j):
         nonlocal explored
         if j > T.m:
             return True
-        for i in allowed[j - 1]:
+        for i, c in choices[j - 1]:
             explored += 1
-            new_load = loads[i] + T.cost(i, j)
+            old = loads[i]
+            new_load = old + c
             if tv_compare(new_load, best_value) == GT:
                 continue
             loads[i] = new_load
             owner[j - 1] = i
             if rebuild(j + 1):
                 return True
-            loads[i] = loads[i] - T.cost(i, j)
+            loads[i] = old
         return False
 
     if not rebuild(1):
         raise SearchError("witness reconstruction failed")  # pragma: no cover
     witness = Allocation(owner)
     return OptResult(witness=witness, explored=explored)
-

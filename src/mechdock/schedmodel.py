@@ -103,14 +103,15 @@ class Instance:
         return dict(self._dummy_of)
 
     def cost(self, i, j):
-        return self._cols[j - 1].get(i, INF)
+        if 0 < j <= self.m and 0 < i <= self.n:
+            return self._cols[j - 1].get(i, INF)
+        raise ModelError(
+            f"cost at player {i}, job {j} is outside the {self.n}x{self.m} instance"
+        )
 
     def finite_costs(self, j):
         """Job j's (player, cost) pairs of finite cost, by ascending player."""
         return self._cols[j - 1].items()
-
-    def row(self, i):
-        return tuple(col.get(i, INF) for col in self._cols)
 
     def players(self):
         return range(1, self.n + 1)
@@ -225,7 +226,7 @@ def _negative(c):
     """A finite cost is negative when its leading coefficient is; the
     coefficient tuple is read directly because this runs on every finite
     cell."""
-    return bool(c._coeffs) and c._coeffs[0][1] < 0
+    return bool(c._coeffs) and c._coeffs[0][1].numerator < 0
 
 
 def _columns(widths, cells):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .exactnum import GT, LT, ZERO, TieredValue, format_value, tv, tv_compare
 from .schedmodel import Allocation, Instance, checked_query
@@ -360,37 +361,55 @@ def fuzz(M, spec, trials, seed):
 def exhaustive_pairs(M, n, m, values):
     """All grid instances crossed with all single-row grid rewrites.
 
-    This is the brute-force oracle behind the small-grid violation search;
-    mechanism answers are cached since every rewritten instance stays on
-    the grid.
+    This is the brute-force oracle behind the small-grid violation search.
+    Equal grid values share one digit, so the distinct grid instances are
+    the base-d numbers of n*m digits (d distinct values, player 1's job 1
+    the most significant digit). They are built once, in product order;
+    a rewrite of player i's row replaces that row's m digits, so T' is
+    found by index arithmetic, and each instance is queried once, when it
+    is first needed. Pairs are visited in product order over the grid as
+    given, so a repeated grid value repeats the pairs it spans.
     """
-    from itertools import product
-
     grid = [tv(Fraction(v)) for v in values]
-    cache = {}
+    distinct = list(dict.fromkeys(grid))
+    d = len(distinct)
+    instances = [
+        Instance(flat[r * m : (r + 1) * m] for r in range(n))
+        for flat in product(distinct, repeat=n * m)
+    ]
+    answers = [None] * len(instances)
 
-    def answer(T):
-        if T not in cache:
-            cache[T] = checked_query(M, T)
-        return cache[T]
+    def answer(k):
+        if answers[k] is None:
+            answers[k] = checked_query(M, instances[k])
+        return answers[k]
 
+    # Each row over the grid as given, in product order, as its m-digit
+    # number; player i's row is worth weight[i - 1] in an instance's index.
+    digit = [distinct.index(c) for c in grid]
+    rows = [
+        sum(c * d ** (m - p) for p, c in enumerate(row, start=1))
+        for row in product(digit, repeat=m)
+    ]
+    weight = [d ** (m * (n - i)) for i in range(1, n + 1)]
     violations = []
-    for flat in product(grid, repeat=n * m):
-        T = Instance(flat[r * m : (r + 1) * m] for r in range(n))
-        for i in range(1, n + 1):
-            for row in product(grid, repeat=m):
-                if row == T.row(i):
+    for codes in product(rows, repeat=n):
+        k = sum(c * w for c, w in zip(codes, weight))
+        T = instances[k]
+        for i, (code, w) in enumerate(zip(codes, weight), start=1):
+            for row in rows:
+                if row == code:
                     continue
-                Tp = T.with_costs((i, j, c) for j, c in enumerate(row, start=1))
-                report = wmon_value(T, answer(T), Tp, answer(Tp), i)
+                kp = k + (row - code) * w
+                report = wmon_value(T, answer(k), instances[kp], answer(kp), i)
                 if report.violated:
                     violations.append(
                         WmonViolation(
                             player=i,
                             T=T,
-                            x=answer(T),
-                            Tp=Tp,
-                            xp=answer(Tp),
+                            x=answer(k),
+                            Tp=instances[kp],
+                            xp=answer(kp),
                             value=report.value,
                         )
                     )

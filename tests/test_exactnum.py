@@ -197,10 +197,21 @@ def test_cancelling_sum_is_canonical_zero():
 
 # Few tiers and small coefficients, so same-tier singletons, cancellation
 # and empty operands come up often; a bare tier-0 value goes through tv.
-_small_coeffs = st.dictionaries(
-    st.integers(0, 2),
-    st.fractions(min_value=-3, max_value=3, max_denominator=4),
-    max_size=2,
+_small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_small_coeffs = st.dictionaries(st.integers(0, 2), _small_fractions, max_size=2)
+
+# Coefficients of about a hundred digits, the size the r=100 chain carries,
+# over a few shared denominators so equal denominators come up too.
+_big_fractions = st.builds(
+    Fraction,
+    st.integers(-(10**100), 10**100),
+    st.sampled_from([10**100, 3**210, 7**118 + 1]),
+)
+_coeffs = st.one_of(
+    _small_coeffs,
+    st.dictionaries(
+        st.integers(0, 2), st.one_of(_small_fractions, _big_fractions), max_size=2
+    ),
 )
 
 
@@ -215,7 +226,7 @@ def _is_canonical(v):
     )
 
 
-@given(_small_coeffs, _small_coeffs)
+@given(_coeffs, _coeffs)
 def test_add_and_compare_match_per_tier_reference(p, q):
     u, v = _tiered(p), _tiered(q)
     tiers = sorted(set(p) | set(q))
@@ -231,3 +242,36 @@ def test_add_and_compare_match_per_tier_reference(p, q):
     first = next((d for d in diffs if d), 0)
     assert tv_compare(u, v) == (GT if first > 0 else LT if first < 0 else EQ)
     assert _is_canonical(u) and _is_canonical(v)
+    assert tv_compare(u, _tiered(dict(p))) == EQ
+
+
+def _rendered_by_fraction(v):
+    """format_value as first written, on Fraction's own str() and sign."""
+    if v.infinite:
+        return "inf"
+    if not v.items():
+        return "0"
+    parts = []
+    for idx, (t, q) in enumerate(v.items()):
+        body = str(abs(q)) + (f"e{t}" if t else "")
+        if idx == 0:
+            parts.append(("-" if q < 0 else "") + body)
+        else:
+            parts.append(("-" if q < 0 else "+") + body)
+    return "".join(parts)
+
+
+# Multi-tier values with negative, integral and hundred-digit coefficients.
+_rendered_values = st.dictionaries(
+    st.integers(0, 6),
+    st.one_of(
+        st.integers(-(10**100), 10**100), _small_fractions, _big_fractions, _fractions
+    ),
+    max_size=4,
+).map(TieredValue)
+
+
+@given(st.one_of(_rendered_values, st.just(INF)))
+def test_format_value_matches_fraction_rendering(v):
+    assert format_value(v) == _rendered_by_fraction(v)
+    assert parse_value(format_value(v)) == v

@@ -164,11 +164,12 @@ def test_transition_second_cost_branches():
 
 
 def test_small_builders():
-    assert d2x2().row(1) == (tv(1), EPS2)
-    assert d2x2().row(2) == (tv(1), EPS1)
+    D = d2x2()
+    assert (D.cost(1, 1), D.cost(1, 2)) == (tv(1), EPS2)
+    assert (D.cost(2, 1), D.cost(2, 2)) == (tv(1), EPS1)
 
     E = e3x3(1, Fraction(22055, 10000), Fraction(26589, 10000))
-    assert E.row(2) == (tv(Fraction(22055, 10000)), INF, INF)
+    assert [E.cost(2, j) for j in E.jobs()] == [tv(Fraction(22055, 10000)), INF, INF]
     assert E.cost(1, 3) == EPS1 and E.cost(3, 3) == EPS2
     with pytest.raises(ForgeError):
         e3x3(2, 1, 3)

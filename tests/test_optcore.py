@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -50,12 +51,22 @@ def test_opt_on_dummy_instance():
 
 def test_opt_matches_enumeration_on_seeded_instances():
     rng = random.Random(1234)
+    explored = 0
+    witnesses = hashlib.sha256()
     for _ in range(200):
         T = random_instance(rng)
         want_val, want_witness = enumerate_opt(T)
         got = opt_makespan(T)
         assert makespan(T, got.witness) == want_val
         assert got.witness == want_witness
+        explored += got.explored
+        witnesses.update(bytes(got.witness.owner))
+    # Pinned: a change to the search order, the pruning or the tie-break
+    # shows here, and would move the benchmark's optcore.nodes_per_call.
+    assert explored == 6133
+    assert witnesses.hexdigest() == (
+        "d6053bed9a18c9b10819d901c93d344a5fe5dc75c5eb092035b4382416612bdd"
+    )
 
 
 def test_opt_budget_guard():

@@ -104,7 +104,9 @@ def test_makespan_invariant_under_player_permutation():
         x = Allocation([rng.randint(1, n) for _ in range(m)])
         perm = list(range(1, n + 1))
         rng.shuffle(perm)  # perm[i-1] = new index of player i
-        T2 = Instance([T.row(perm.index(p) + 1) for p in range(1, n + 1)])
+        T2 = Instance(
+            [[T.cost(perm.index(p) + 1, j) for j in T.jobs()] for p in range(1, n + 1)]
+        )
         x2 = Allocation([perm[x.owner_of(j) - 1] for j in T.jobs()])
         assert makespan(T, x) == makespan(T2, x2)
 
@@ -203,6 +205,15 @@ def test_with_costs_rejects_cells_outside_the_instance(cell):
     i, j = cell
     with pytest.raises(ModelError, match=f"player {i}, job {j} is outside the 2x2"):
         d2x2().with_costs([(1, 1, 5), (i, j, 7)])
+
+
+@pytest.mark.parametrize("cell", [(0, 1), (3, 1), (1, 0), (1, 3)])
+def test_cost_rejects_cells_outside_the_instance(cell):
+    # unchecked, job 0 would read the last column and a player outside
+    # 1..n would read infinity
+    i, j = cell
+    with pytest.raises(ModelError, match=f"player {i}, job {j} is outside the 2x2"):
+        d2x2().cost(i, j)
 
 
 # Small dense matrices over a few cell values, with the infinite one common,

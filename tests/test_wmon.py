@@ -1,10 +1,12 @@
 import re
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from mechdock.exactnum import EPS1, EPS2, ZERO, tv
 from mechdock.mechlib import make_mechanism
-from mechdock.schedmodel import Allocation, Instance
+from mechdock.schedmodel import Allocation, Instance, MechanismHandle, checked_query
 from mechdock.wmon import (
     FuzzSpec,
     HypothesisError,
@@ -180,6 +182,75 @@ def test_exhaustive_grid_finds_optmakespan_violation():
     v = violations[0]
     rep = wmon_value(v.T, v.x, v.Tp, v.xp, v.player)
     assert rep.violated and rep.value == v.value
+
+
+def exhaustive_pairs_oracle(M, n, m, values):
+    """The sweep as first written: every flat grid tuple, each rewrite made
+    with with_costs, answers cached by Instance."""
+    grid = [tv(Fraction(v)) for v in values]
+    cache = {}
+
+    def answer(T):
+        if T not in cache:
+            cache[T] = checked_query(M, T)
+        return cache[T]
+
+    violations = []
+    for flat in product(grid, repeat=n * m):
+        T = Instance(flat[r * m : (r + 1) * m] for r in range(n))
+        for i in range(1, n + 1):
+            for row in product(grid, repeat=m):
+                if row == tuple(T.cost(i, j) for j in T.jobs()):
+                    continue
+                Tp = T.with_costs((i, j, c) for j, c in enumerate(row, start=1))
+                report = wmon_value(T, answer(T), Tp, answer(Tp), i)
+                if report.violated:
+                    violations.append(
+                        WmonViolation(
+                            player=i,
+                            T=T,
+                            x=answer(T),
+                            Tp=Tp,
+                            xp=answer(Tp),
+                            value=report.value,
+                        )
+                    )
+    return violations
+
+
+class QueryLog(MechanismHandle):
+    """Answers as the wrapped mechanism does and logs every query."""
+
+    def __init__(self, mech):
+        self.mech = mech
+        self.queries = []
+
+    def query(self, T):
+        self.queries.append(T.to_json_line())
+        return self.mech.query(T)
+
+
+@pytest.mark.parametrize("selector", ["minwork", "optmakespan", "stub:7", "stub:11"])
+@pytest.mark.parametrize(
+    "n, m, values",
+    [
+        (2, 2, (0, 1, 2, 3)),
+        (2, 2, (0, 0, 1)),
+        (2, 2, ("1/2", 2, "1/2")),
+        (2, 3, (1, 2)),
+        (3, 2, (1, 2)),
+    ],
+)
+def test_exhaustive_pairs_matches_the_oracle(selector, n, m, values):
+    # Repeated grid values give equal instances: each is queried once, and
+    # a pair is skipped exactly when the rewritten row equals the old one.
+    runs = []
+    for sweep in (exhaustive_pairs, exhaustive_pairs_oracle):
+        log = QueryLog(make_mechanism(selector))
+        found = sweep(log, n, m, values)
+        runs.append(([v.to_json_dict() for v in found], log.queries))
+    assert runs[0] == runs[1]
+    assert len(set(runs[0][1])) == len(runs[0][1])
 
 
 def test_violation_record_roundtrip():
