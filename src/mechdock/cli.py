@@ -205,7 +205,9 @@ def cmd_wmon(args):
     try:
         grid = tuple(Fraction(tok) for tok in args.grid.split(",") if tok.strip())
     except (ValueError, ZeroDivisionError):
-        print(f"bad --grid {args.grid!r}", file=sys.stderr)
+        grid = ()
+    if not grid or min(grid) < 0:
+        print(f"bad --grid {args.grid!r}: need non-negative rationals", file=sys.stderr)
         return 2
     mech = None
     try:

@@ -38,27 +38,49 @@ GOLDEN_QUADRATIC = (1, -1, -1)
 
 
 def z_sum(a, r, k_c):
-    """Chain weight on player 1's row: sum of a^-j for j = r+1 .. r+k_c."""
+    """Chain weight on player 1's row: sum of a^-j for j = r+1 .. r+k_c,
+    in the closed geometric form a^-r (1 - a^-k_c) / (a - 1)."""
     a = Fraction(a)
-    return sum((a ** -(r + t) for t in range(1, k_c + 1)), Fraction(0))
+    return a**-r * (1 - a**-k_c) / (a - 1)
+
+
+def _check_shape(r, k_c):
+    """At least one block and a chain of no negative length."""
+    if r < 1:
+        raise ForgeError("need at least one block")
+    if k_c < 0:
+        raise ForgeError("negative chain length")
 
 
 def compute_b(a, r, k_c):
-    """Backward recurrence for the block prices.
+    """Backward recurrence for the block prices, returning (b, z).
 
     s(r) = 0 and s(k-1) = 2 s(k) - a^-(k-2) + 4 a^-k + z, with
-    b_k = s(k-1) - s(k). Exact rationals throughout; s is returned with
-    s[k] at index k.
+    b_k = s(k-1) - s(k), so s(k) = sum(b[k:]). With a = p/q and
+    R = r + k_c, each a^-e the recurrence reads (e = -1 .. r) is
+    q^(e+1) p^(R-e) over the one denominator q p^R, and so is the
+    geometric sum z = a^-(r+1) + ... + a^-R; the recurrence runs on the
+    integer numerators and each b_k is normalised once.
     """
     a = Fraction(a)
     if not 1 < a < 2:
         raise ForgeError(f"scale factor a={a} outside (1, 2)")
-    z = z_sum(a, r, k_c)
-    s = [Fraction(0)] * (r + 1)
+    _check_shape(r, k_c)
+    p, q = a.numerator, a.denominator
+    # num[e + 1] is the numerator of a^-e, from a^1 = p^(R+1) / den down.
+    num = [p ** (r + k_c + 1)]
+    for _ in range(r + 1):
+        num.append(num[-1] // p * q)
+    den = num[1]
+    # z's numerator, q^(r+2) (q^0 p^(k_c-1) + ... + q^(k_c-1) p^0).
+    z_num = q ** (r + 2) * (p**k_c - q**k_c) // (p - q)
+    s_num = 0
+    b = [None] * r
     for k in range(r, 0, -1):
-        s[k - 1] = 2 * s[k] - a ** -(k - 2) + 4 * a**-k + z
-    b = tuple(s[k - 1] - s[k] for k in range(1, r + 1))
-    return b, z, tuple(s)
+        b_num = s_num - num[k - 1] + 4 * num[k + 1] + z_num
+        b[k - 1] = Fraction(b_num, den)
+        s_num += b_num
+    return tuple(b), Fraction(z_num, den)
 
 
 def compute_b_closed(a, r, k_c, k):
@@ -82,10 +104,7 @@ class MainParams:
         a = Fraction(self.a)
         if not (a * a > 2 and a < 2):
             raise ForgeError(f"a={a} outside (sqrt 2, 2)")
-        if self.r < 1:
-            raise ForgeError("need at least one block")
-        if self.k_c < 0:
-            raise ForgeError("negative chain length")
+        _check_shape(self.r, self.k_c)
         if len(self.b) != self.r:
             raise ForgeError("one block price per block required")
         if Fraction(self.z) != z_sum(a, self.r, self.k_c):
@@ -94,7 +113,7 @@ class MainParams:
     @classmethod
     def from_alpha(cls, a, r, k_c):
         a = Fraction(a)
-        b, z, _ = compute_b(a, r, k_c)
+        b, z = compute_b(a, r, k_c)
         return cls(a=a, r=r, k_c=k_c, b=b, z=z)
 
     @property
@@ -329,18 +348,20 @@ def build_instance(which, given=None):
 
 def bound_arms(p):
     """Standard-part bound per terminal: the all-blocks arm V_0 and each
-    transitioned-at-k arm V_k (infinitesimal corrections dropped)."""
+    transitioned-at-k arm V_k (infinitesimal corrections dropped).
+
+    V_k = (a^-(k-1) + a^-k + max(3 a^-k - b_k, a^-k) + sum(b[k:]) + z)
+    / a^-(k-1); one backward pass carries the suffix sum plus z.
+    """
     a = Fraction(p.a)
-    v0 = 1 + sum(p.b) + p.z
-    vks = []
-    for k in range(1, p.r + 1):
+    base, rest = 1 + 1 / a, p.z
+    vks = [None] * p.r
+    for k in range(p.r, 0, -1):
         ak = a**-k
         second = max(3 * ak - p.b[k - 1], ak)
-        tail = sum(p.b[k:], Fraction(0))
-        vks.append(
-            (a ** -(k - 1) + ak + second + tail + p.z) / a ** -(k - 1)
-        )
-    return v0, vks
+        vks[k - 1] = base + (second + rest) * a ** (k - 1)
+        rest += p.b[k - 1]
+    return 1 + rest, vks
 
 
 def certified_bound(p):
@@ -402,6 +423,8 @@ def solve_best_a(r, k_c, lo, hi, tol):
     bisecting the boundary of the certification predicate.
     """
     lo, hi, tol = Fraction(lo), Fraction(hi), Fraction(tol)
+    if tol <= 0:
+        raise ForgeError("tolerance must be positive")
     if not lo < hi:
         raise ForgeError("empty bracket")
     if _certifies_one_plus_a(hi, r, k_c):

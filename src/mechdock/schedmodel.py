@@ -111,7 +111,9 @@ class Instance:
 
     def finite_costs(self, j):
         """Job j's (player, cost) pairs of finite cost, by ascending player."""
-        return self._cols[j - 1].items()
+        if 0 < j <= self.m:
+            return self._cols[j - 1].items()
+        raise ModelError(f"job {j} is outside the {self.n}x{self.m} instance")
 
     def players(self):
         return range(1, self.n + 1)

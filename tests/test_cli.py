@@ -220,6 +220,14 @@ def test_bounds_optimize_adds_rows(tmp_path):
     assert len(lines) == 2
 
 
+def test_bounds_rejects_a_tolerance_that_is_not_positive(capsys):
+    # a zero tolerance used to bisect forever
+    for tol in ("0", "-1/100"):
+        argv = ["bounds", "--r-list", "5", "--optimize", f"--tol={tol}"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "bounds failed: tolerance must be positive\n"
+
+
 def test_wmon_fuzz_clean_and_exhaustive_violation(tmp_path, capsys):
     rc = main(
         ["wmon", "--mechanism", "minwork", "--trials", "300", "--seed", "5"]
@@ -249,6 +257,16 @@ def test_wmon_exhaustive_honours_shape(capsys):
     assert "over exhaustive 3x1 grid 0,1" in capsys.readouterr().out
     assert main(argv) == 0
     assert "over exhaustive 2x2 grid 0,1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("grid", ["0,-1", ",", "", "1/0", "x"])
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_wmon_bad_grid_is_a_usage_error(grid, exhaustive, capsys):
+    argv = ["wmon", "--mechanism", "minwork", "--trials", "5", f"--grid={grid}"]
+    assert main(argv + ["--exhaustive"] * exhaustive) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"bad --grid {grid!r}")
+    assert captured.out == ""
 
 
 def test_wmon_zero_trials():

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mechdock.exactnum import EPS1, EPS2, EPS3, EPS4, INF, tv
 from mechdock.forge import (
@@ -34,23 +36,42 @@ from mechdock.forge import (
 from mechdock.schedmodel import active_players
 
 
+def z_sum_reference(a, r, k_c):
+    """The chain weight summed term by term."""
+    a = Fraction(a)
+    return sum((a ** -(r + t) for t in range(1, k_c + 1)), Fraction(0))
+
+
+def bound_arms_reference(p):
+    """The terminal arms with every suffix sum of b taken afresh (O(r^2))."""
+    a = Fraction(p.a)
+    v0 = 1 + sum(p.b) + p.z
+    vks = []
+    for k in range(1, p.r + 1):
+        ak = a**-k
+        second = max(3 * ak - p.b[k - 1], ak)
+        tail = sum(p.b[k:], Fraction(0))
+        vks.append((a ** -(k - 1) + ak + second + tail + p.z) / a ** -(k - 1))
+    return v0, vks
+
+
 def test_compute_b_example_point():
-    b, z, s = compute_b(Fraction(18736, 10000), 3, 3)
+    b, z = compute_b(Fraction(18736, 10000), 3, 3)
     for got, want in zip(b, (1.141, 0.509, 0.222)):
         assert abs(float(got) - want) < 0.005
-    assert s[3] == 0
+    assert z == z_sum_reference(Fraction(18736, 10000), 3, 3)
 
 
 def test_compute_b_warmup_limit():
     a = Fraction(18019, 10000)
-    b, _, _ = compute_b(a, 1, 60)
+    b, _ = compute_b(a, 1, 60)
     assert abs(float(b[0] - 2 / a)) < 1e-3
 
 
 def test_compute_b_empty_chain():
     a = Fraction(3, 2)
-    b, z, _ = compute_b(a, 1, 0)
-    assert z == 0
+    b, z = compute_b(a, 1, 0)
+    assert z == 0 == z_sum(a, 1, 0)
     assert b[0] == 4 / a - a
 
 
@@ -59,7 +80,7 @@ def test_closed_form_matches_recurrence_exactly():
     for a in grid_a:
         for r in range(1, 13):
             for k_c in range(0, 13):
-                b, _, _ = compute_b(a, r, k_c)
+                b, _ = compute_b(a, r, k_c)
                 for k in range(1, r + 1):
                     assert b[k - 1] == compute_b_closed(a, r, k_c, k)
 
@@ -78,8 +99,35 @@ def test_z_closed_identity_for_matched_chain():
 
 def test_divergence_of_block_price_total():
     a = Fraction(18, 10)
-    totals = [compute_b(a, r, r)[2][0] for r in range(2, 13)]
+    totals = [sum(compute_b(a, r, r)[0]) for r in range(2, 13)]
     assert all(x < y for x, y in zip(totals, totals[1:]))
+
+
+# Scale factors in (sqrt 2, 2) over a small and a large denominator.
+_scale_factors = st.sampled_from([10**4, 2**40]).flatmap(
+    lambda den: st.integers(isqrt(2 * den * den) + 1, 2 * den - 1).map(
+        lambda num: Fraction(num, den)
+    )
+)
+
+
+@settings(deadline=None)
+@given(_scale_factors, st.integers(1, 40), st.integers(0, 40))
+def test_parameter_engine_matches_exact_references(a, r, k_c):
+    b, z = compute_b(a, r, k_c)
+    assert list(b) == [compute_b_closed(a, r, k_c, k) for k in range(1, r + 1)]
+    assert z == z_sum(a, r, k_c) == z_sum_reference(a, r, k_c)
+    p = MainParams.from_alpha(a, r, k_c)
+    v0, vks = bound_arms(p)
+    assert (v0, vks) == bound_arms_reference(p)
+    k = feasibility_defect(p)
+    if k is None:
+        assert certified_bound(p) == min([1 + a, v0] + vks)
+    else:
+        assert p.b[k - 1] < a**-k
+        assert all(p.b[i - 1] >= a**-i for i in range(1, k))
+        with pytest.raises(FeasibilityError):
+            certified_bound(p)
 
 
 def test_main_params_validation():
@@ -268,3 +316,10 @@ def test_solve_best_a():
     assert abs(float(a_star) - 1.80194) < 1e-3
     with pytest.raises(ForgeError):
         solve_best_a(3, 3, Fraction(199, 100), Fraction(1999, 1000), Fraction(1, 100))
+
+
+def test_solve_best_a_rejects_a_tolerance_that_is_not_positive():
+    # checked before the bracket top, which certifies at r = 100
+    for r, tol in ((5, 0), (5, Fraction(-1, 100)), (100, 0)):
+        with pytest.raises(ForgeError, match="tolerance must be positive"):
+            solve_best_a(r, r, Fraction(17, 10), Fraction(199, 100), tol)

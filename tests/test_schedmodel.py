@@ -216,6 +216,13 @@ def test_cost_rejects_cells_outside_the_instance(cell):
         d2x2().cost(i, j)
 
 
+@pytest.mark.parametrize("j", [0, 3, -1])
+def test_finite_costs_rejects_jobs_outside_the_instance(j):
+    # unchecked, job 0 would read the last column and job 3 an IndexError
+    with pytest.raises(ModelError, match=f"job {j} is outside the 2x2"):
+        d2x2().finite_costs(j)
+
+
 # Small dense matrices over a few cell values, with the infinite one common,
 # and edit lists over the same values.
 CELLS = ["0", "1", "2", "1e1", "1/2+1e2", "inf"]
