@@ -160,9 +160,15 @@ def cmd_attack(args):
     return 3 if isinstance(verdict, StrategyIncomplete) else 0
 
 
+BRACKET = (Fraction(17, 10), Fraction(199, 100))
+TOP_NOTE = " (bracket top certifies; the optimum may lie above)"
+
+
 def _bound_rows(r_values, kc, optimize, tol):
     """A row per r at its reference ratio, then (with optimize, or for r
-    without a reference ratio) a row at the optimizer's best a."""
+    without a reference ratio) a row at the optimizer's best a. Each row
+    ends with the note its printed line carries: the optimizer's a is only
+    a lower end of the optimum when it is the bracket top."""
     rows = []
     for r in r_values:
         k_c = kc if kc is not None else r
@@ -170,11 +176,13 @@ def _bound_rows(r_values, kc, optimize, tol):
             p = MainParams.from_alpha(REFERENCE_RATIOS[r] - 1, r, k_c)
             feasible = feasibility_defect(p) is None
             bound = certified_bound(p) if feasible else ""
-            rows.append((r, p.n, k_c, p.a, bound, feasible))
+            rows.append((r, p.n, k_c, p.a, bound, feasible, ""))
             if not optimize:
                 continue
-        a, bound = solve_best_a(r, k_c, Fraction(17, 10), Fraction(199, 100), tol)
-        rows.append((r, MainParams.from_alpha(a, r, k_c).n, k_c, a, bound, True))
+        a, bound = solve_best_a(r, k_c, *BRACKET, tol)
+        note = TOP_NOTE if a == BRACKET[1] else ""
+        n = MainParams.from_alpha(a, r, k_c).n
+        rows.append((r, n, k_c, a, bound, True, note))
     return rows
 
 
@@ -190,10 +198,10 @@ def cmd_bounds(args):
         print(f"bounds failed: {exc}", file=sys.stderr)
         return 2
     lines = ["r,n,k_c,a,bound,feasible"]
-    for r, n, k_c, a, bound, feasible in rows:
+    for r, n, k_c, a, bound, feasible, note in rows:
         lines.append(f"{r},{n},{k_c},{a},{bound},{str(feasible).lower()}")
         shown = _decimal(bound) if bound != "" else "-"
-        print(f"r={r} n={n} k_c={k_c} a={_decimal(a)} bound={shown}")
+        print(f"r={r} n={n} k_c={k_c} a={_decimal(a)} bound={shown}{note}")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")

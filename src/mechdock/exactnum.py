@@ -50,10 +50,12 @@ class TieredValue:
     """Immutable exact value: rational coefficients per tier, or +infinity.
 
     Stored coefficients are nonzero and kept sorted by tier (canonical form);
-    an infinite value carries no coefficients.
+    an infinite value carries no coefficients. The _text slot holds the
+    value's rendering once format_value has made it; it is left unset by
+    the constructors.
     """
 
-    __slots__ = ("infinite", "_coeffs")
+    __slots__ = ("infinite", "_coeffs", "_text")
 
     def __init__(self, coeffs=None, infinite=False):
         if infinite:
@@ -326,22 +328,31 @@ def format_value(v):
     """Canonical rendering: ascending tiers, reduced fractions, no spaces.
 
     Each coefficient is written from its integers: the sign, then the
-    numerator's magnitude, then "/denominator" unless that is 1.
+    numerator's magnitude, then "/denominator" unless that is 1. A value
+    is rendered once: the text is kept on it, and instances that share a
+    column share its values, so every later query and report reuses it.
     """
     v = tv(v)
+    try:
+        return v._text
+    except AttributeError:
+        pass
     if v.infinite:
-        return "inf"
-    if not v._coeffs:
-        return "0"
-    parts = []
-    for t, q in v._coeffs:
-        num, den = q.numerator, q.denominator
-        if num < 0:
-            parts.append("-")
-            num = -num
-        elif parts:
-            parts.append("+")
-        parts.append(str(num) if den == 1 else f"{num}/{den}")
-        if t:
-            parts.append(f"e{t}")
-    return "".join(parts)
+        text = "inf"
+    elif not v._coeffs:
+        text = "0"
+    else:
+        parts = []
+        for t, q in v._coeffs:
+            num, den = q.numerator, q.denominator
+            if num < 0:
+                parts.append("-")
+                num = -num
+            elif parts:
+                parts.append("+")
+            parts.append(str(num) if den == 1 else f"{num}/{den}")
+            if t:
+                parts.append(f"e{t}")
+        text = "".join(parts)
+    object.__setattr__(v, "_text", text)
+    return text

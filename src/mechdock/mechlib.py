@@ -93,7 +93,7 @@ class RecordedAnswers(MechanismHandle):
     def query(self, T):
         step = next(self._steps, None)
         try:
-            return Allocation(step["owner"])
+            return Allocation.from_json_dict(step)
         except (KeyError, TypeError, ValueError):
             raise MechanismError("the transcript recorded no answer for this query")
 

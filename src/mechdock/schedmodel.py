@@ -4,10 +4,12 @@ Players and jobs are 1-indexed throughout. Instances and allocations are
 immutable; edits produce new instances. An instance stores only its finite
 cells, column by column, with infinity implicit (the block-chain instances
 are under 1% finite), and an edit shares every column it does not write.
-The JSON form is still the dense matrix, and json_text writes every stored
-file in one layout. A mechanism is a deterministic black box mapping an
-instance to an allocation, either built in or an external subprocess
-speaking line-delimited JSON.
+The JSON form is the dense matrix, and json_text writes every stored file
+in one layout; the one-line request sent to an external mechanism is
+written straight from the columns, with each run of infinite cells written
+at once. A mechanism is a deterministic black box mapping an instance to
+an allocation, either built in or an external subprocess speaking
+line-delimited JSON.
 """
 
 from __future__ import annotations
@@ -179,7 +181,32 @@ class Instance:
         return d
 
     def to_json_line(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        """The one-line request an external mechanism reads: the bytes of
+        json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")),
+        written from the columns. Each row's finite cells are collected in
+        job order and the "inf" cells between them written as runs, so a
+        row costs work in its finite cells, not in m; a rendered cost never
+        needs escaping."""
+        rows = [[] for _ in range(self.n)]
+        for j, col in enumerate(self._cols):
+            for i, c in col.items():
+                rows[i - 1].append((j, format_value(c)))
+        lines = []
+        for cells in rows:
+            parts, done = [], 0
+            for j, text in cells:
+                parts.append(_INF_CELL * (j - done) + '"' + text + '",')
+                done = j + 1
+            parts.append(_INF_CELL * (self.m - done))
+            lines.append("".join(parts)[:-1])
+        dummy = ""
+        if self._dummy_of:
+            keyed = sorted((str(p), j) for p, j in self._dummy_of.items())
+            dummy = ',"dummy_of":{' + ",".join(f'"{p}":{j}' for p, j in keyed) + "}"
+        return (
+            '{"costs":[[' + "],[".join(lines) + "]]"
+            + dummy + f',"m":{self.m},"n":{self.n}}}'
+        )
 
     @classmethod
     def from_json_dict(cls, d):
@@ -222,6 +249,10 @@ class Instance:
 
     def __repr__(self):
         return f"Instance({self.n}x{self.m})"
+
+
+# An infinite cell of a request line, with the comma that follows it.
+_INF_CELL = '"inf",'
 
 
 def _negative(c):
@@ -337,7 +368,13 @@ class Allocation:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(d["owner"])
+        """Allocation from its JSON form, whose owner must be a list of
+        integers: a float, a string or a boolean there is an error, not a
+        player."""
+        owner = d["owner"]
+        if type(owner) is not list or any(type(p) is not int for p in owner):
+            raise ValueError(f"owner must be a list of integers, got {owner!r}")
+        return cls(owner)
 
     def __eq__(self, other):
         if not isinstance(other, Allocation):

@@ -153,6 +153,17 @@ def test_verify_replays_extern_report_against_recorded_answers(tmp_path, capsys)
     assert "replay failed" in capsys.readouterr().err
 
 
+def test_attack_rejects_a_malformed_extern_owner(tmp_path, capsys):
+    # a float owner used to be truncated to Allocation([1, 2]) and verified
+    script = Path(__file__).parent / "extern_reply.py"
+    mech = f"extern:{sys.executable} {script} '{{\"owner\": [1.9, 2.2]}}'"
+    report = tmp_path / "r.json"
+    argv = ["attack", "--strategy", "s2x2", "--mechanism", mech]
+    assert main(argv + ["--report", str(report)]) == 4
+    assert "bad mechanism reply" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_attack_mechanism_launch_failure():
     rc = main(
         ["attack", "--strategy", "s2x2", "--mechanism", "extern:/nonexistent-bin"]
@@ -218,6 +229,19 @@ def test_bounds_optimize_adds_rows(tmp_path):
     assert main(["bounds", "--r-list", "6", "--optimize", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 2
+
+
+def test_bounds_says_when_the_bracket_top_certifies(tmp_path, capsys):
+    note = " (bracket top certifies; the optimum may lie above)"
+    out = tmp_path / "b.csv"
+    argv = ["bounds", "--r-list", "5,36", "--optimize", "--out", str(out)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1].startswith("r=5 ") and not printed[1].endswith(note)
+    assert printed[3] == f"r=36 n=109 k_c=36 a=1.990000 bound=2.990000{note}"
+    assert [line for line in printed if line.endswith(note)] == [printed[3]]
+    # the CSV rows carry no note
+    assert out.read_text().splitlines()[4] == "36,109,36,199/100,299/100,true"
 
 
 def test_bounds_rejects_a_tolerance_that_is_not_positive(capsys):

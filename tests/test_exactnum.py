@@ -275,3 +275,16 @@ _rendered_values = st.dictionaries(
 def test_format_value_matches_fraction_rendering(v):
     assert format_value(v) == _rendered_by_fraction(v)
     assert parse_value(format_value(v)) == v
+
+
+@given(st.one_of(_rendered_values, st.just(INF), st.just(ZERO)))
+def test_format_value_text_is_kept_and_equal_for_equal_values(v):
+    # a value built separately renders alike, and a second call on either
+    # returns the text the first call kept
+    twin = TieredValue(infinite=True) if v.infinite else TieredValue(v.items())
+    assert not hasattr(twin, "_text")
+    text = format_value(v)
+    assert format_value(v) is text
+    assert format_value(twin) == text == _rendered_by_fraction(v)
+    assert format_value(twin) == text
+    assert twin == v and hash(twin) == hash(v)

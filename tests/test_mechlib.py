@@ -1,4 +1,8 @@
+import json
+import shlex
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -116,6 +120,30 @@ def test_recorded_answers_replay_in_order_then_fail():
     assert mech.query(D_2X2) == Allocation([2, 1])
     with pytest.raises(MechanismError, match="no answer"):
         mech.query(D_2X2)
+
+
+MALFORMED_OWNERS = [[1.9, 2.2], "12", [True, 2], ["1", "2"]]
+
+
+@pytest.mark.parametrize("owner", MALFORMED_OWNERS)
+def test_recorded_answers_reject_a_malformed_owner(owner):
+    mech = RecordedAnswers("extern:somewhere", [{"owner": owner}, {"owner": [1, 2]}])
+    with pytest.raises(MechanismError, match="no answer"):
+        mech.query(D_2X2)
+    assert mech.query(D_2X2) == Allocation([1, 2])
+
+
+@pytest.mark.parametrize("owner", MALFORMED_OWNERS)
+def test_extern_selector_rejects_a_malformed_owner(owner):
+    script = Path(__file__).parent / "extern_reply.py"
+    reply = json.dumps({"owner": owner})
+    argv = [sys.executable, str(script), reply]
+    mech = make_mechanism("extern:" + shlex.join(argv))
+    try:
+        with pytest.raises(MechanismError, match="bad mechanism reply"):
+            mech.query(D_2X2)
+    finally:
+        mech.close()
 
 
 def _dense_minwork(rows):

@@ -138,6 +138,27 @@ def test_external_mechanism_bad_reply():
         mech.close()
 
 
+MALFORMED_OWNERS = ["[1.9, 2.2]", '"12"', "[true, 2]", '["1", "2"]', "12", "null"]
+REPLY_SCRIPT = Path(__file__).parent / "extern_reply.py"
+
+
+@pytest.mark.parametrize("owner", MALFORMED_OWNERS)
+def test_allocation_from_json_dict_rejects_owners_that_are_not_integer_lists(owner):
+    with pytest.raises(ValueError, match="owner must be a list of integers"):
+        Allocation.from_json_dict({"owner": json.loads(owner)})
+
+
+@pytest.mark.parametrize("owner", MALFORMED_OWNERS)
+def test_external_mechanism_rejects_a_malformed_owner(owner):
+    reply = '{"owner": ' + owner + "}"
+    mech = ExternalMechanism([sys.executable, str(REPLY_SCRIPT), reply])
+    try:
+        with pytest.raises(MechanismError, match="bad mechanism reply"):
+            mech.query(Instance([[1, 2], [3, 1]]))
+    finally:
+        mech.close()
+
+
 def test_external_mechanism_timeout(monkeypatch):
     monkeypatch.setenv("MECHDOCK_TIMEOUT_MS", "200")
     mech = ExternalMechanism(
@@ -372,3 +393,53 @@ JSON_TREES = st.recursive(
 @given(JSON_TREES)
 def test_json_text_is_the_indent_1_dump(tree):
     assert json_text(tree) == json.dumps(tree, sort_keys=True, indent=1)
+
+
+def _compact_dump(T):
+    return json.dumps(T.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+
+# Request-line cells: the infinite one common, and tiered values whose
+# lower tiers have negative coefficients.
+LINE_CELLS = ["inf"] * 6 + ["0", "7", "1/3", "2-1e1", "3/2-7/3e2+1e3", "1e1-5e4"]
+
+
+@st.composite
+def request_instances(draw):
+    """Instances of 1-12 players, some rows all infinite, and with a dummy
+    job for some players (their indices sort differently as strings once
+    there are ten of them)."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 9))
+    rows = [[draw(st.sampled_from(LINE_CELLS)) for _ in range(m)] for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        rows[i] = ["inf"] * m
+    dummies = sorted(draw(st.sets(st.integers(1, n))))
+    for k, p in enumerate(dummies):
+        for i, row in enumerate(rows, start=1):
+            row.append("1" if i == p else "inf")
+    return Instance(rows, {p: m + k + 1 for k, p in enumerate(dummies)})
+
+
+@given(request_instances())
+def test_to_json_line_is_the_compact_dump(T):
+    assert T.to_json_line() == _compact_dump(T)
+
+
+def test_to_json_line_orders_dummy_players_as_strings():
+    rows = [["1" if i == j else "inf" for j in range(12)] for i in range(12)]
+    T = Instance(rows, {p: p for p in range(1, 13)})
+    line = T.to_json_line()
+    assert line == _compact_dump(T)
+    assert '"dummy_of":{"1":1,"10":10,"11":11,"12":12,"2":2,' in line
+
+
+def test_to_json_line_of_the_r36_chain():
+    a = Fraction(199, 100) - Fraction(3, 10**4)
+    T = build_main(MainParams.from_alpha(a, 36, 36))
+    assert (T.n, T.m) == (109, 253)
+    line = T.to_json_line()
+    assert line == _compact_dump(T)
+    # an edit shares the columns it does not write, and their rendered costs
+    edited = T.with_costs([(1, 1, "inf"), (2, 1, "5-1e2")])
+    assert edited.to_json_line() == _compact_dump(edited) != line
+    assert T.to_json_line() == line
