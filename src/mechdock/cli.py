@@ -217,6 +217,14 @@ def cmd_wmon(args):
     if not grid or min(grid) < 0:
         print(f"bad --grid {args.grid!r}: need non-negative rationals", file=sys.stderr)
         return 2
+    for flag, value, least in (
+        ("--n", args.n, 1),
+        ("--m", args.m, 1),
+        ("--trials", args.trials, 0),
+    ):
+        if value is not None and value < least:
+            print(f"bad {flag} {value}: need at least {least}", file=sys.stderr)
+            return 2
     mech = None
     try:
         mech = make_mechanism(args.mechanism)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 LT, EQ, GT = -1, 0, 1
 
@@ -224,6 +225,39 @@ def tv_scale(q, v):
     if q == 0:
         return ZERO
     return TieredValue._canonical(tuple((t, q * c) for t, c in v.items()))
+
+
+def tv_sum(values, minus=()):
+    """Sum of a sequence of finite values, less the sum of those in
+    `minus`. Each tier's coefficients are added as one integer numerator
+    over the lcm of their denominators and reduced once at the end, so no
+    Fraction is made per term; a tier only one term reaches keeps that
+    term's coefficient as it is."""
+    if not minus and len(values) < 2:
+        return values[0] if values else ZERO
+    acc = {}  # tier -> [numerator, denominator, the coefficient if single]
+    for vs, sign in ((values, 1), (minus, -1)):
+        for v in vs:
+            for t, q in v._coeffs:
+                num, den = sign * q.numerator, q.denominator
+                part = acc.get(t)
+                if part is None:
+                    acc[t] = [num, den, q if sign == 1 else -q]
+                    continue
+                part[2] = None
+                if part[1] == den:
+                    part[0] += num
+                else:
+                    g = gcd(part[1], den)
+                    part[0] = part[0] * (den // g) + num * (part[1] // g)
+                    part[1] = part[1] // g * den
+    return TieredValue._canonical(
+        tuple(
+            (t, Fraction(num, den) if q is None else q)
+            for t, (num, den, q) in sorted(acc.items())
+            if num
+        )
+    )
 
 
 def tv_compare(u, v):

@@ -22,7 +22,7 @@ import subprocess
 import time
 from json.encoder import encode_basestring_ascii
 
-from .exactnum import INF, ZERO, format_value, parse_value, tv
+from .exactnum import INF, format_value, parse_value, tv, tv_sum
 
 DEFAULT_TIMEOUT_MS = 10000
 TIMEOUT_ENV_VAR = "MECHDOCK_TIMEOUT_MS"
@@ -162,12 +162,22 @@ class Instance:
                 yield j
 
     def rows_equal_except(self, other, i):
-        """True when the two instances agree on every row but possibly i."""
+        """True when the two instances agree on every row but possibly i.
+        Columns are compared in place: a column an edit shared is skipped,
+        and a cell it copied is the same value object, so it passes on
+        identity."""
         if (self.n, self.m) != (other.n, other.m):
             return False
-        for j in self.changed_jobs(other):
-            if _without(self._cols[j - 1], i) != _without(other._cols[j - 1], i):
+        for a, b in zip(self._cols, other._cols):
+            if a is b:
+                continue
+            if len(a) - (i in a) != len(b) - (i in b):
                 return False
+            for p, c in a.items():
+                if p != i:
+                    d = b.get(p)
+                    if d is not c and d != c:
+                        return False
         return True
 
     def to_json_dict(self):
@@ -283,10 +293,6 @@ def _columns(widths, cells):
     return cols
 
 
-def _without(col, i):
-    return {p: c for p, c in col.items() if p != i}
-
-
 def json_text(obj):
     """The text of json.dumps(obj, sort_keys=True, indent=1) for a tree
     whose dict keys are strings: the layout of every stored report,
@@ -390,14 +396,16 @@ class Allocation:
 
 def makespan(T, x):
     """Largest player load under a valid allocation x; infinite if any
-    job is assigned at infinite cost."""
-    loads = [ZERO] * T.n
-    for j, i in enumerate(x.owner, start=1):
-        c = T.cost(i, j)
-        if c.infinite:
+    job is assigned at infinite cost. Each owner's cell is read from its
+    column, and each player's costs are summed at once."""
+    held = [[] for _ in range(T.n)]
+    for col, i in zip(T._cols, x.owner):
+        c = col.get(i)
+        if c is None:
             return INF
-        loads[i - 1] = loads[i - 1] + c
-    return max(loads)
+        if c._coeffs:  # a zero cost adds nothing
+            held[i - 1].append(c)
+    return max(map(tv_sum, held))
 
 
 def active_players(T, j):

@@ -15,7 +15,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .exactnum import GT, LT, ZERO, TieredValue, format_value, tv, tv_compare
+from .exactnum import (
+    GT,
+    LT,
+    ZERO,
+    TieredValue,
+    format_value,
+    tv,
+    tv_compare,
+    tv_sum,
+)
 from .schedmodel import Allocation, Instance, checked_query
 
 
@@ -42,29 +51,40 @@ def wmon_value(T, x, Tp, xp, i):
     infinite/finite term whose assignment flips would need -infinity,
     which tiered values cannot carry; it cannot arise after the upstream
     infinite-assignment screen and is rejected here.
+
+    Only the jobs x or x' gives to player i can add a term or fail a
+    precondition, so only their cells are read, in job order. A job only
+    x gives to i adds t - t', one only x' gives to i adds t' - t, and the
+    sum is taken once over both sides.
     """
     if not T.rows_equal_except(Tp, i):
         raise WmonPreconditionError("instances differ outside the given row")
-    total = ZERO
-    for j in T.jobs():
+    plus, minus = [], []
+    for j, (a, b) in enumerate(zip(x.owner, xp.owner), start=1):
+        if a != i and b != i:
+            continue
         t, tp = T.cost(i, j), Tp.cost(i, j)
-        xi, xpi = x.assigns(i, j), xp.assigns(i, j)
-        if t.infinite and xi:
+        if a == i and t.infinite:
             raise WmonPreconditionError(
                 f"job {j} assigned to player {i} at infinite cost in T"
             )
-        if tp.infinite and xpi:
+        if b == i and tp.infinite:
             raise WmonPreconditionError(
                 f"job {j} assigned to player {i} at infinite cost in T'"
             )
-        d = xi - xpi
-        if d == 0:
+        if a == b:
             continue
         if t.infinite or tp.infinite:
             raise WmonPreconditionError(
                 f"mixed infinite/finite term with flipped assignment at job {j}"
             )
-        total = total + (t - tp) * Fraction(d)
+        if a == i:
+            plus.append(t)
+            minus.append(tp)
+        else:
+            plus.append(tp)
+            minus.append(t)
+    total = tv_sum(plus, minus)
     return WmonReport(
         value=total,
         violated=tv_compare(total, ZERO) == GT,

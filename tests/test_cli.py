@@ -297,6 +297,25 @@ def test_wmon_zero_trials():
     assert main(["wmon", "--mechanism", "minwork", "--trials", "0"]) == 0
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", "0"], "bad --n 0: need at least 1"),
+        (["--m", "0"], "bad --m 0: need at least 1"),
+        (["--n", "-2"], "bad --n -2: need at least 1"),
+        (["--m", "-1"], "bad --m -1: need at least 1"),
+        (["--trials", "-3"], "bad --trials -3: need at least 0"),
+    ],
+)
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_wmon_bad_shape_or_trials_is_a_usage_error(flags, message, exhaustive, capsys):
+    argv = ["wmon", "--mechanism", "minwork", "--grid", "0,1"] + flags
+    assert main(argv + ["--exhaustive"] * exhaustive) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+
+
 def test_verify_missing_file(tmp_path):
     assert main(["verify", "--report", str(tmp_path / "none.json")]) == 1
 

@@ -22,6 +22,7 @@ from mechdock.exactnum import (
     tv,
     tv_compare,
     tv_scale,
+    tv_sum,
 )
 
 
@@ -288,3 +289,18 @@ def test_format_value_text_is_kept_and_equal_for_equal_values(v):
     assert format_value(twin) == text == _rendered_by_fraction(v)
     assert format_value(twin) == text
     assert twin == v and hash(twin) == hash(v)
+
+
+@given(
+    st.lists(st.one_of(_rendered_values, st.just(ZERO)), max_size=6),
+    st.lists(st.one_of(_rendered_values, st.just(ZERO)), max_size=6),
+)
+def test_tv_sum_matches_repeated_addition(values, minus):
+    expected = ZERO
+    for v in values:
+        expected = expected + v
+    for v in minus:
+        expected = expected - v
+    got = tv_sum(values, minus)
+    assert got == expected and _is_canonical(got)
+    assert tv_sum(values) == sum(values, ZERO)

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from mechdock.exactnum import LT, tv, tv_compare
-from mechdock.optcore import BudgetExceeded, SearchError, opt_makespan
+from mechdock.exactnum import GT, INF, LT, ZERO, TieredValue, tv, tv_compare
+from mechdock.optcore import BudgetExceeded, SearchError, _load_keys, opt_makespan
 from mechdock.schedmodel import Allocation, Instance, active_players, makespan
 
 NR = Instance([[1, 0, "inf"], [1, "inf", 0]], dummy_of={1: 2, 2: 3})
@@ -80,3 +81,130 @@ def test_opt_unassignable_job():
     T = Instance([[1, "inf"], [1, "inf"]])
     with pytest.raises(SearchError, match="job 2 has no active player"):
         opt_makespan(T)
+
+
+def opt_makespan_oracle(T):
+    """opt_makespan as it ran on TieredValue loads: the same search, with
+    every load a tiered value and every comparison a tv_compare."""
+    choices = []
+    for j in T.jobs():
+        finite = tuple(T.finite_costs(j))
+        if not finite:
+            raise SearchError(f"job {j} has no active player")
+        choices.append(finite)
+    order = [
+        choices[j - 1]
+        for j in sorted(
+            T.jobs(), key=lambda j: min(c for _, c in choices[j - 1]), reverse=True
+        )
+    ]
+    loads = [ZERO] * (T.n + 1)
+    explored = 0
+    best_value = INF
+
+    def descend(idx, current_max):
+        nonlocal explored, best_value
+        if idx == len(order):
+            best_value = current_max
+            return
+        for i, c in order[idx]:
+            explored += 1
+            old = loads[i]
+            new_load = old + c
+            if tv_compare(new_load, current_max) == GT:
+                new_max = new_load
+            else:
+                new_max = current_max
+            if tv_compare(new_max, best_value) != LT:
+                continue
+            loads[i] = new_load
+            descend(idx + 1, new_max)
+            loads[i] = old
+
+    descend(0, ZERO)
+    if best_value.infinite:
+        raise SearchError("no finite allocation exists")
+    owner = [0] * T.m
+    loads = [ZERO] * (T.n + 1)
+
+    def rebuild(j):
+        nonlocal explored
+        if j > T.m:
+            return True
+        for i, c in choices[j - 1]:
+            explored += 1
+            old = loads[i]
+            new_load = old + c
+            if tv_compare(new_load, best_value) == GT:
+                continue
+            loads[i] = new_load
+            owner[j - 1] = i
+            if rebuild(j + 1):
+                return True
+            loads[i] = old
+        return False
+
+    assert rebuild(1)
+    return Allocation(owner), explored
+
+
+def random_tiered_cost(rng):
+    """A non-negative value on up to four tiers, whose finer-tier
+    coefficients may be zero or negative."""
+    coeffs = {
+        t: Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 7]))
+        for t in rng.sample(range(4), rng.randint(0, 4))
+    }
+    v = TieredValue(coeffs)
+    return -v if tv_compare(v, ZERO) == LT else v
+
+
+def test_keyed_search_matches_the_tiered_value_oracle():
+    rng = random.Random(20261018)
+    seen = {"witness": 0, "no active player": 0}
+    for _ in range(1500):
+        n, m = rng.randint(1, 4), rng.randint(1, 7)
+        # a small shared pool, so equal costs and tied loads come up often
+        pool = [random_tiered_cost(rng) for _ in range(rng.randint(1, 5))]
+        costs = [
+            ["inf" if rng.random() < 0.25 else rng.choice(pool) for _ in range(m)]
+            for _ in range(n)
+        ]
+        T = Instance(costs)
+        try:
+            want = opt_makespan_oracle(T)
+        except SearchError as exc:
+            with pytest.raises(SearchError, match=f"^{exc}$"):
+                opt_makespan(T)
+            seen["no active player"] += 1
+            continue
+        got = opt_makespan(T)
+        assert (got.witness, got.explored) == want
+        seen["witness"] += 1
+    assert min(seen.values()) >= 50
+
+
+_key_values = st.dictionaries(
+    st.integers(0, 5),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    max_size=4,
+).map(TieredValue)
+
+
+@given(
+    st.lists(_key_values, min_size=1, max_size=6),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_load_keys_add_and_order_like_the_values(values, count, data):
+    # a zero value, and zero or negative coefficients on finer tiers, all
+    # come from the strategy; loads are sums of at most `count` costs
+    keys, unbounded = _load_keys(set(values), count)
+    picks = st.lists(st.sampled_from(values), max_size=count)
+    for _ in range(5):
+        a, b = data.draw(picks), data.draw(picks)
+        u, v = sum(a, ZERO), sum(b, ZERO)
+        ku, kv = sum(keys[c] for c in a), sum(keys[c] for c in b)
+        assert (ku > kv) - (ku < kv) == tv_compare(u, v)
+        assert ku < unbounded and kv < unbounded
+    assert keys.get(ZERO, 0) == 0

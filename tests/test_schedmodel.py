@@ -44,6 +44,37 @@ def test_makespan():
     assert makespan(NR, Allocation([1, 2, 2])) == INF
 
 
+def makespan_oracle(T, x):
+    """makespan as first written: each cost read through T.cost and added
+    to its player's load one job at a time."""
+    loads = [ZERO] * T.n
+    for j, i in enumerate(x.owner, start=1):
+        c = T.cost(i, j)
+        if c.infinite:
+            return INF
+        loads[i - 1] = loads[i - 1] + c
+    return max(loads)
+
+
+def test_makespan_matches_the_per_job_oracle():
+    rng = random.Random(36)
+    # the r=36 chain: block prices over many large denominators
+    instances = [build_main(MainParams.from_alpha(Fraction(1989, 1000), 36, 36))] * 20
+    cells = ["inf", "0", "1", "1/3", "2-1e1", "1e1+1/7e2", "5/6+1e3", "1e2"]
+    for _ in range(500):
+        n, m = rng.randint(1, 4), rng.randint(1, 8)
+        instances.append(
+            Instance([[rng.choice(cells) for _ in range(m)] for _ in range(n)])
+        )
+    for T in instances:
+        active = [[i for i, _ in T.finite_costs(j)] or [1] for j in T.jobs()]
+        for _ in range(3):
+            x = Allocation(rng.choice(players) for players in active)
+            assert makespan(T, x) == makespan_oracle(T, x)
+        x = Allocation(rng.randint(1, T.n) for _ in T.jobs())
+        assert makespan(T, x) == makespan_oracle(T, x)
+
+
 def test_active_players():
     assert active_players(NR, 2) == {1}
     assert active_players(NR, 1) == {1, 2}

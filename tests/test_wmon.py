@@ -1,10 +1,20 @@
+import random
 import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from mechdock.exactnum import EPS1, EPS2, ZERO, tv
+from mechdock.exactnum import (
+    EPS1,
+    EPS2,
+    GT,
+    ZERO,
+    TieredValue,
+    format_value,
+    tv,
+    tv_compare,
+)
 from mechdock.mechlib import make_mechanism
 from mechdock.schedmodel import Allocation, Instance, MechanismHandle, checked_query
 from mechdock.wmon import (
@@ -12,6 +22,7 @@ from mechdock.wmon import (
     HypothesisError,
     LemmaExpectation,
     WmonPreconditionError,
+    WmonReport,
     WmonViolation,
     exhaustive_pairs,
     fuzz,
@@ -296,3 +307,130 @@ def test_lemma_checks_name_the_first_job_changed_outside_the_declared_ones(share
     message = "keep-lowered: job 1 is not a finite decrease"
     with pytest.raises(HypothesisError, match=f"^{message}$"):
         keep_lowered_constraints(M1, M1_ALLOC, M2, 2, keep={3})
+
+
+def _without(col, i):
+    return {p: c for p, c in col.items() if p != i}
+
+
+def rows_equal_except_oracle(T, Tp, i):
+    """rows_equal_except as first written: each column without row i,
+    copied and compared whole."""
+    if (T.n, T.m) != (Tp.n, Tp.m):
+        return False
+    return all(
+        _without(dict(T.finite_costs(j)), i) == _without(dict(Tp.finite_costs(j)), i)
+        for j in T.jobs()
+    )
+
+
+def wmon_value_oracle(T, x, Tp, xp, i):
+    """wmon_value as first written: every job read, each term scaled by
+    the change in the indicator."""
+    if not rows_equal_except_oracle(T, Tp, i):
+        raise WmonPreconditionError("instances differ outside the given row")
+    total = ZERO
+    for j in T.jobs():
+        t, tp = T.cost(i, j), Tp.cost(i, j)
+        xi, xpi = x.assigns(i, j), xp.assigns(i, j)
+        if t.infinite and xi:
+            raise WmonPreconditionError(
+                f"job {j} assigned to player {i} at infinite cost in T"
+            )
+        if tp.infinite and xpi:
+            raise WmonPreconditionError(
+                f"job {j} assigned to player {i} at infinite cost in T'"
+            )
+        d = xi - xpi
+        if d == 0:
+            continue
+        if t.infinite or tp.infinite:
+            raise WmonPreconditionError(
+                f"mixed infinite/finite term with flipped assignment at job {j}"
+            )
+        total = total + (t - tp) * Fraction(d)
+    return WmonReport(value=total, violated=tv_compare(total, ZERO) == GT)
+
+
+def _random_cell(rng):
+    if rng.random() < 0.3:
+        return "inf"
+    v = TieredValue(
+        {
+            t: Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+            for t in rng.sample(range(3), rng.randint(0, 2))
+        }
+    )
+    return -v if tv_compare(v, ZERO) < 0 else v
+
+
+def _random_pair(rng):
+    """An instance, its rewrite in player i's row (sometimes also in one
+    other cell), and two random allocations; the rewrite either shares
+    the unchanged columns (with_costs) or rebuilds every column."""
+    n, m = rng.randint(1, 3), rng.randint(1, 5)
+    rows = [[_random_cell(rng) for _ in range(m)] for _ in range(n)]
+    T = Instance(rows)
+    i = rng.randint(1, n)
+    rewritten = rng.sample(range(1, m + 1), rng.randint(0, m))
+    edits = [(i, j, _random_cell(rng)) for j in rewritten]
+    if n > 1 and rng.random() < 0.2:
+        p = rng.choice([p for p in range(1, n + 1) if p != i])
+        edits.append((p, rng.randint(1, m), _random_cell(rng)))
+    shared = rng.random() < 0.5
+    if shared:
+        Tp = T.with_costs(edits)
+    else:
+        dense = [list(row) for row in rows]
+        for p, j, c in edits:
+            dense[p - 1][j - 1] = c
+        Tp = Instance(dense)
+    x = Allocation(rng.randint(1, n) for _ in range(m))
+    xp = Allocation(rng.randint(1, n) for _ in range(m))
+    return T, x, Tp, xp, i, shared
+
+
+def _outcome(fn, *args):
+    try:
+        report = fn(*args)
+    except WmonPreconditionError as exc:
+        return "error", str(exc)
+    return format_value(report.value), report.violated
+
+
+# One label per outcome of the oracle; T' before T, which it contains.
+_KINDS = (
+    "outside the given row",
+    "infinite cost in T'",
+    "infinite cost in T",
+    "mixed infinite/finite",
+)
+
+
+def _kind(T, Tp, i, outcome):
+    if outcome[0] == "error":
+        return next(k for k in _KINDS if k in outcome[1])
+    if any(T.cost(i, j).infinite and Tp.cost(i, j).infinite for j in T.jobs()):
+        return "evaluated past a double-infinite job"
+    return "violated" if outcome[1] else "not violated"
+
+
+def test_wmon_value_matches_the_per_job_oracle():
+    rng = random.Random(20261018)
+    seen = {}
+    for _ in range(3000):
+        T, x, Tp, xp, i, shared = _random_pair(rng)
+        for p in T.players():
+            assert T.rows_equal_except(Tp, p) == rows_equal_except_oracle(T, Tp, p)
+        want = _outcome(wmon_value_oracle, T, x, Tp, xp, i)
+        assert _outcome(wmon_value, T, x, Tp, xp, i) == want
+        key = _kind(T, Tp, i, want), shared
+        seen[key] = seen.get(key, 0) + 1
+    # every outcome occurs often, with shared and with rebuilt columns
+    kinds = _KINDS + (
+        "evaluated past a double-infinite job",
+        "violated",
+        "not violated",
+    )
+    assert {k for k, _ in seen} == set(kinds)
+    assert all(seen.get((k, s), 0) >= 10 for k in kinds for s in (True, False))
