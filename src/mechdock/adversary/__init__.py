@@ -104,6 +104,6 @@ def verify_report(report_dict):
     """Offline checks of a stored report: verdict invariants only."""
     try:
         verdict = verdict_from_json_dict(report_dict["verdict"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
         return [f"malformed report: {exc}"]
     return verify_verdict(verdict)

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .adversary import STRATEGY_SPECS, attack, replay_report, verify_report
 from .adversary.verdicts import StrategyIncomplete
@@ -78,26 +79,28 @@ def build_parser():
         description="Adversarial testbed for truthful scheduling mechanisms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # A flag's prefix is a usage error, not that flag.
+    command = partial(sub.add_parser, allow_abbrev=False)
 
-    gen = sub.add_parser("gen", help="write an instance file")
+    gen = command("gen", help="write an instance file")
     gen.add_argument("--construction", required=True, choices=list(CONSTRUCTIONS))
     _add_param_flags(gen, CONSTRUCTIONS)
     gen.add_argument("--out", required=True)
 
-    atk = sub.add_parser("attack", help="run an adversary strategy")
+    atk = command("attack", help="run an adversary strategy")
     atk.add_argument("--strategy", required=True, choices=sorted(STRATEGY_SPECS))
     atk.add_argument("--mechanism", required=True)
     _add_param_flags(atk, STRATEGY_SPECS)
     atk.add_argument("--report")
 
-    bounds = sub.add_parser("bounds", help="certify parameter bounds per r")
+    bounds = command("bounds", help="certify parameter bounds per r")
     bounds.add_argument("--r-list", default="3,4,5", help="comma-separated r values")
     bounds.add_argument("--kc", type=int, help="chain length (default: r)")
     bounds.add_argument("--optimize", action="store_true")
     bounds.add_argument("--tol", type=_fraction, default=Fraction(1, 10**4))
     bounds.add_argument("--out")
 
-    wm = sub.add_parser("wmon", help="search for monotonicity violations")
+    wm = command("wmon", help="search for monotonicity violations")
     wm.add_argument("--mechanism", required=True)
     wm.add_argument("--trials", type=int, default=10000)
     wm.add_argument("--seed", type=int, default=0)
@@ -107,9 +110,23 @@ def build_parser():
     wm.add_argument("--exhaustive", action="store_true")
     wm.add_argument("--out")
 
-    ver = sub.add_parser("verify", help="re-check a stored attack report")
+    ver = command("verify", help="re-check a stored attack report")
     ver.add_argument("--report", required=True)
     return parser
+
+
+def _write(path, text, done):
+    """Write text and a final newline to path and print done. Returns the
+    exit code: 0, or 2 after saying why the file cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return 2
+    print(done)
+    return 0
 
 
 def cmd_gen(args):
@@ -118,11 +135,8 @@ def cmd_gen(args):
     except ForgeError as exc:
         print(f"cannot build instance: {exc}", file=sys.stderr)
         return 2
-    with open(args.out, "w") as fh:
-        fh.write(json_text(instance.to_json_dict()))
-        fh.write("\n")
-    print(f"wrote {instance.n}x{instance.m} instance to {args.out}")
-    return 0
+    done = f"wrote {instance.n}x{instance.m} instance to {args.out}"
+    return _write(args.out, json_text(instance.to_json_dict()), done)
 
 
 def cmd_attack(args):
@@ -152,11 +166,9 @@ def cmd_attack(args):
         summary += f" reason {verdict.reason}"
     summary += f" after {report.transcript.queries} queries"
     print(summary)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-        print(f"wrote report to {args.report}")
+    done = f"wrote report to {args.report}"
+    if args.report and _write(args.report, report.to_json(), done):
+        return 2
     return 3 if isinstance(verdict, StrategyIncomplete) else 0
 
 
@@ -202,11 +214,7 @@ def cmd_bounds(args):
         lines.append(f"{r},{n},{k_c},{a},{bound},{str(feasible).lower()}")
         shown = _decimal(bound) if bound != "" else "-"
         print(f"r={r} n={n} k_c={k_c} a={_decimal(a)} bound={shown}{note}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {args.out}")
-    return 0
+    return _write(args.out, "\n".join(lines), f"wrote {args.out}") if args.out else 0
 
 
 def cmd_wmon(args):
@@ -245,12 +253,10 @@ def cmd_wmon(args):
         if mech is not None:
             mech.close()
     print(f"{len(violations)} violation(s) over {scope}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json_text([v.to_json_dict() for v in violations]))
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    return 0
+    if not args.out:
+        return 0
+    text = json_text([v.to_json_dict() for v in violations])
+    return _write(args.out, text, f"wrote {args.out}")
 
 
 def cmd_verify(args):
@@ -271,7 +277,7 @@ def cmd_verify(args):
     if not defects:
         try:
             defects = replay_report(report, rebuild)
-        except (MechanismError, ForgeError, ValueError, KeyError, TypeError) as exc:
+        except (MechanismError, AttributeError, KeyError, TypeError, ValueError) as exc:
             defects = [f"replay failed: {exc}"]
     if defects:
         print(f"verification failed: {defects[0]}", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""Builders for every adversarial instance family, their parameter table,
-and the parameter engine.
+"""Builders for the instances the adversary strategies attack, one
+construction per strategy, their parameter table, and the parameter engine.
 
 The block-chain construction consists of r three-job blocks (non-trivial
 first job priced b_i for player 1, two trivial companion jobs), a chain of
@@ -26,15 +26,6 @@ class FeasibilityError(ForgeError):
     def __init__(self, k, b_k, floor):
         self.k = k
         super().__init__(f"b_{k} = {b_k} is below its floor {floor}")
-
-
-# Parameter-selection polynomials (coefficients high degree first):
-# the single-block crossing a^3 - a^2 - 2a + 1 = 0 (root near 1.80194),
-# the 3x3 bound's rho^3 - 2 rho^2 - 1 = 0 (root near 2.20557), and the
-# golden-ratio quadratic a^2 - a - 1 = 0 used as a reference point.
-SINGLE_BLOCK_CUBIC = (1, -1, -2, 1)
-SQUARE3_CUBIC = (1, -2, 0, -1)
-GOLDEN_QUADRATIC = (1, -1, -1)
 
 
 def z_sum(a, r, k_c):
@@ -211,55 +202,6 @@ def f3x4(x):
     )
 
 
-def _with_dummy_part(rows):
-    n = len(rows)
-    m = len(rows[0])
-    full = []
-    for i, row in enumerate(rows):
-        extra = [INF] * n
-        extra[i] = tv(0)
-        full.append(list(row) + extra)
-    return Instance(full, dummy_of={i + 1: m + i + 1 for i in range(n)})
-
-
-def b_nr():
-    """One shared unit job for two players, plus dummies."""
-    return _with_dummy_part([[1], [1]])
-
-
-def b_ckv():
-    """Two shared unit jobs for three players, plus dummies."""
-    return _with_dummy_part([[1, 1], [1, 1], [1, 1]])
-
-
-def c_kv(a, k):
-    """A bare chain of k two-player jobs, geometric prices, plus dummies."""
-    a = Fraction(a)
-    if a <= 1:
-        raise ForgeError("chain needs a > 1")
-    if k < 1:
-        raise ForgeError("chain needs at least one job")
-    rows = [[INF] * k for _ in range(k + 1)]
-    for t in range(1, k + 1):
-        rows[0][t - 1] = tv(a**-t)
-        rows[t][t - 1] = tv(a ** -(t - 1))
-    return _with_dummy_part(rows)
-
-
-def b_new(a, b1=None):
-    """A single block (price b1, two trivial companions), plus dummies."""
-    a = Fraction(a)
-    if b1 is None:
-        b1 = 2 / a
-    b1 = Fraction(b1)
-    rows = [
-        [tv(b1), tv(2 / a), tv(2 / a)],
-        [tv(1), EPS1, INF],
-        [tv(1), INF, EPS1],
-    ]
-    return _with_dummy_part(rows)
-
-
 REQUIRED = object()
 
 
@@ -307,10 +249,12 @@ def build_an(a, r, kc):
     return build_main(MainParams.from_alpha(a, r, kc))
 
 
-# The 3x3 defaults are decimal roundings of (1, rho, rho*(rho - 1)), rho the
-# root of SQUARE3_CUBIC. Here the arms of the 3x3 strategy give 1 + c/b =
-# 2.205577, b/a = 2.2055 and (a+b+c)/c = 2.205574; the guaranteed bound is
-# their minimum, b/a = 2.2055. The 3x4 default rounds sqrt 2.
+# Each construction is the instance of one strategy: "an" of main, "d2x2"
+# of s2x2, "e3x3" of s3x3 and "f3x4" of s3x4. The 3x3 defaults are decimal
+# roundings of (1, rho, rho*(rho - 1)), rho the root of rho^3 - 2 rho^2 - 1
+# near 2.20557. Here the arms of the 3x3 strategy give 1 + c/b = 2.205577,
+# b/a = 2.2055 and (a+b+c)/c = 2.205574; the guaranteed bound is their
+# minimum, b/a = 2.2055. The 3x4 default rounds sqrt 2.
 CONSTRUCTIONS = {
     "an": Spec(
         build_an,
@@ -330,10 +274,6 @@ CONSTRUCTIONS = {
         ),
     ),
     "f3x4": Spec(f3x4, (Param("x", Fraction, Fraction(141421, 100000)),)),
-    "b_nr": Spec(b_nr),
-    "b_ckv": Spec(b_ckv),
-    "c_kv": Spec(c_kv, (Param("a", Fraction), Param("k", int))),
-    "b_new": Spec(b_new, (Param("a", Fraction), Param("b1", Fraction, None))),
 }
 
 
@@ -370,37 +310,6 @@ def certified_bound(p):
     check_feasible(p)
     v0, vks = bound_arms(p)
     return min([1 + Fraction(p.a), v0] + vks)
-
-
-def poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def poly_root(coeffs, lo, hi, tol):
-    """Bisection root of a polynomial with a sign change on [lo, hi]."""
-    lo, hi, tol = Fraction(lo), Fraction(hi), Fraction(tol)
-    if tol <= 0:
-        raise ForgeError("tolerance must be positive")
-    flo, fhi = poly_eval(coeffs, lo), poly_eval(coeffs, hi)
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise ForgeError("no sign change on the bracket")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        fmid = poly_eval(coeffs, mid)
-        if fmid == 0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return (lo + hi) / 2
 
 
 def _certifies_one_plus_a(a, r, k_c):

@@ -57,7 +57,7 @@ class SeededStub(MechanismHandle):
     """Deterministic pseudo-arbitrary allocator, valid but otherwise lawless."""
 
     def __init__(self, seed, active_only=False):
-        self.seed = int(seed)
+        self.seed = seed
         self.active_only = active_only
         self.name = f"{'activestub' if active_only else 'stub'}:{self.seed}"
 
@@ -104,13 +104,15 @@ def make_mechanism(selector):
         return BuiltinMechanism("minwork", minwork_allocate)
     if selector == "optmakespan":
         return BuiltinMechanism("optmakespan", optmakespan_allocate)
-    if selector.startswith("dictator:"):
-        d = int(selector.split(":", 1)[1])
-        return BuiltinMechanism(selector, lambda T, d=d: dictator_allocate(T, d))
-    if selector.startswith("stub:"):
-        return SeededStub(selector.split(":", 1)[1])
-    if selector.startswith("activestub:"):
-        return SeededStub(selector.split(":", 1)[1], active_only=True)
-    if selector.startswith("extern:"):
-        return ExternalMechanism(selector.split(":", 1)[1])
+    kind, colon, arg = selector.partition(":")
+    if colon and kind == "extern":
+        return ExternalMechanism(arg)
+    if colon and kind in ("dictator", "stub", "activestub"):
+        try:
+            number = int(arg)
+        except ValueError:
+            raise MechanismError(f"mechanism selector {selector!r} needs an integer")
+        if kind == "dictator":
+            return BuiltinMechanism(selector, lambda T: dictator_allocate(T, number))
+        return SeededStub(number, active_only=kind == "activestub")
     raise MechanismError(f"unknown mechanism selector {selector!r}")

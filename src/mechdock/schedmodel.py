@@ -465,15 +465,17 @@ class ExternalMechanism(MechanismHandle):
     def __init__(self, command):
         self.name = f"extern:{command}"
         self._pending = b""
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
         try:
+            argv = shlex.split(command) if isinstance(command, str) else list(command)
+            if not argv:
+                raise ValueError("empty command")
             self._proc = subprocess.Popen(
                 argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
             )
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise MechanismError(f"cannot launch mechanism {command!r}: {exc}")
         os.set_blocking(self._proc.stdin.fileno(), False)
 

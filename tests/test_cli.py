@@ -341,3 +341,89 @@ def test_attack_deterministic_reports(tmp_path):
             ]
         )
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize(
+    "selector", ["dictator:x", "stub:x", "activestub:", "extern:", "extern:'unclosed"]
+)
+@pytest.mark.parametrize("command", ["attack", "wmon"])
+def test_malformed_mechanism_selector_is_a_mechanism_failure(selector, command, capsys):
+    argv = [command, "--mechanism", selector]
+    argv += ["--strategy", "s2x2"] if command == "attack" else ["--trials", "1"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("mechanism failure: ")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(verdict=[]),
+        lambda doc: doc.update(verdict="x"),
+        lambda doc: doc["verdict"]["instance"].update(dummy_of=[1]),
+        lambda doc: doc.update(mechanism=5),
+    ],
+    ids=["verdict-list", "verdict-string", "dummy-of-list", "mechanism-int"],
+)
+def test_verify_rejects_a_malformed_report(edit, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    argv = ["attack", "--strategy", "s2x2", "--mechanism", "minwork"]
+    assert main(argv + ["--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    edit(doc)
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(report)]) == 1
+    assert capsys.readouterr().err.startswith("verification failed: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--construction", "d2x2", "--out"],
+        ["attack", "--strategy", "s2x2", "--mechanism", "minwork", "--report"],
+        ["bounds", "--r-list", "3", "--out"],
+        ["wmon", "--mechanism", "minwork", "--trials", "1", "--out"],
+    ],
+    ids=["gen", "attack", "bounds", "wmon"],
+)
+def test_an_unwritable_output_path_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "x"
+    assert main(argv + [str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"cannot write {path}: ")
+    assert not path.parent.exists()
+
+
+def test_verify_checks_a_stored_monotonicity_violation(tmp_path, capsys):
+    report = tmp_path / "v.json"
+    argv = ["attack", "--strategy", "s2x2", "--mechanism", "stub:1"]
+    assert main(argv + ["--report", str(report)]) == 0
+    assert "verdict WmonViolation after 2 queries" in capsys.readouterr().out
+    assert main(["verify", "--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    for field, value, defect in (
+        ("value", "5", "stored value 5 differs from recomputed"),
+        ("player", 1, "instances differ outside the cited row"),
+    ):
+        tampered = json.loads(json.dumps(doc))
+        tampered["verdict"][field] = value
+        report.write_text(json.dumps(tampered))
+        capsys.readouterr()
+        assert main(["verify", "--report", str(report)]) == 1
+        assert defect in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--construction", "b_nr"],
+        ["--construction", "c_kv", "--a", "8/5", "--k", "4"],
+        ["--construction", "an", "--a", "9/5", "--r", "2", "--k", "4"],
+        ["--construction", "an", "--a", "9/5", "--r", "2", "--b1", "1"],
+    ],
+)
+def test_removed_constructions_and_flags_are_usage_errors(flags, tmp_path):
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()

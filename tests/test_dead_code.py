@@ -26,10 +26,6 @@ REEXPORTS = SRC / "__init__.py"
 
 ALLOWED = {
     "compute_b_closed": "closed form the tests check the b_k recurrence against",
-    "poly_root": "bisection the tests use to derive the parameter constants",
-    "SINGLE_BLOCK_CUBIC": "polynomial whose root is the single-block scale factor",
-    "SQUARE3_CUBIC": "polynomial whose root gives the 3x3 defaults",
-    "GOLDEN_QUADRATIC": "reference polynomial for the bisection oracle",
     "__version__": "package metadata read by tools, not by the package",
 }
 

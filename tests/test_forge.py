@@ -7,19 +7,12 @@ from hypothesis import given, settings, strategies as st
 from mechdock.exactnum import EPS1, EPS2, EPS3, EPS4, INF, tv
 from mechdock.forge import (
     CONSTRUCTIONS,
-    GOLDEN_QUADRATIC,
-    SINGLE_BLOCK_CUBIC,
-    SQUARE3_CUBIC,
     FeasibilityError,
     ForgeError,
     MainParams,
-    b_ckv,
-    b_new,
-    b_nr,
     bound_arms,
     build_main,
     build_instance,
-    c_kv,
     certified_bound,
     compute_b,
     compute_b_closed,
@@ -27,7 +20,6 @@ from mechdock.forge import (
     e3x3,
     f3x4,
     feasibility_defect,
-    poly_root,
     resolve_params,
     solve_best_a,
     transition_second_cost,
@@ -232,25 +224,6 @@ def test_small_builders():
 
 
 def test_self_contained_reference_builders():
-    nr = b_nr()
-    assert nr.to_json_dict()["costs"] == [["1", "0", "inf"], ["1", "inf", "0"]]
-    assert nr.dummy_of == {1: 2, 2: 3}
-
-    ckv = b_ckv()
-    assert (ckv.n, ckv.m) == (3, 5)
-    assert ckv.dummy_of == {1: 3, 2: 4, 3: 5}
-
-    chain = c_kv(Fraction(8, 5), 4)
-    assert (chain.n, chain.m) == (5, 9)
-    a = Fraction(8, 5)
-    for t in range(1, 5):
-        assert chain.cost(1, t) == tv(a**-t)
-        assert chain.cost(t + 1, t) == tv(a ** -(t - 1))
-
-    blk = b_new(Fraction(18019, 10000))
-    assert blk.cost(1, 1) == tv(2 / Fraction(18019, 10000))
-    assert (blk.n, blk.m) == (3, 6)
-
     assert build_instance("d2x2") == d2x2()
     with pytest.raises(ForgeError):
         build_instance("nope")
@@ -296,15 +269,28 @@ def test_v_arms_match_one_plus_a_when_recurrence_binds():
 
 
 def test_poly_roots():
-    root = poly_root(SINGLE_BLOCK_CUBIC, Fraction(17, 10), Fraction(19, 10), Fraction(1, 10**7))
-    assert abs(float(root) - 1.80194) < 1e-5
-    rho = poly_root(SQUARE3_CUBIC, 2, Fraction(23, 10), Fraction(1, 10**6))
-    assert abs(float(rho) - 2.20557) < 1e-4
-    assert abs(float(rho * (rho - 1)) - 2.6589) < 1e-3
-    phi = poly_root(GOLDEN_QUADRATIC, 1, 2, Fraction(1, 10**7))
-    assert abs(float(phi) - 1.6180339887) < 1e-6
-    with pytest.raises(ForgeError):
-        poly_root(SINGLE_BLOCK_CUBIC, 3, 4, Fraction(1, 100))
+    # Each constant is pinned by an exact sign change of its polynomial.
+    def single_block(a):
+        return a**3 - a**2 - 2 * a + 1
+
+    def square3(rho):
+        return rho**3 - 2 * rho**2 - 1
+
+    def golden(a):
+        return a * a - a - 1
+
+    brackets = (
+        (single_block, Fraction(180193, 100000), Fraction(180194, 100000)),
+        (square3, Fraction(22055, 10000), Fraction(22056, 10000)),
+        (golden, Fraction(16180339, 10**7), Fraction(16180340, 10**7)),
+    )
+    for poly, lo, hi in brackets:
+        assert poly(lo) < 0 < poly(hi)
+    # the 3x3 defaults (a, b, c) round (1, rho, rho (rho - 1))
+    _, lo, hi = brackets[1]
+    a, b, c = (p.default for p in CONSTRUCTIONS["e3x3"].params)
+    assert a == 1 and b == lo
+    assert lo * (lo - 1) < c < hi * (hi - 1)
 
 
 def test_solve_best_a():

@@ -29,10 +29,6 @@ CONSTRUCTIONS = {
     "d2x2": [],
     "e3x3": [],
     "f3x4": [],
-    "b_nr": [],
-    "b_ckv": [],
-    "c_kv": ["--a", "8/5", "--k", "4"],
-    "b_new": ["--a", "18019/10000"],
 }
 
 REPORT_DIGESTS = {
@@ -48,10 +44,6 @@ INSTANCE_DIGESTS = {
     "d2x2": "d90e4e587db9e15eec5cd7320413e30776393f4d1c5dcc56a270724fa0b1d909",
     "e3x3": "4b32f07899655953f8d754a08f45dc24de602fc07d84bdeab3a1156fd4039953",
     "f3x4": "054eb28c50af9cd0856401a3c56f189975dbd0a9bb3f5735640b5bf61a2040df",
-    "b_nr": "5754f48ec1ea31a8af34bea2a6eddcd8570c1ceb912de809518e963d50703527",
-    "b_ckv": "ea60f8f04ea1fdd6c539b39e2fbf44fab1ee6c41d01b4a4463fae7854c0f2b97",
-    "c_kv": "7e563a247164ecddd8bb7831fe0e30d7e757951d7936d17170ac0c67c5479800",
-    "b_new": "ba17b935cc10c9ff4e0df5272f916d6b25e848567eab86ea2a99814decb8e534",
 }
 
 # wmon runs whose violation lists, written with --out, are pinned below.
