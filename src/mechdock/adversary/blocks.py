@@ -15,20 +15,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..exactnum import EPS1, EPS4, ZERO, tv
-from ..forge import (
-    MainParams,
-    build_main,
-    certified_bound,
-    check_feasible,
-    transition_second_cost,
-)
+from ..forge import MainParams, build_main, certified_bound, transition_second_cost
 from ..schedmodel import Allocation
 from ..wmon import _l1, _l2, _l3, _l4
 
 
 def block_chain(s, a, r, kc):
     p = MainParams.from_alpha(a, r, kc)
-    check_feasible(p)
     s.bootstrap(build_main(p), f"block chain r={p.r} k_c={p.k_c}")
     transitioned = {}
     i_prev = 0
@@ -87,8 +80,11 @@ def _trivialize_up_to(s, p, i1):
         return
     edits = [(1, j, ZERO) for j in zeroed]
     edits.append((1, j1, s.T.cost(1, j1) + EPS4))
-    s.apply(edits, f"trivialize blocks below {i1}, pin its first job away")
-    s.expect_lemma(_l1(1, f1=zeroed, f2=[j1]))
+    s.apply(
+        edits,
+        f"trivialize blocks below {i1}, pin its first job away",
+        _l1(1, f1=zeroed, f2=[j1]),
+    )
 
 
 def _reference_cert(s, p, transitioned, overrides=None):
@@ -126,14 +122,15 @@ def _semi_dummy_defection(s, p, i1, q, jm, transitioned):
     s.apply(
         [(q, j1, ZERO), (q, jm, 2 * EPS1)],
         "zero the co-player's first job, raise his trivial one",
+        _l1(q, f1=[j1], f2=[jm]),
     )
-    s.expect_lemma(_l1(q, f1=[j1], f2=[jm]))
     gamma = tv(a**-i1)
     lowered = _held_nontrivial(s, p)
     edits = [(1, j, s.T.cost(1, j) - EPS4) for j in lowered]
     edits.append((1, p.dummy_job(1), gamma))
-    s.apply(edits, "raise player 1's dummy to the certificate makespan")
-    s.expect_lemma(_l3(1, f1=lowered))
+    s.apply(
+        edits, "raise player 1's dummy to the certificate makespan", _l3(1, f1=lowered)
+    )
     cert = _reference_cert(s, p, transitioned, overrides={j1: q, jm: q})
     s.finish_ratio(cert, Fraction(3))
 
@@ -147,8 +144,8 @@ def _transition(s, p, i1, q, jm, variant, transitioned):
     s.apply(
         [(q, jm, tv(a ** -(i1 - 1))), (q, j1, s.T.cost(q, j1) - EPS4)],
         f"transition step 1 on block {i1}",
+        _l4(q, j1=j1, j2=jm),
     )
-    s.expect_lemma(_l4(q, j1=j1, j2=jm))
     if s.x.assigns(q, jm):
         s.branch("co-player kept the raised pair")
         edits = [
@@ -156,8 +153,11 @@ def _transition(s, p, i1, q, jm, variant, transitioned):
             (q, j1, s.T.cost(q, j1) - EPS4),
             (q, jm, s.T.cost(q, jm) - EPS4),
         ]
-        s.apply(edits, "raise the co-player's dummy to the certificate makespan")
-        s.expect_lemma(_l3(q, f1=[j1, jm]))
+        s.apply(
+            edits,
+            "raise the co-player's dummy to the certificate makespan",
+            _l3(q, f1=[j1, jm]),
+        )
         cert = _reference_cert(
             s, p, transitioned, overrides={jm: 1, j1: other}
         )
@@ -169,8 +169,8 @@ def _transition(s, p, i1, q, jm, variant, transitioned):
     s.apply(
         [(1, j1, tv(a**-i1)), (1, jm, c_cost)],
         f"transition step 2 on block {i1}",
+        _l2(1, j=jm, k=j1),
     )
-    s.expect_lemma(_l2(1, j=jm, k=j1))
     has_first = s.x.assigns(1, j1)
     has_mid = s.x.assigns(1, jm)
     if has_first and has_mid:
@@ -192,8 +192,8 @@ def _single_keeper(s, p, i1, kept, missing, transitioned):
     s.apply(
         [(1, kept, ZERO), (1, missing, s.T.cost(1, missing) + EPS4)],
         "zero the kept job, pin the missing one away",
+        _l1(1, f1=[kept], f2=[missing]),
     )
-    s.expect_lemma(_l1(1, f1=[kept], f2=[missing]))
     w = s.x.owner_of(missing)
     lo, hi = p.block_coplayers(i1)
     if w not in (lo, hi):
@@ -204,8 +204,8 @@ def _single_keeper(s, p, i1, kept, missing, transitioned):
             (w, missing, s.T.cost(w, missing) - EPS4),
         ],
         "raise that co-player's dummy to the certificate makespan",
+        _l3(w, f1=[missing]),
     )
-    s.expect_lemma(_l3(w, f1=[missing]))
     cert = _reference_cert(
         s, p, transitioned, overrides={kept: 1, missing: 1}
     )
@@ -221,8 +221,11 @@ def _chain_defection(s, p, t, transitioned):
     zeroed = [j for j in _held_nontrivial(s, p) if j != cj]
     edits = [(1, j, ZERO) for j in zeroed]
     edits.append((1, cj, s.T.cost(1, cj) + EPS4))
-    s.apply(edits, "zero player 1's winnings, pin the chain job away")
-    s.expect_lemma(_l1(1, f1=zeroed, f2=[cj]))
+    s.apply(
+        edits,
+        "zero player 1's winnings, pin the chain job away",
+        _l1(1, f1=zeroed, f2=[cj]),
+    )
     if not s.x.assigns(co, cj):
         s.fail(f"chain job {t} not with its co-player after pinning")
     s.apply(
@@ -231,8 +234,8 @@ def _chain_defection(s, p, t, transitioned):
             (co, cj, s.T.cost(co, cj) - EPS4),
         ],
         "raise the chain co-player's dummy",
+        _l3(co, f1=[cj]),
     )
-    s.expect_lemma(_l3(co, f1=[cj]))
     cert = _reference_cert(s, p, transitioned, overrides={cj: 1})
     s.finish_ratio(cert, 1 + a)
 
@@ -247,7 +250,8 @@ def _terminal_concession(s, p, transitioned):
     lowered = _held_nontrivial(s, p)
     edits = [(1, j, s.T.cost(1, j) - EPS4) for j in lowered]
     edits.append((1, p.dummy_job(1), gamma))
-    s.apply(edits, "raise player 1's dummy to the certificate makespan")
-    s.expect_lemma(_l3(1, f1=lowered))
+    s.apply(
+        edits, "raise player 1's dummy to the certificate makespan", _l3(1, f1=lowered)
+    )
     cert = _reference_cert(s, p, transitioned)
     s.finish_ratio(cert, certified_bound(p))

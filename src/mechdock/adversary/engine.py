@@ -1,11 +1,14 @@
 """Shared machinery driving one adaptive adversary run.
 
-A session edits the instance, queries the mechanism, and checks every
-lemma-predicted step. Deviations are resolved in a fixed order: the
-allocation is validated, an assignment at infinite cost (which covers a
-misallocated dummy) short-circuits to an unbounded-ratio verdict, a
-failed prediction whose instance pair has a positive monotonicity sum
-becomes a violation verdict, and anything left is an engine defect.
+A run is a bootstrap query followed by steps. Each step edits one
+player's costs, queries the mechanism, and names the weak-monotonicity
+lemma the edit sets up, whose prediction the answer is checked against.
+Deviations are resolved in a fixed order: the allocation is validated,
+an assignment at infinite cost (which covers a misallocated dummy)
+short-circuits to an unbounded-ratio verdict, a lemma whose premise
+fails on the edit ends the run as StrategyIncomplete, a failed
+prediction whose instance pair has a positive monotonicity sum becomes
+a violation verdict, and anything left is an engine defect.
 Every verdict leaves through Session.finish, which re-checks it with the
 same offline check `verify` runs, so a verdict that check would reject
 ends the run as StrategyIncomplete instead.
@@ -19,13 +22,7 @@ from fractions import Fraction
 from ..exactnum import format_value
 from ..mechlib import minwork_allocate
 from ..schedmodel import checked_query
-from ..wmon import (
-    LemmaExpectation,
-    WmonPreconditionError,
-    infer,
-    keep_lowered_constraints,
-    wmon_value,
-)
+from ..wmon import HypothesisError, WmonPreconditionError, infer, wmon_value
 from .verdicts import (
     UNBOUNDED_INFINITE,
     UNBOUNDED_TIER_GAP,
@@ -70,7 +67,11 @@ class Step:
 @dataclass
 class Transcript:
     steps: list = field(default_factory=list)
-    queries: int = 0
+
+    @property
+    def queries(self):
+        """Each step is one query."""
+        return len(self.steps)
 
     def to_json_list(self):
         return [s.to_json_dict() for s in self.steps]
@@ -82,84 +83,74 @@ class Session:
         self.transcript = Transcript()
         self.T = None
         self.x = None
-        self.prev_T = None
-        self.prev_x = None
 
-    # -- queries ---------------------------------------------------------
+    # -- steps -------------------------------------------------------------
 
     def bootstrap(self, T, note):
-        self._query(T, [], note, None)
+        self._query(T, Step(note=note))
 
-    def apply(self, edits, note, dummy_of=None):
-        """Edit the current instance and query the mechanism on the result."""
+    def apply(self, edits, note, lemma, dummy_of=None):
+        """One adversary step: edit the current instance, query the
+        mechanism on the result, and check the answer against what `lemma`
+        predicts for the edited player.
+
+        After the infinite-assignment screen, a lemma whose premise fails
+        on the edit ends the run as StrategyIncomplete. A failed prediction
+        ends it as a WmonViolation when the pair's monotonicity sum is
+        positive, and as StrategyIncomplete otherwise.
+        """
+        T, x = self.T, self.x
         edits = list(edits)
-        T2 = self.T.with_costs(edits, dummy_of=dummy_of)
-        self._query(T2, edits, note, dummy_of)
-
-    def _query(self, T2, edits, note, dummy_of):
+        Tp = T.with_costs(edits, dummy_of=dummy_of)
         step = Step(
             note=note,
             edits=[(i, j, format_value(v)) for i, j, v in edits],
             dummy_of=dummy_of,
         )
-        self.transcript.steps.append(step)
-        x2 = checked_query(self.mech, T2)
-        self.transcript.queries += 1
-        step.owner = list(x2.owner)
-        self.prev_T, self.prev_x = self.T, self.x
-        self.T, self.x = T2, x2
-        for j in T2.jobs():
-            if T2.cost(x2.owner_of(j), j).infinite:
-                step.branch = f"job {j} assigned at infinite cost"
-                self.finish(
-                    Unbounded(
-                        instance=T2,
-                        mech_alloc=x2,
-                        certificate=minwork_allocate(T2),
-                        reason=UNBOUNDED_INFINITE,
-                    )
-                )
-
-    # -- expectation checks ----------------------------------------------
-
-    def expect_lemma(self, exp: LemmaExpectation):
-        cons = infer(exp, self.prev_T, self.prev_x, self.T)
-        self._check(cons, f"{exp.variant} player {exp.player}")
-
-    def expect_keep_lowered(self, player, keep):
-        cons = keep_lowered_constraints(
-            self.prev_T, self.prev_x, self.T, player, keep
-        )
-        self._check(cons, f"dominated-decrease player {player}")
-
-    def _check(self, cons, label):
-        step = self.transcript.steps[-1]
-        step.expectation = f"{label}: {cons.describe()}"
-        defects = cons.defects(self.x)
+        xp = self._query(Tp, step)
+        try:
+            cons = infer(lemma, T, x, Tp)
+        except HypothesisError as exc:
+            self.fail(f"lemma premise fails: {exc}")
+        step.expectation = f"{lemma.variant} player {lemma.player}: {cons.describe()}"
+        defects = cons.defects(xp)
         if not defects:
             return
         try:
-            report = wmon_value(
-                self.prev_T, self.prev_x, self.T, self.x, cons.player
-            )
+            report = wmon_value(T, x, Tp, xp, cons.player)
         except WmonPreconditionError as exc:
             self.fail(f"prediction failed but the pair is unevaluable: {exc}")
         if report.violated:
             step.branch = "prediction failed; weak monotonicity violated"
             self.finish(
                 WmonViolation(
-                    player=cons.player,
-                    T=self.prev_T,
-                    x=self.prev_x,
-                    Tp=self.T,
-                    xp=self.x,
-                    value=report.value,
+                    player=cons.player, T=T, x=x, Tp=Tp, xp=xp, value=report.value
                 )
             )
         self.fail(
             "; ".join(defects)
             + f" yet the pair is weakly monotone (sum {format_value(report.value)})"
         )
+
+    def _query(self, T, step):
+        """Record the step, query the mechanism on T and screen the answer
+        for a job assigned at infinite cost."""
+        self.transcript.steps.append(step)
+        x = checked_query(self.mech, T)
+        step.owner = list(x.owner)
+        self.T, self.x = T, x
+        for j in T.jobs():
+            if T.cost(x.owner_of(j), j).infinite:
+                step.branch = f"job {j} assigned at infinite cost"
+                self.finish(
+                    Unbounded(
+                        instance=T,
+                        mech_alloc=x,
+                        certificate=minwork_allocate(T),
+                        reason=UNBOUNDED_INFINITE,
+                    )
+                )
+        return x
 
     def branch(self, label):
         self.transcript.steps[-1].branch = label

@@ -13,7 +13,7 @@ from fractions import Fraction
 from ..exactnum import EPS1, EPS2, EPS3, EPS4, INF, ZERO, tv
 from ..forge import d2x2, e3x3, f3x4
 from ..schedmodel import Allocation
-from ..wmon import _l1, _l2, _l3, _l4
+from ..wmon import _dd, _l1, _l2, _l3, _l4
 
 
 # -- two players, two jobs -------------------------------------------------
@@ -28,56 +28,56 @@ def square2(s):
             s.apply(
                 [(1, 1, ZERO), (1, 2, 2 * EPS2)],
                 "zero player 1's held job, raise his unheld one",
+                _l1(1, f1=[1], f2=[2]),
             )
-            s.expect_lemma(_l1(1, f1=[1], f2=[2]))
             s.finish_tier_gap(Allocation([1, 1]))
         s.branch("player 2 holds both jobs")
         s.apply(
             [(2, 1, ZERO), (2, 2, Fraction(1, 2) * EPS1)],
             "lower both of player 2's held jobs",
+            _l1(2, f1=[1, 2]),
         )
-        s.expect_lemma(_l1(2, f1=[1, 2]))
         s.finish_tier_gap(Allocation([2, 1]))
     if s.x.assigns(1, 1):
         s.branch("player 1 holds both jobs")
         s.apply(
             [(2, 1, tv(1) + EPS4), (2, 2, INF)],
             "price player 2 out of both jobs",
+            _l1(2, f2=[1, 2]),
             dummy_of={1: 2},
         )
-        s.expect_lemma(_l1(2, f2=[1, 2]))
         s.apply(
             [(1, 1, tv(1) - EPS4), (1, 2, tv(1))],
             "raise the fresh dummy to one",
+            _l3(1, f1=[1]),
         )
-        s.expect_lemma(_l3(1, f1=[1]))
         s.finish_ratio(Allocation([2, 1]), Fraction(2))
     s.branch("jobs split against the price order")
     s.apply(
         [(2, 1, tv(1) - 2 * EPS1), (2, 2, EPS3)],
         "undercut player 2 on both jobs",
+        _l2(2, j=1, k=2),
     )
-    s.expect_lemma(_l2(2, j=1, k=2))
     if not s.x.assigns(2, 2):
         s.branch("player 1 kept job 2")
         s.apply(
             [(2, 1, ZERO), (2, 2, 2 * EPS3)],
             "zero player 2's held job, raise his unheld one",
+            _l1(2, f1=[1], f2=[2]),
         )
-        s.expect_lemma(_l1(2, f1=[1], f2=[2]))
         s.finish_tier_gap(Allocation([2, 2]))
     s.branch("player 2 swept both jobs")
     s.apply(
         [(1, 1, tv(1) + EPS4), (1, 2, INF)],
         "price player 1 out of both jobs",
+        _l1(1, f2=[1, 2]),
         dummy_of={2: 2},
     )
-    s.expect_lemma(_l1(1, f2=[1, 2]))
     s.apply(
         [(2, 1, tv(1) - 2 * EPS1 - EPS4), (2, 2, tv(1))],
         "raise the fresh dummy to one",
+        _l3(2, f1=[1]),
     )
-    s.expect_lemma(_l3(2, f1=[1]))
     s.finish_ratio(Allocation([1, 2]), Fraction(2))
 
 
@@ -96,8 +96,8 @@ def square3(s, a, b, c):
         s.apply(
             [(1, 2, tv(c) - 2 * EPS1), (1, 3, EPS3)],
             "undercut player 1 on jobs 2 and 3",
+            _l2(1, j=2, k=3),
         )
-        s.expect_lemma(_l2(1, j=2, k=3))
         if s.x.assigns(1, 3):
             s.branch("player 1 collected job 3 as well")
             _finish_pair_on_player1(s, a, b, c, c_now=tv(c) - 2 * EPS1)
@@ -105,8 +105,8 @@ def square3(s, a, b, c):
         s.apply(
             [(1, 2, ZERO), (1, 3, 2 * EPS3)],
             "zero player 1's held job, raise his unheld one",
+            _l1(1, f1=[2], f2=[3]),
         )
-        s.expect_lemma(_l1(1, f1=[2], f2=[3]))
         if s.x.assigns(2, 1):
             s.branch("player 2 carries job 1")
             s.finish_ratio(Allocation([3, 1, 1]), b / a)
@@ -118,8 +118,8 @@ def square3(s, a, b, c):
                 (3, 3, Fraction(1, 2) * EPS2),
             ],
             "lower player 3's held jobs, raise his unheld one",
+            _l1(3, f1=[1, 3], f2=[2]),
         )
-        s.expect_lemma(_l1(3, f1=[1, 3], f2=[2]))
         s.finish_tier_gap(Allocation([3, 1, 1]))
     if s.x.assigns(2, 1) and s.x.assigns(3, 2):
         s.branch("player 2 on job 1, player 3 on job 2")
@@ -128,16 +128,19 @@ def square3(s, a, b, c):
         if s.x.assigns(1, 3):
             s.branch("player 3 holds jobs 1 and 2, player 1 the cheap job")
             edits = [(3, 1, ZERO), (3, 2, ZERO), (3, 3, 2 * EPS2)]
-            s.apply(edits, "zero player 3's held jobs, raise his unheld one")
-            s.expect_lemma(_l1(3, f1=[1, 2], f2=[3]))
+            s.apply(
+                edits,
+                "zero player 3's held jobs, raise his unheld one",
+                _l1(3, f1=[1, 2], f2=[3]),
+            )
             s.finish_tier_gap(Allocation([3, 3, 3]))
         s.branch("player 3 swept all three jobs")
         s.apply(
             [(1, 2, tv(c) + EPS4), (1, 3, INF)],
             "price player 1 out; the cheap job becomes player 3's dummy",
+            _l1(1, f2=[2, 3]),
             dummy_of={3: 3},
         )
-        s.expect_lemma(_l1(1, f2=[2, 3]))
         if s.x.assigns(2, 1):
             s.branch("player 2 took job 1")
             _finish_b_over_a(s, a, b, c)
@@ -145,8 +148,8 @@ def square3(s, a, b, c):
         s.apply(
             [(3, 3, tv(c)), (3, 1, tv(a) - EPS4), (3, 2, tv(b) - EPS4)],
             "raise player 3's dummy to the certificate makespan",
+            _l3(3, f1=[1, 2]),
         )
-        s.expect_lemma(_l3(3, f1=[1, 2]))
         s.finish_ratio(Allocation([2, 1, 3]), (a + b + c) / c)
     s.fail("unreachable 3x3 dispatch")  # pragma: no cover
 
@@ -156,14 +159,14 @@ def _finish_pair_on_player1(s, a, b, c, c_now):
     s.apply(
         [(3, 3, INF), (3, 2, tv(b) + EPS4)],
         "price player 3 out; job 3 becomes player 1's dummy",
+        _l1(3, f2=[2, 3]),
         dummy_of={1: 3},
     )
-    s.expect_lemma(_l1(3, f2=[2, 3]))
     s.apply(
         [(1, 3, tv(b)), (1, 2, c_now - EPS4)],
         "raise player 1's dummy to the certificate makespan",
+        _l3(1, f1=[2]),
     )
-    s.expect_lemma(_l3(1, f1=[2]))
     s.finish_ratio(Allocation([2, 3, 1]), (b + c) / b)
 
 
@@ -176,9 +179,10 @@ def _finish_b_over_a(s, a, b, c):
         edits.append((3, 3, Fraction(1, 2) * s.T.cost(3, 3)))
     else:
         edits.append((3, 3, 2 * s.T.cost(3, 3)))
-    s.apply(edits, "zero player 3's shared job, raise his unheld job 1")
-    s.expect_lemma(
-        _l1(3, f1=f1, f2={1} | ({3} - f1))
+    s.apply(
+        edits,
+        "zero player 3's shared job, raise his unheld job 1",
+        _l1(3, f1=f1, f2={1} | ({3} - f1)),
     )
     s.finish_ratio(Allocation([3, 3, 3]), b / a)
 
@@ -198,8 +202,8 @@ def square4(s, w):
         s.apply(
             [(3, 2, INF), (3, 1, tv(1) + EPS4)],
             "price player 3 out of the first two jobs",
+            _l1(3, f2=[1, 2]),
         )
-        s.expect_lemma(_l1(3, f2=[1, 2]))
         if s.x.assigns(1, 2):
             s.branch("the priced job moved to player 1")
             _boost_player1(s, w, Allocation([3, 2, 2, 1]))
@@ -207,8 +211,8 @@ def square4(s, w):
         s.apply(
             [(2, 2, tv(1)), (2, 1, tv(1) - EPS4)],
             "raise player 2's cheap job to one",
+            _l4(2, j1=1, j2=2),
         )
-        s.expect_lemma(_l4(2, j1=1, j2=2))
         if s.x.assigns(1, 2):
             s.branch("player 2 let the raised job go")
             _boost_player1(s, w, Allocation([3, 2, 2, 1]))
@@ -217,8 +221,8 @@ def square4(s, w):
             s.apply(
                 [(2, 1, ZERO), (2, 2, ZERO), (2, 3, Fraction(1, 2) * EPS2)],
                 "lower all three of player 2's jobs",
+                _l1(2, f1=[1, 2, 3]),
             )
-            s.expect_lemma(_l1(2, f1=[1, 2, 3]))
             s.finish_tier_gap(Allocation([2, 2, 3, 1]))
         s.branch("player 3 holds job 3")
         s.apply(
@@ -228,16 +232,16 @@ def square4(s, w):
                 (2, 3, EPS4),
             ],
             "undercut player 2 across his row",
+            _dd(2, keep={1, 2}),
         )
-        s.expect_keep_lowered(2, keep={1, 2})
         if s.x.assigns(2, 3):
             s.branch("player 2 reclaimed job 3")
             s.apply(
                 [(3, 3, INF), (3, 1, tv(1) + 2 * EPS4)],
                 "price player 3 out; job 3 becomes player 2's dummy",
+                _l1(3, f2=[1, 3]),
                 dummy_of={1: 4, 2: 3},
             )
-            s.expect_lemma(_l1(3, f2=[1, 3]))
             if s.x.assigns(1, 2):
                 s.branch("the priced job moved to player 1")
                 _boost_player1(s, w, Allocation([3, 2, 2, 1]))
@@ -249,15 +253,15 @@ def square4(s, w):
                     (2, 2, tv(1) - 2 * EPS1 - EPS4),
                 ],
                 "raise player 2's dummy to the certificate makespan",
+                _l3(2, f1=[1, 2]),
             )
-            s.expect_lemma(_l3(2, f1=[1, 2]))
             s.finish_ratio(Allocation([3, 1, 2, 1]), (2 + w) / w)
         s.branch("player 3 kept job 3")
         s.apply(
             [(2, 1, ZERO), (2, 2, ZERO), (2, 3, 2 * EPS4)],
             "zero player 2's held jobs, raise his unheld one",
+            _l1(2, f1=[1, 2], f2=[3]),
         )
-        s.expect_lemma(_l1(2, f1=[1, 2], f2=[3]))
         s.finish_tier_gap(Allocation([2, 2, 2, 1]))
     if s.x.assigns(2, 1) and s.x.assigns(3, 2):
         s.branch("player 2 on job 1, player 3 on job 2")
@@ -267,8 +271,11 @@ def square4(s, w):
             edits.append((2, 3, Fraction(1, 2) * EPS2))
         else:
             edits.append((2, 3, 2 * EPS2))
-        s.apply(edits, "zero player 2's shared job, raise what he lacks")
-        s.expect_lemma(_l1(2, f1=f1, f2={2} | ({3} - f1)))
+        s.apply(
+            edits,
+            "zero player 2's shared job, raise what he lacks",
+            _l1(2, f1=f1, f2={2} | ({3} - f1)),
+        )
         cert_job3 = 2 if 3 in f1 else 3
         s.finish_tier_gap(Allocation([2, 2, cert_job3, 1]))
     if s.x.assigns(3, 1) and s.x.assigns(2, 2):
@@ -276,8 +283,8 @@ def square4(s, w):
         s.apply(
             [(3, 1, tv(1) - 2 * EPS1), (3, 2, EPS3)],
             "undercut player 3 on the first two jobs",
+            _l2(3, j=1, k=2),
         )
-        s.expect_lemma(_l2(3, j=1, k=2))
         if s.x.assigns(1, 2):
             s.branch("the priced job moved to player 1")
             _boost_player1(s, w, Allocation([3, 2, 2, 1]))
@@ -289,8 +296,11 @@ def square4(s, w):
                 edits.append((3, 3, Fraction(1, 2) * EPS3))
             else:
                 edits.append((3, 3, 2 * EPS3))
-            s.apply(edits, "zero player 3's held job, raise what he lacks")
-            s.expect_lemma(_l1(3, f1=f1, f2={2} | ({3} - f1)))
+            s.apply(
+                edits,
+                "zero player 3's held job, raise what he lacks",
+                _l1(3, f1=f1, f2={2} | ({3} - f1)),
+            )
             s.finish_tier_gap(Allocation([3, 3, 3, 1]))
         s.branch("player 3 collected job 2 as well")
         if s.x.assigns(2, 3):
@@ -298,16 +308,16 @@ def square4(s, w):
             s.apply(
                 [(3, 1, ZERO), (3, 2, ZERO), (3, 3, 2 * EPS3)],
                 "zero player 3's held jobs, raise his unheld one",
+                _l1(3, f1=[1, 2], f2=[3]),
             )
-            s.expect_lemma(_l1(3, f1=[1, 2], f2=[3]))
             s.finish_tier_gap(Allocation([3, 3, 3, 1]))
         s.branch("player 3 swept the first three jobs")
         s.apply(
             [(2, 1, tv(1) + EPS4), (2, 2, INF), (2, 3, INF)],
             "price player 2 out; job 3 becomes player 3's dummy",
+            _l1(2, f2=[1, 2, 3]),
             dummy_of={1: 4, 3: 3},
         )
-        s.expect_lemma(_l1(2, f2=[1, 2, 3]))
         if s.x.assigns(1, 2):
             s.branch("the priced job moved to player 1")
             _boost_player1(s, w, Allocation([2, 3, 3, 1]))
@@ -315,8 +325,8 @@ def square4(s, w):
         s.apply(
             [(3, 2, tv(1)), (3, 1, tv(1) - 2 * EPS1 - EPS4)],
             "raise player 3's cheap job to one",
+            _l4(3, j1=1, j2=2),
         )
-        s.expect_lemma(_l4(3, j1=1, j2=2))
         if s.x.assigns(3, 2):
             s.branch("player 3 held on to everything")
             s.apply(
@@ -326,8 +336,8 @@ def square4(s, w):
                     (3, 2, tv(1) - EPS4),
                 ],
                 "raise player 3's dummy to the certificate makespan",
+                _l3(3, f1=[1, 2]),
             )
-            s.expect_lemma(_l3(3, f1=[1, 2]))
             s.finish_ratio(Allocation([2, 1, 3, 1]), (2 + w) / w)
         s.branch("the raised job escaped to player 1")
         _boost_player1(s, w, Allocation([2, 3, 3, 1]))
@@ -340,8 +350,7 @@ def square4(s, w):
             edits.append((3, 3, Fraction(1, 2) * EPS3))
         else:
             edits.append((3, 3, 2 * EPS3))
-        s.apply(edits, "lower player 3's held jobs")
-        s.expect_lemma(_l1(3, f1=f1, f2={3} - f1))
+        s.apply(edits, "lower player 3's held jobs", _l1(3, f1=f1, f2={3} - f1))
         s.finish_tier_gap(Allocation([3, 2, 3, 1]))
     s.fail("unreachable 3x4 dispatch")  # pragma: no cover
 
@@ -351,6 +360,6 @@ def _boost_player1(s, w, certificate):
     s.apply(
         [(1, 4, tv(1)), (1, 2, tv(w) - EPS4)],
         "raise player 1's dummy to one",
+        _l3(1, f1=[2]),
     )
-    s.expect_lemma(_l3(1, f1=[2]))
     s.finish_ratio(certificate, 1 + w)

@@ -24,7 +24,6 @@ class ForgeError(ValueError):
 
 class FeasibilityError(ForgeError):
     def __init__(self, k, b_k, floor):
-        self.k = k
         super().__init__(f"b_{k} = {b_k} is below its floor {floor}")
 
 
@@ -331,6 +330,7 @@ def solve_best_a(r, k_c, lo, hi, tol):
     above it; past the crossing it degrades, so maximizing the bound means
     bisecting the boundary of the certification predicate.
     """
+    _check_shape(r, k_c)
     lo, hi, tol = Fraction(lo), Fraction(hi), Fraction(tol)
     if tol <= 0:
         raise ForgeError("tolerance must be positive")

@@ -253,10 +253,6 @@ class Instance:
             and self._dummy_of == other._dummy_of
         )
 
-    def __hash__(self):
-        cols = tuple(tuple(col.items()) for col in self._cols)
-        return hash((self.n, cols, tuple(self._dummy_of.items())))
-
     def __repr__(self):
         return f"Instance({self.n}x{self.m})"
 

@@ -2,10 +2,11 @@
 
 For two instances differing only in player i's row, a weakly monotone
 allocation rule satisfies  sum_j (t_i^j - t'_i^j)(x_i^j - x'_i^j) <= 0.
-Four standard consequences (L1-L4) are implemented as hypothesis-checked
-inferences: given the edit pattern, they predict constraints any weakly
-monotone (and, for L3, finite-ratio) mechanism must satisfy on the second
-allocation. A seeded fuzzer searches for violations on random instances.
+Four standard consequences (L1-L4) and a row-wide dominated decrease are
+implemented as hypothesis-checked inferences: given the edit pattern,
+they predict constraints any weakly monotone (and, for L3, finite-ratio)
+mechanism must satisfy on the second allocation. A seeded fuzzer
+searches for violations on random instances.
 """
 
 from __future__ import annotations
@@ -104,6 +105,10 @@ class LemmaExpectation:
         arbitrarily; predicts the dummy is kept as well.
     L4: jobs j1, j2 both held, j1 lowered, j2 raised; everything else
         unchanged. Predicts: if j2 is kept then j1 is kept.
+    dominated-decrease: every changed job is lowered, the jobs of f1 are
+        held, and each one's decrease strictly exceeds the total decrease
+        over the other jobs, so dropping any of them forces a positive
+        WMON sum. Predicts keep f1.
     """
 
     variant: str
@@ -134,6 +139,10 @@ def _l3(player, f1=(), f2=()):
 
 def _l4(player, j1, j2):
     return LemmaExpectation(variant="L4", player=player, j1=j1, j2=j2)
+
+
+def _dd(player, keep):
+    return LemmaExpectation("dominated-decrease", player, f1=frozenset(keep))
 
 
 @dataclass
@@ -263,40 +272,28 @@ def infer(exp, T, x, Tp):
         _require(jj is None, f"L4: job {jj} outside {{j1,j2}} changed")
         return Constraints(player=i, implications=[(j2, j1)])
 
+    if exp.variant == "dominated-decrease":
+        other_total = ZERO
+        decreases = {}
+        for j in T.changed_jobs(Tp):
+            t, tp = T.cost(i, j), Tp.cost(i, j)
+            if t == tp:
+                continue
+            _require(lowered(j), f"keep-lowered: job {j} is not a finite decrease")
+            if j in exp.f1:
+                _require(x.assigns(i, j), f"keep-lowered: job {j} is not held")
+                decreases[j] = t - tp
+            else:
+                other_total = other_total + (t - tp)
+        for j in sorted(exp.f1):
+            _require(j in decreases, f"keep-lowered: kept job {j} unchanged")
+            _require(
+                tv_compare(decreases[j], other_total) == GT,
+                f"keep-lowered: job {j}'s decrease does not dominate the rest",
+            )
+        return Constraints(player=i, keep=set(exp.f1))
+
     raise HypothesisError(f"unknown lemma variant {exp.variant!r}")
-
-
-def keep_lowered_constraints(T, x, Tp, i, keep):
-    """Row-wide decrease step: predict that every job in `keep` stays put.
-
-    Hypotheses (checked): every entry of row i is lowered or unchanged,
-    each kept job is held and strictly lowered, and each kept job's
-    decrease strictly exceeds the total decrease over non-kept jobs, so
-    dropping any kept job forces a positive WMON sum.
-    """
-    _require(T.rows_equal_except(Tp, i), "instances differ outside the row")
-    other_total = ZERO
-    decreases = {}
-    for j in T.changed_jobs(Tp):
-        t, tp = T.cost(i, j), Tp.cost(i, j)
-        if t == tp:
-            continue
-        _require(
-            t.finite and tp.finite and tv_compare(t, tp) == GT,
-            f"keep-lowered: job {j} is not a finite decrease",
-        )
-        if j in keep:
-            _require(x.assigns(i, j), f"keep-lowered: job {j} is not held")
-            decreases[j] = t - tp
-        else:
-            other_total = other_total + (t - tp)
-    for j in keep:
-        _require(j in decreases, f"keep-lowered: kept job {j} unchanged")
-        _require(
-            tv_compare(decreases[j], other_total) == GT,
-            f"keep-lowered: job {j}'s decrease does not dominate the rest",
-        )
-    return Constraints(player=i, keep=set(keep))
 
 
 @dataclass(frozen=True)

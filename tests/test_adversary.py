@@ -14,10 +14,11 @@ from mechdock.adversary.verdicts import (
     verdict_from_json_dict,
     verify_verdict,
 )
-from mechdock.exactnum import leading_ratio
+from mechdock.exactnum import ZERO, leading_ratio
 from mechdock.forge import d2x2
 from mechdock.mechlib import SeededStub, make_mechanism
 from mechdock.schedmodel import Allocation, makespan
+from mechdock.wmon import _l1
 
 RHO_B = Fraction(22055, 10000)
 RHO_C = Fraction(26589, 10000)
@@ -109,6 +110,18 @@ def test_main_optmakespan_small():
     mech = make_mechanism("optmakespan")
     verdict, _ = run(block_chain, mech, Fraction(17, 10), 1, 1)
     _assert_sound(verdict)
+
+
+def test_failed_lemma_premise_ends_as_strategy_incomplete():
+    def script(s):
+        s.bootstrap(d2x2(), "two-player square")
+        s.apply([(1, 1, ZERO)], "zero player 1's job 1", _l1(1, f1=[1]))
+
+    verdict, transcript = run(script, make_mechanism("dictator:2"))
+    assert isinstance(verdict, StrategyIncomplete)
+    assert verdict.step == 2 == transcript.queries
+    assert verdict.diagnostic == "lemma premise fails: L1: job 1 in F1 is not held"
+    assert transcript.steps[-1].expectation is None
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -252,6 +252,21 @@ def test_bounds_rejects_a_tolerance_that_is_not_positive(capsys):
         assert capsys.readouterr().err == "bounds failed: tolerance must be positive\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--r-list", "6", "--kc", "-1"], "negative chain length"),
+        (["--r-list", "0"], "need at least one block"),
+        (["--r-list", "-2"], "need at least one block"),
+        (["--r-list", "3", "--kc", "-1"], "negative chain length"),
+    ],
+)
+def test_bounds_names_a_bad_shape(flags, message, capsys):
+    # the optimizer used to report a bad shape as an empty bracket
+    assert main(["bounds", *flags]) == 2
+    assert capsys.readouterr().err == f"bounds failed: {message}\n"
+
+
 def test_wmon_fuzz_clean_and_exhaustive_violation(tmp_path, capsys):
     rc = main(
         ["wmon", "--mechanism", "minwork", "--trials", "300", "--seed", "5"]

@@ -309,7 +309,6 @@ def test_with_costs_equals_dense_rebuild(case):
     by_job = [{i: row[j - 1] for i, row in players} for j in T.jobs()]
     for built in (T.with_costs(edits), Instance.from_columns(T.n, by_job)):
         assert built == dense
-        assert hash(built) == hash(dense)
         assert built.to_json_dict() == dense.to_json_dict()
         for i in dense.players():
             for j in dense.jobs():

@@ -24,10 +24,10 @@ from mechdock.wmon import (
     WmonPreconditionError,
     WmonReport,
     WmonViolation,
+    _dd,
     exhaustive_pairs,
     fuzz,
     infer,
-    keep_lowered_constraints,
     wmon_value,
 )
 
@@ -159,11 +159,11 @@ def test_infer_checks_hypotheses():
 def test_keep_lowered_constraints():
     T = Instance([[1, 1], [1, EPS1]])
     Tp = Instance([[1, 1], [tv(1) - 2 * EPS1, EPS2]])
-    cons = keep_lowered_constraints(T, Allocation([2, 1]), Tp, 2, keep={1})
+    cons = infer(_dd(2, keep={1}), T, Allocation([2, 1]), Tp)
     assert cons.keep == {1}
     with pytest.raises(HypothesisError):
         # job 2's decrease (~eps1) does not dominate job 1's (2*eps1)
-        keep_lowered_constraints(T, Allocation([1, 2]), Tp, 2, keep={2})
+        infer(_dd(2, keep={2}), T, Allocation([1, 2]), Tp)
 
 
 def test_fuzz_minwork_is_clean():
@@ -197,14 +197,15 @@ def test_exhaustive_grid_finds_optmakespan_violation():
 
 def exhaustive_pairs_oracle(M, n, m, values):
     """The sweep as first written: every flat grid tuple, each rewrite made
-    with with_costs, answers cached by Instance."""
+    with with_costs, answers cached by the instance's JSON line."""
     grid = [tv(Fraction(v)) for v in values]
     cache = {}
 
     def answer(T):
-        if T not in cache:
-            cache[T] = checked_query(M, T)
-        return cache[T]
+        key = T.to_json_line()
+        if key not in cache:
+            cache[key] = checked_query(M, T)
+        return cache[key]
 
     violations = []
     for flat in product(grid, repeat=n * m):
@@ -306,7 +307,7 @@ def test_lemma_checks_name_the_first_job_changed_outside_the_declared_ones(share
             infer(exp, M1, M1_ALLOC, M2)
     message = "keep-lowered: job 1 is not a finite decrease"
     with pytest.raises(HypothesisError, match=f"^{message}$"):
-        keep_lowered_constraints(M1, M1_ALLOC, M2, 2, keep={3})
+        infer(_dd(2, keep={3}), M1, M1_ALLOC, M2)
 
 
 def _without(col, i):
