@@ -35,7 +35,9 @@ def block_chain(s, a, r, kc):
         _trivialize_up_to(s, p, i1)
         q = s.x.owner_of(p.block_jobs(i1)[0])
         lo, hi = p.block_coplayers(i1)
-        if q not in (lo, hi):
+        # Only player 1 and the co-players price j1 finitely, and player 1
+        # lost it (the deviation, or the L1 step pinning it away).
+        if q not in (lo, hi):  # pragma: no cover
             s.fail(f"first job of block {i1} held by player {q} after pinning")
         variant = "E1" if q == lo else "E2"
         j1, j2, j3 = p.block_jobs(i1)
@@ -181,7 +183,10 @@ def _transition(s, p, i1, q, jm, variant, transitioned):
         _single_keeper(s, p, i1, kept=jm, missing=j1, transitioned=transitioned)
     if has_first and not first_arm:
         _single_keeper(s, p, i1, kept=j1, missing=jm, transitioned=transitioned)
-    s.fail(f"transition step 2 on block {i1} left no predicted holding")
+    # L2 leaves player 1 one of the pair, and on the first arm it keeps jm.
+    s.fail(  # pragma: no cover
+        f"transition step 2 on block {i1} left no predicted holding"
+    )
 
 
 def _single_keeper(s, p, i1, kept, missing, transitioned):
@@ -196,7 +201,9 @@ def _single_keeper(s, p, i1, kept, missing, transitioned):
     )
     w = s.x.owner_of(missing)
     lo, hi = p.block_coplayers(i1)
-    if w not in (lo, hi):
+    # Only player 1 and the co-players price the missing job finitely,
+    # and the L1 step forbids it to player 1.
+    if w not in (lo, hi):  # pragma: no cover
         s.fail(f"job {missing} held by player {w} after pinning")
     s.apply(
         [
@@ -226,7 +233,9 @@ def _chain_defection(s, p, t, transitioned):
         "zero player 1's winnings, pin the chain job away",
         _l1(1, f1=zeroed, f2=[cj]),
     )
-    if not s.x.assigns(co, cj):
+    # Only player 1 and the co-player price cj finitely, and the L1 step
+    # forbids it to player 1.
+    if not s.x.assigns(co, cj):  # pragma: no cover
         s.fail(f"chain job {t} not with its co-player after pinning")
     s.apply(
         [
