@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exactnum import EPS1, EPS4, ZERO, tv
+from ..exactnum import EPS4, tv
 from ..forge import MainParams, build_main, certified_bound, transition_second_cost
 from ..schedmodel import Allocation
-from ..wmon import _l1, _l2, _l3, _l4
+from ..wmon import _l2, _l3, _l4
 
 
 def block_chain(s, a, r, kc):
@@ -78,15 +78,10 @@ def _trivialize_up_to(s, p, i1):
     j1 = p.block_jobs(i1)[0]
     cutoff = p.block_jobs(i1 - 1)[2] if i1 > 1 else 0
     zeroed = [j for j in _held_nontrivial(s, p) if j <= cutoff]
-    if not zeroed:
-        return
-    edits = [(1, j, ZERO) for j in zeroed]
-    edits.append((1, j1, s.T.cost(1, j1) + EPS4))
-    s.apply(
-        edits,
-        f"trivialize blocks below {i1}, pin its first job away",
-        _l1(1, f1=zeroed, f2=[j1]),
-    )
+    if zeroed:
+        s.squeeze(
+            1, zeroed, [j1], f"trivialize blocks below {i1}, pin its first job away"
+        )
 
 
 def _reference_cert(s, p, transitioned, overrides=None):
@@ -99,11 +94,8 @@ def _reference_cert(s, p, transitioned, overrides=None):
     for i in range(1, p.r + 1):
         j1, j2, j3 = p.block_jobs(i)
         lo, hi = p.block_coplayers(i)
-        variant = transitioned.get(i)
-        if variant == "E1":
+        if transitioned.get(i) == "E1":
             placement = {j1: hi, j2: lo, j3: hi}
-        elif variant == "E2":
-            placement = {j1: lo, j2: lo, j3: hi}
         else:
             placement = {j1: lo, j2: lo, j3: hi}
         for j, q in placement.items():
@@ -121,11 +113,7 @@ def _semi_dummy_defection(s, p, i1, q, jm, transitioned):
     j1 = p.block_jobs(i1)[0]
     a = Fraction(p.a)
     s.branch(f"block {i1}: player {q} split the pair")
-    s.apply(
-        [(q, j1, ZERO), (q, jm, 2 * EPS1)],
-        "zero the co-player's first job, raise his trivial one",
-        _l1(q, f1=[j1], f2=[jm]),
-    )
+    s.squeeze(q, [j1], [jm], "zero the co-player's first job, raise his trivial one")
     gamma = tv(a**-i1)
     lowered = _held_nontrivial(s, p)
     edits = [(1, j, s.T.cost(1, j) - EPS4) for j in lowered]
@@ -194,11 +182,7 @@ def _single_keeper(s, p, i1, kept, missing, transitioned):
     other and claim 1 + a."""
     a = Fraction(p.a)
     s.branch(f"player 1 kept only job {kept}")
-    s.apply(
-        [(1, kept, ZERO), (1, missing, s.T.cost(1, missing) + EPS4)],
-        "zero the kept job, pin the missing one away",
-        _l1(1, f1=[kept], f2=[missing]),
-    )
+    s.squeeze(1, [kept], [missing], "zero the kept job, pin the missing one away")
     w = s.x.owner_of(missing)
     lo, hi = p.block_coplayers(i1)
     # Only player 1 and the co-players price the missing job finitely,
@@ -226,13 +210,7 @@ def _chain_defection(s, p, t, transitioned):
     co = p.chain_coplayer(t)
     s.branch(f"chain job {t} escaped player 1")
     zeroed = [j for j in _held_nontrivial(s, p) if j != cj]
-    edits = [(1, j, ZERO) for j in zeroed]
-    edits.append((1, cj, s.T.cost(1, cj) + EPS4))
-    s.apply(
-        edits,
-        "zero player 1's winnings, pin the chain job away",
-        _l1(1, f1=zeroed, f2=[cj]),
-    )
+    s.squeeze(1, zeroed, [cj], "zero player 1's winnings, pin the chain job away")
     # Only player 1 and the co-player price cj finitely, and the L1 step
     # forbids it to player 1.
     if not s.x.assigns(co, cj):  # pragma: no cover

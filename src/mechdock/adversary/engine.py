@@ -3,6 +3,10 @@
 A run is a bootstrap query followed by steps. Each step edits one
 player's costs, queries the mechanism, and names the weak-monotonicity
 lemma the edit sets up, whose prediction the answer is checked against.
+Session.squeeze is the one definition of the move the case trees repeat
+most: zero or halve the jobs a player holds and raise the jobs the player
+does not hold, so that L1 predicts the player keeps the first set and
+gains none of the second.
 Deviations are resolved in a fixed order: the allocation is validated,
 an assignment at infinite cost (which covers a misallocated dummy)
 short-circuits to an unbounded-ratio verdict, a lemma whose premise
@@ -19,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..exactnum import format_value
+from ..exactnum import EPS4, ZERO, format_value
 from ..mechlib import minwork_allocate
 from ..schedmodel import checked_query
-from ..wmon import HypothesisError, WmonPreconditionError, infer, wmon_value
+from ..wmon import HypothesisError, WmonPreconditionError, _l1, infer, wmon_value
 from .verdicts import (
     UNBOUNDED_INFINITE,
     UNBOUNDED_TIER_GAP,
@@ -131,6 +135,23 @@ class Session:
             "; ".join(defects)
             + f" yet the pair is weakly monotone (sum {format_value(report.value)})"
         )
+
+    def squeeze(self, player, zero, nudge, note):
+        """The L1 step on one player: set each job of `zero` to 0, then
+        halve each job of `nudge` the player holds and raise each other
+        one, doubling an infinitesimal cost and adding EPS4 to a cost with
+        a standard part. L1 predicts the player keeps the zeroed and halved
+        jobs and gets none of the raised ones."""
+        held, raised, edits = list(zero), [], [(player, j, ZERO) for j in zero]
+        for j in nudge:
+            t = self.T.cost(player, j)
+            if self.x.assigns(player, j):
+                held.append(j)
+                edits.append((player, j, t * Fraction(1, 2)))
+            else:
+                raised.append(j)
+                edits.append((player, j, t + EPS4 if t.standard_part() else 2 * t))
+        self.apply(edits, note, _l1(player, f1=held, f2=raised))
 
     def _query(self, T, step):
         """Record the step, query the mechanism on T and screen the answer

@@ -1,16 +1,18 @@
 """Adversary strategies for the 2x2, 3x3, and 3x4 lower-bound instances.
 
 Each strategy walks a finite case tree: it queries the mechanism, branches
-on the answer, edits designated entries (held jobs are lowered, unheld
-jobs raised, by in-tier halving/doubling for infinitesimal entries and a
-tier-4 nudge for standard-scale ones), and terminates with a verdict.
+on the answer, edits designated entries, and terminates with a verdict.
+Most steps are Session.squeeze, the one definition of the L1 move: held
+jobs are zeroed or halved, unheld jobs doubled when infinitesimal and
+raised by a tier-4 nudge when standard-scale. The price-out, undercut
+and dummy-raising steps spell out their edits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exactnum import EPS1, EPS2, EPS3, EPS4, INF, ZERO, tv
+from ..exactnum import EPS1, EPS3, EPS4, INF, tv
 from ..forge import d2x2, e3x3, f3x4
 from ..schedmodel import Allocation
 from ..wmon import _dd, _l1, _l2, _l3, _l4
@@ -25,18 +27,10 @@ def square2(s):
     if s.x.assigns(2, 2):
         if s.x.assigns(1, 1):
             s.branch("job 2 stuck with player 2; player 1 keeps job 1")
-            s.apply(
-                [(1, 1, ZERO), (1, 2, 2 * EPS2)],
-                "zero player 1's held job, raise his unheld one",
-                _l1(1, f1=[1], f2=[2]),
-            )
+            s.squeeze(1, [1], [2], "zero player 1's held job, raise his unheld one")
             s.finish_tier_gap(Allocation([1, 1]))
         s.branch("player 2 holds both jobs")
-        s.apply(
-            [(2, 1, ZERO), (2, 2, Fraction(1, 2) * EPS1)],
-            "lower both of player 2's held jobs",
-            _l1(2, f1=[1, 2]),
-        )
+        s.squeeze(2, [1], [2], "lower both of player 2's held jobs")
         s.finish_tier_gap(Allocation([2, 1]))
     if s.x.assigns(1, 1):
         s.branch("player 1 holds both jobs")
@@ -60,11 +54,7 @@ def square2(s):
     )
     if not s.x.assigns(2, 2):
         s.branch("player 1 kept job 2")
-        s.apply(
-            [(2, 1, ZERO), (2, 2, 2 * EPS3)],
-            "zero player 2's held job, raise his unheld one",
-            _l1(2, f1=[1], f2=[2]),
-        )
+        s.squeeze(2, [1], [2], "zero player 2's held job, raise his unheld one")
         s.finish_tier_gap(Allocation([2, 2]))
     s.branch("player 2 swept both jobs")
     s.apply(
@@ -91,7 +81,7 @@ def square3(s, a, b, c):
     if s.x.assigns(1, 2):
         if s.x.assigns(1, 3):
             s.branch("player 1 holds jobs 2 and 3")
-            _finish_pair_on_player1(s, a, b, c, c_now=tv(c))
+            _finish_pair_on_player1(s, b, c)
         s.branch("player 1 holds job 2, player 3 holds job 3")
         s.apply(
             [(1, 2, tv(c) - 2 * EPS1), (1, 3, EPS3)],
@@ -100,38 +90,23 @@ def square3(s, a, b, c):
         )
         if s.x.assigns(1, 3):
             s.branch("player 1 collected job 3 as well")
-            _finish_pair_on_player1(s, a, b, c, c_now=tv(c) - 2 * EPS1)
+            _finish_pair_on_player1(s, b, c)
         s.branch("job 3 still with player 3")
-        s.apply(
-            [(1, 2, ZERO), (1, 3, 2 * EPS3)],
-            "zero player 1's held job, raise his unheld one",
-            _l1(1, f1=[2], f2=[3]),
-        )
+        s.squeeze(1, [2], [3], "zero player 1's held job, raise his unheld one")
         if s.x.assigns(2, 1):
             s.branch("player 2 carries job 1")
             s.finish_ratio(Allocation([3, 1, 1]), b / a)
         s.branch("player 3 carries jobs 1 and 3")
-        s.apply(
-            [
-                (3, 1, ZERO),
-                (3, 2, tv(b) + EPS4),
-                (3, 3, Fraction(1, 2) * EPS2),
-            ],
-            "lower player 3's held jobs, raise his unheld one",
-            _l1(3, f1=[1, 3], f2=[2]),
-        )
+        s.squeeze(3, [1], [2, 3], "lower player 3's held jobs, raise his unheld one")
         s.finish_tier_gap(Allocation([3, 1, 1]))
     if s.x.assigns(2, 1) and s.x.assigns(3, 2):
         s.branch("player 2 on job 1, player 3 on job 2")
-        _finish_b_over_a(s, a, b, c)
+        _finish_b_over_a(s, a, b)
     if s.x.assigns(3, 1):
         if s.x.assigns(1, 3):
             s.branch("player 3 holds jobs 1 and 2, player 1 the cheap job")
-            edits = [(3, 1, ZERO), (3, 2, ZERO), (3, 3, 2 * EPS2)]
-            s.apply(
-                edits,
-                "zero player 3's held jobs, raise his unheld one",
-                _l1(3, f1=[1, 2], f2=[3]),
+            s.squeeze(
+                3, [1, 2], [3], "zero player 3's held jobs, raise his unheld one"
             )
             s.finish_tier_gap(Allocation([3, 3, 3]))
         s.branch("player 3 swept all three jobs")
@@ -143,7 +118,7 @@ def square3(s, a, b, c):
         )
         if s.x.assigns(2, 1):
             s.branch("player 2 took job 1")
-            _finish_b_over_a(s, a, b, c)
+            _finish_b_over_a(s, a, b)
         s.branch("player 3 kept everything")
         s.apply(
             [(3, 3, tv(c)), (3, 1, tv(a) - EPS4), (3, 2, tv(b) - EPS4)],
@@ -154,7 +129,7 @@ def square3(s, a, b, c):
     s.fail("unreachable 3x3 dispatch")  # pragma: no cover
 
 
-def _finish_pair_on_player1(s, a, b, c, c_now):
+def _finish_pair_on_player1(s, b, c):
     """Player 1 holds jobs 2 and 3: corner him and claim (b + c) / b."""
     s.apply(
         [(3, 3, INF), (3, 2, tv(b) + EPS4)],
@@ -163,27 +138,16 @@ def _finish_pair_on_player1(s, a, b, c, c_now):
         dummy_of={1: 3},
     )
     s.apply(
-        [(1, 3, tv(b)), (1, 2, c_now - EPS4)],
+        [(1, 3, tv(b)), (1, 2, s.T.cost(1, 2) - EPS4)],
         "raise player 1's dummy to the certificate makespan",
         _l3(1, f1=[2]),
     )
     s.finish_ratio(Allocation([2, 3, 1]), (b + c) / b)
 
 
-def _finish_b_over_a(s, a, b, c):
+def _finish_b_over_a(s, a, b):
     """Player 2 holds job 1 while player 3 holds job 2: claim b / a."""
-    f1 = {2}
-    edits = [(3, 2, ZERO), (3, 1, tv(a) + EPS4)]
-    if s.x.assigns(3, 3):
-        f1.add(3)
-        edits.append((3, 3, Fraction(1, 2) * s.T.cost(3, 3)))
-    else:
-        edits.append((3, 3, 2 * s.T.cost(3, 3)))
-    s.apply(
-        edits,
-        "zero player 3's shared job, raise his unheld job 1",
-        _l1(3, f1=f1, f2={1} | ({3} - f1)),
-    )
+    s.squeeze(3, [2], [1, 3], "zero player 3's shared job, raise his unheld job 1")
     s.finish_ratio(Allocation([3, 3, 3]), b / a)
 
 
@@ -218,11 +182,7 @@ def square4(s, w):
             _boost_player1(s, w, Allocation([3, 2, 2, 1]))
         if s.x.assigns(2, 3):
             s.branch("player 2 swept the first three jobs")
-            s.apply(
-                [(2, 1, ZERO), (2, 2, ZERO), (2, 3, Fraction(1, 2) * EPS2)],
-                "lower all three of player 2's jobs",
-                _l1(2, f1=[1, 2, 3]),
-            )
+            s.squeeze(2, [1, 2], [3], "lower all three of player 2's jobs")
             s.finish_tier_gap(Allocation([2, 2, 3, 1]))
         s.branch("player 3 holds job 3")
         s.apply(
@@ -257,26 +217,12 @@ def square4(s, w):
             )
             s.finish_ratio(Allocation([3, 1, 2, 1]), (2 + w) / w)
         s.branch("player 3 kept job 3")
-        s.apply(
-            [(2, 1, ZERO), (2, 2, ZERO), (2, 3, 2 * EPS4)],
-            "zero player 2's held jobs, raise his unheld one",
-            _l1(2, f1=[1, 2], f2=[3]),
-        )
+        s.squeeze(2, [1, 2], [3], "zero player 2's held jobs, raise his unheld one")
         s.finish_tier_gap(Allocation([2, 2, 2, 1]))
     if s.x.assigns(2, 1) and s.x.assigns(3, 2):
         s.branch("player 2 on job 1, player 3 on job 2")
-        f1, edits = {1}, [(2, 1, ZERO), (2, 2, 2 * EPS2)]
-        if s.x.assigns(2, 3):
-            f1.add(3)
-            edits.append((2, 3, Fraction(1, 2) * EPS2))
-        else:
-            edits.append((2, 3, 2 * EPS2))
-        s.apply(
-            edits,
-            "zero player 2's shared job, raise what he lacks",
-            _l1(2, f1=f1, f2={2} | ({3} - f1)),
-        )
-        cert_job3 = 2 if 3 in f1 else 3
+        cert_job3 = 2 if s.x.assigns(2, 3) else 3
+        s.squeeze(2, [1], [2, 3], "zero player 2's shared job, raise what he lacks")
         s.finish_tier_gap(Allocation([2, 2, cert_job3, 1]))
     if s.x.assigns(3, 1) and s.x.assigns(2, 2):
         s.branch("player 3 on job 1, player 2 on job 2")
@@ -290,25 +236,13 @@ def square4(s, w):
             _boost_player1(s, w, Allocation([3, 2, 2, 1]))
         if s.x.assigns(2, 2):
             s.branch("player 2 kept job 2")
-            f1, edits = {1}, [(3, 1, ZERO), (3, 2, 2 * EPS3)]
-            if s.x.assigns(3, 3):
-                f1.add(3)
-                edits.append((3, 3, Fraction(1, 2) * EPS3))
-            else:
-                edits.append((3, 3, 2 * EPS3))
-            s.apply(
-                edits,
-                "zero player 3's held job, raise what he lacks",
-                _l1(3, f1=f1, f2={2} | ({3} - f1)),
-            )
+            s.squeeze(3, [1], [2, 3], "zero player 3's held job, raise what he lacks")
             s.finish_tier_gap(Allocation([3, 3, 3, 1]))
         s.branch("player 3 collected job 2 as well")
         if s.x.assigns(2, 3):
             s.branch("player 2 holds job 3")
-            s.apply(
-                [(3, 1, ZERO), (3, 2, ZERO), (3, 3, 2 * EPS3)],
-                "zero player 3's held jobs, raise his unheld one",
-                _l1(3, f1=[1, 2], f2=[3]),
+            s.squeeze(
+                3, [1, 2], [3], "zero player 3's held jobs, raise his unheld one"
             )
             s.finish_tier_gap(Allocation([3, 3, 3, 1]))
         s.branch("player 3 swept the first three jobs")
@@ -343,14 +277,7 @@ def square4(s, w):
         _boost_player1(s, w, Allocation([2, 3, 3, 1]))
     if s.x.assigns(3, 1) and s.x.assigns(3, 2):
         s.branch("player 3 holds the first two jobs")
-        f1 = {1, 2}
-        edits = [(3, 1, ZERO), (3, 2, Fraction(1, 2) * EPS1)]
-        if s.x.assigns(3, 3):
-            f1.add(3)
-            edits.append((3, 3, Fraction(1, 2) * EPS3))
-        else:
-            edits.append((3, 3, 2 * EPS3))
-        s.apply(edits, "lower player 3's held jobs", _l1(3, f1=f1, f2={3} - f1))
+        s.squeeze(3, [1], [2, 3], "lower player 3's held jobs")
         s.finish_tier_gap(Allocation([3, 2, 3, 1]))
     s.fail("unreachable 3x4 dispatch")  # pragma: no cover
 

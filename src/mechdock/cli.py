@@ -202,6 +202,8 @@ def cmd_bounds(args):
     try:
         r_values = [int(tok) for tok in args.r_list.split(",") if tok.strip()]
     except ValueError:
+        r_values = []
+    if not r_values:
         print(f"bad --r-list {args.r_list!r}", file=sys.stderr)
         return 2
     try:

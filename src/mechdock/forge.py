@@ -314,13 +314,9 @@ def certified_bound(p):
 def _certifies_one_plus_a(a, r, k_c):
     try:
         p = MainParams.from_alpha(a, r, k_c)
+        return certified_bound(p) == 1 + p.a
     except ForgeError:
         return False
-    if feasibility_defect(p) is not None:
-        return False
-    v0, vks = bound_arms(p)
-    target = 1 + Fraction(a)
-    return v0 >= target and all(v >= target for v in vks)
 
 
 def solve_best_a(r, k_c, lo, hi, tol):

@@ -267,6 +267,17 @@ def test_bounds_names_a_bad_shape(flags, message, capsys):
     assert capsys.readouterr().err == f"bounds failed: {message}\n"
 
 
+@pytest.mark.parametrize("r_list", ["", ",", " , ", "x"])
+def test_bounds_bad_r_list_is_a_usage_error(r_list, tmp_path, capsys):
+    # an empty list used to print nothing, exit 0 and write a bare header
+    out = tmp_path / "b.csv"
+    assert main(["bounds", f"--r-list={r_list}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"bad --r-list {r_list!r}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_wmon_fuzz_clean_and_exhaustive_violation(tmp_path, capsys):
     rc = main(
         ["wmon", "--mechanism", "minwork", "--trials", "300", "--seed", "5"]

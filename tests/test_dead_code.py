@@ -13,7 +13,8 @@ Dunder methods are called by the interpreter and are exempt. The
 package's own __init__.py only re-exports names, so its imports are not
 counted as uses. The allowlist names the deliberate cross-check oracles,
 which the tests compare the program against. The import check applies to
-each module on its own and skips the same __init__.py.
+each module on its own and skips the same __init__.py. Every function
+under src/mechdock that is not a method reads each of its parameters.
 """
 
 import ast
@@ -505,6 +506,42 @@ def test_allowlist_names_only_unused_definitions():
     defined = {name for tree in trees.values() for name, _ in _definitions(tree)}
     assert set(ALLOWED) <= defined
     assert not set(ALLOWED) & loaded
+
+
+def test_every_function_parameter_is_read():
+    """A function that is not a method reads each of its parameters.
+    Methods are exempt: an override such as __setattr__ or query keeps the
+    interface of what it overrides."""
+    unread = []
+    for path, tree in _parse_src().items():
+        methods = {
+            id(item)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.Lambda):
+                body = [fn.body]
+            elif isinstance(fn, ast.FunctionDef) and id(fn) not in methods:
+                body = fn.body
+            else:
+                continue
+            spec = fn.args
+            params = spec.posonlyargs + spec.args + spec.kwonlyargs
+            params += [a for a in (spec.vararg, spec.kwarg) if a]
+            read = {
+                node.id
+                for part in body
+                for node in ast.walk(part)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.relative_to(SRC)}:{fn.lineno} {a.arg}"
+                for a in params
+                if a.arg not in read
+            ]
+    assert unread == []
 
 
 def _imported(tree):

@@ -1,9 +1,10 @@
 import random
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mechdock.exactnum import (
     EPS1,
@@ -25,6 +26,10 @@ from mechdock.wmon import (
     WmonReport,
     WmonViolation,
     _dd,
+    _l1,
+    _l2,
+    _l3,
+    _l4,
     exhaustive_pairs,
     fuzz,
     infer,
@@ -435,3 +440,83 @@ def test_wmon_value_matches_the_per_job_oracle():
     )
     assert {k for k, _ in seen} == set(kinds)
     assert all(seen.get((k, s), 0) >= 10 for k in kinds for s in (True, False))
+
+
+# -- the lemmas against the WMON sum ------------------------------------------
+
+HALF_GRID = st.integers(0, 4).map(lambda k: Fraction(k, 2))  # 0, 1/2, .., 2
+
+
+@st.composite
+def _edited_pairs(draw):
+    """Costs on a half-integer grid for n, m <= 3, one player's row with
+    each cost kept, lowered or raised on the grid, and a dummy cost before
+    and after."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = st.lists(HALF_GRID, min_size=m, max_size=m)
+    rows = draw(st.lists(cells, min_size=n, max_size=n))
+    i = draw(st.integers(1, n))
+    row = []
+    for old in rows[i - 1]:
+        k = int(2 * old)
+        move = draw(st.sampled_from(["keep", "lower", "raise"]))
+        if move == "lower" and k > 0:
+            k = draw(st.integers(0, k - 1))
+        elif move == "raise" and k < 4:
+            k = draw(st.integers(k + 1, 4))
+        row.append(Fraction(k, 2))
+    dummy = draw(HALF_GRID), draw(HALF_GRID)
+    return rows, i, row, dummy
+
+
+def _splits(jobs):
+    """Every (F1, F2) pair of disjoint job sets."""
+    for roles in product((0, 1, 2), repeat=len(jobs)):
+        yield (
+            [j for j, role in zip(jobs, roles) if role == 1],
+            [j for j, role in zip(jobs, roles) if role == 2],
+        )
+
+
+def _assert_broken_predictions_violate(T, Tp, lemmas):
+    """For every first answer, every lemma whose premise holds on the pair
+    and every second answer assigning no job at infinite cost: a broken
+    prediction has a positive WMON sum."""
+    answers = [
+        [
+            xp
+            for xp in map(Allocation, product(T.players(), repeat=T.m))
+            if not any(U.cost(xp.owner_of(j), j).infinite for j in T.jobs())
+        ]
+        for U in (T, Tp)
+    ]
+    for x, lemma in product(answers[0], lemmas):
+        try:
+            cons = infer(lemma, T, x, Tp)
+        except HypothesisError:
+            continue
+        for xp in answers[1]:
+            if cons.defects(xp):
+                assert wmon_value(T, x, Tp, xp, cons.player).violated
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_pairs())
+def test_every_broken_lemma_prediction_has_a_positive_wmon_sum(pair):
+    rows, i, row, (d, dp) = pair
+    jobs = list(range(1, len(row) + 1))
+    T = Instance(rows)
+    Tp = T.with_costs((i, j, c) for j, c in zip(jobs, row))
+    lemmas = [_l1(i, f1, f2) for f1, f2 in _splits(jobs)]
+    lemmas += [_dd(i, keep=f1) for f1, f2 in _splits(jobs) if not f2]
+    for j, k in permutations(jobs, 2):
+        lemmas += [_l2(i, j=j, k=k), _l4(i, j1=j, j2=k)]
+    _assert_broken_predictions_violate(T, Tp, lemmas)
+    # L3: the same pair with a dummy job for player i, whose cost moves
+    # from d to dp
+    jd = len(jobs) + 1
+    dense = [r + [d if p == i else "inf"] for p, r in enumerate(rows, start=1)]
+    T = Instance(dense, dummy_of={i: jd})
+    Tp = T.with_costs([(i, j, c) for j, c in zip(jobs, row)] + [(i, jd, dp)])
+    lemmas = [_l3(i, f1, f2) for f1, f2 in _splits(jobs)]
+    _assert_broken_predictions_violate(T, Tp, lemmas)
