@@ -7,9 +7,12 @@ from dataclasses import dataclass
 from ..forge import CONSTRUCTIONS, Spec, resolve_params
 from ..schedmodel import json_text
 from .blocks import block_chain
-from .engine import Transcript, run
+from .engine import run
 from .small import square2, square3, square4
 from .verdicts import verdict_from_json_dict, verify_verdict
+
+# What reading or replaying a malformed stored report can raise.
+MALFORMED_REPORT = (AttributeError, KeyError, ValueError, TypeError, ArithmeticError)
 
 # Each strategy runs on one construction and takes its parameters.
 STRATEGY_SPECS = {
@@ -26,7 +29,7 @@ class Report:
     params: dict
     mechanism: str
     verdict: object
-    transcript: Transcript
+    transcript: list
 
     def to_json_dict(self):
         return {
@@ -34,8 +37,8 @@ class Report:
             "params": {k: str(v) for k, v in sorted(self.params.items())},
             "mechanism": self.mechanism,
             "verdict": self.verdict.to_json_dict(),
-            "transcript": self.transcript.to_json_list(),
-            "queries": self.transcript.queries,
+            "transcript": self.transcript,
+            "queries": len(self.transcript),
         }
 
     def to_json(self):
@@ -104,6 +107,6 @@ def verify_report(report_dict):
     """Offline checks of a stored report: verdict invariants only."""
     try:
         verdict = verdict_from_json_dict(report_dict["verdict"])
-    except (AttributeError, KeyError, ValueError, TypeError) as exc:
+    except MALFORMED_REPORT as exc:
         return [f"malformed report: {exc}"]
     return verify_verdict(verdict)

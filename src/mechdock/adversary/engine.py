@@ -16,11 +16,14 @@ a violation verdict, and anything left is an engine defect.
 Every verdict leaves through Session.finish, which re-checks it with the
 same offline check `verify` runs, so a verdict that check would reject
 ends the run as StrategyIncomplete instead.
+The steps are kept in report form: each is the dict the report's
+transcript stores, made with its note and edits and filled in as its
+answer, expectation and branch become known. Run data such as timings
+stays out of them, so a replay reproduces the report byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..exactnum import EPS4, ZERO, format_value
@@ -46,52 +49,17 @@ class Finished(Exception):
         self.verdict = verdict
 
 
-@dataclass
-class Step:
-    note: str
-    edits: list = field(default_factory=list)
-    dummy_of: dict | None = None
-    owner: list | None = None
-    expectation: str | None = None
-    branch: str | None = None
-
-    def to_json_dict(self):
-        d = {"note": self.note, "edits": [[i, j, v] for i, j, v in self.edits]}
-        if self.dummy_of is not None:
-            d["dummy_of"] = {str(p): j for p, j in sorted(self.dummy_of.items())}
-        if self.owner is not None:
-            d["owner"] = self.owner
-        if self.expectation is not None:
-            d["expectation"] = self.expectation
-        if self.branch is not None:
-            d["branch"] = self.branch
-        return d
-
-
-@dataclass
-class Transcript:
-    steps: list = field(default_factory=list)
-
-    @property
-    def queries(self):
-        """Each step is one query."""
-        return len(self.steps)
-
-    def to_json_list(self):
-        return [s.to_json_dict() for s in self.steps]
-
-
 class Session:
     def __init__(self, mech):
         self.mech = mech
-        self.transcript = Transcript()
+        self.steps = []
         self.T = None
         self.x = None
 
     # -- steps -------------------------------------------------------------
 
     def bootstrap(self, T, note):
-        self._query(T, Step(note=note))
+        self._query(T, {"note": note, "edits": []})
 
     def apply(self, edits, note, lemma, dummy_of=None):
         """One adversary step: edit the current instance, query the
@@ -106,34 +74,34 @@ class Session:
         T, x = self.T, self.x
         edits = list(edits)
         Tp = T.with_costs(edits, dummy_of=dummy_of)
-        step = Step(
-            note=note,
-            edits=[(i, j, format_value(v)) for i, j, v in edits],
-            dummy_of=dummy_of,
-        )
+        step = {
+            "note": note,
+            "edits": [[i, j, format_value(v)] for i, j, v in edits],
+        }
+        if dummy_of is not None:
+            step["dummy_of"] = {str(p): j for p, j in sorted(dummy_of.items())}
         xp = self._query(Tp, step)
         try:
             cons = infer(lemma, T, x, Tp)
         except HypothesisError as exc:
             self.fail(f"lemma premise fails: {exc}")
-        step.expectation = f"{lemma.variant} player {lemma.player}: {cons.describe()}"
+        expectation = f"{lemma.variant} player {lemma.player}: {cons.describe()}"
+        step["expectation"] = expectation
         defects = cons.defects(xp)
         if not defects:
             return
         try:
-            report = wmon_value(T, x, Tp, xp, cons.player)
+            value = wmon_value(T, x, Tp, xp, cons.player)
         except WmonPreconditionError as exc:
             self.fail(f"prediction failed but the pair is unevaluable: {exc}")
-        if report.violated:
-            step.branch = "prediction failed; weak monotonicity violated"
+        if value > ZERO:
+            step["branch"] = "prediction failed; weak monotonicity violated"
             self.finish(
-                WmonViolation(
-                    player=cons.player, T=T, x=x, Tp=Tp, xp=xp, value=report.value
-                )
+                WmonViolation(player=cons.player, T=T, x=x, Tp=Tp, xp=xp, value=value)
             )
         self.fail(
             "; ".join(defects)
-            + f" yet the pair is weakly monotone (sum {format_value(report.value)})"
+            + f" yet the pair is weakly monotone (sum {format_value(value)})"
         )
 
     def squeeze(self, player, zero, nudge, note):
@@ -156,13 +124,13 @@ class Session:
     def _query(self, T, step):
         """Record the step, query the mechanism on T and screen the answer
         for a job assigned at infinite cost."""
-        self.transcript.steps.append(step)
+        self.steps.append(step)
         x = checked_query(self.mech, T)
-        step.owner = list(x.owner)
+        step["owner"] = list(x.owner)
         self.T, self.x = T, x
         for j in T.jobs():
             if T.cost(x.owner_of(j), j).infinite:
-                step.branch = f"job {j} assigned at infinite cost"
+                step["branch"] = f"job {j} assigned at infinite cost"
                 self.finish(
                     Unbounded(
                         instance=T,
@@ -174,7 +142,7 @@ class Session:
         return x
 
     def branch(self, label):
-        self.transcript.steps[-1].branch = label
+        self.steps[-1]["branch"] = label
 
     # -- terminals ---------------------------------------------------------
 
@@ -207,21 +175,19 @@ class Session:
 
     def fail(self, diagnostic):
         raise Finished(
-            StrategyIncomplete(
-                step=len(self.transcript.steps), diagnostic=diagnostic
-            )
+            StrategyIncomplete(step=len(self.steps), diagnostic=diagnostic)
         )
 
 
 def run(script, mech, *args):
-    """Execute a strategy script, returning (verdict, transcript)."""
+    """Execute a strategy script, returning (verdict, steps)."""
     session = Session(mech)
     try:
         script(session, *args)
         verdict = StrategyIncomplete(
-            step=len(session.transcript.steps),
+            step=len(session.steps),
             diagnostic="strategy script ended without a verdict",
         )
     except Finished as fin:
         verdict = fin.verdict
-    return verdict, session.transcript
+    return verdict, session.steps

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..exactnum import UNBOUNDED, format_value, leading_ratio
+from ..exactnum import UNBOUNDED, ZERO, format_value, leading_ratio
 from ..schedmodel import Allocation, Instance, makespan, validate_allocation
 from ..wmon import WmonPreconditionError, WmonViolation, wmon_value
 
@@ -143,15 +143,15 @@ def verify_verdict(v):
         if defects:
             return defects
         try:
-            report = wmon_value(v.T, v.x, v.Tp, v.xp, v.player)
+            value = wmon_value(v.T, v.x, v.Tp, v.xp, v.player)
         except WmonPreconditionError as exc:
             return [f"stored pair violates preconditions: {exc}"]
-        if not report.violated:
+        if not value > ZERO:
             defects.append("recomputed monotonicity sum is not positive")
-        if report.value != v.value:
+        if value != v.value:
             defects.append(
                 f"stored value {format_value(v.value)} differs from recomputed "
-                f"{format_value(report.value)}"
+                f"{format_value(value)}"
             )
         return defects
     if isinstance(v, StrategyIncomplete):

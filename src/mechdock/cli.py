@@ -18,7 +18,13 @@ import sys
 from fractions import Fraction
 from functools import partial
 
-from .adversary import STRATEGY_SPECS, attack, replay_report, verify_report
+from .adversary import (
+    MALFORMED_REPORT,
+    STRATEGY_SPECS,
+    attack,
+    replay_report,
+    verify_report,
+)
 from .adversary.verdicts import StrategyIncomplete
 from .forge import (
     CONSTRUCTIONS,
@@ -164,7 +170,7 @@ def cmd_attack(args):
         )
     elif verdict.kind == "Unbounded":
         summary += f" reason {verdict.reason}"
-    summary += f" after {report.transcript.queries} queries"
+    summary += f" after {len(report.transcript)} queries"
     print(summary)
     done = f"wrote report to {args.report}"
     if args.report and _write(args.report, report.to_json(), done):
@@ -279,7 +285,7 @@ def cmd_verify(args):
     if not defects:
         try:
             defects = replay_report(report, rebuild)
-        except (MechanismError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (MechanismError, *MALFORMED_REPORT) as exc:
             defects = [f"replay failed: {exc}"]
     if defects:
         print(f"verification failed: {defects[0]}", file=sys.stderr)

@@ -138,20 +138,7 @@ class TieredValue:
         other = tv(other)
         if self.infinite or other.infinite:
             return INF
-        a, b = self._coeffs, other._coeffs
-        if not b:
-            return self
-        if not a:
-            return other
-        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
-            q = a[0][1] + b[0][1]
-            return TieredValue._canonical(((a[0][0], q),) if q else ())
-        merged = dict(a)
-        for t, q in b:
-            merged[t] = merged.get(t, 0) + q
-        return TieredValue._canonical(
-            tuple(sorted((t, q) for t, q in merged.items() if q))
-        )
+        return tv_sum((self, other))
 
     __radd__ = __add__
 
@@ -159,7 +146,9 @@ class TieredValue:
         other = tv(other)
         if other.infinite:
             raise ExactNumError("cannot subtract infinity")
-        return self + -other
+        if self.infinite:
+            return INF
+        return tv_sum((self,), (other,))
 
     def __mul__(self, q):
         if isinstance(q, TieredValue):
@@ -268,13 +257,9 @@ def tv_compare(u, v):
     there, or else by the two coefficients. Coefficients p and q compare
     as the integers p.numerator * q.denominator and q.numerator *
     p.denominator (both denominators are positive), or as the numerators
-    alone when the denominators agree. Operands that are already tiered
-    values are not coerced.
+    alone when the denominators agree. Both operands are tiered values;
+    the comparison operators coerce theirs before they call it.
     """
-    if type(u) is not TieredValue:
-        u = tv(u)
-    if type(v) is not TieredValue:
-        v = tv(v)
     if u.infinite or v.infinite:
         return EQ if u.infinite and v.infinite else GT if u.infinite else LT
     iu, iv = u._coeffs, v._coeffs

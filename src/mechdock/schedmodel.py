@@ -543,7 +543,11 @@ class ExternalMechanism(MechanismHandle):
         try:
             proc.terminate()
             proc.wait(timeout=2)
-        except (OSError, subprocess.TimeoutExpired):
+        except subprocess.TimeoutExpired:
+            # The child outlived SIGTERM: kill it and reap it.
+            proc.kill()
+            proc.wait()
+        except OSError:
             pass
         proc.stdout.close()
 

@@ -7,6 +7,9 @@ implemented as hypothesis-checked inferences: given the edit pattern,
 they predict constraints any weakly monotone (and, for L3, finite-ratio)
 mechanism must satisfy on the second allocation. A seeded fuzzer
 searches for violations on random instances.
+The sum is a value: wmon_value returns it as a TieredValue, and a pair
+whose sum is positive is a violation. Callers that word a message compare
+it with ZERO themselves; violation packages the positive case.
 """
 
 from __future__ import annotations
@@ -35,12 +38,6 @@ class WmonPreconditionError(ValueError):
 
 class HypothesisError(ValueError):
     """The lemma's premises do not hold for the supplied pair (caller bug)."""
-
-
-@dataclass
-class WmonReport:
-    value: TieredValue
-    violated: bool
 
 
 def wmon_value(T, x, Tp, xp, i):
@@ -85,11 +82,7 @@ def wmon_value(T, x, Tp, xp, i):
         else:
             plus.append(tp)
             minus.append(t)
-    total = tv_sum(plus, minus)
-    return WmonReport(
-        value=total,
-        violated=tv_compare(total, ZERO) == GT,
-    )
+    return tv_sum(plus, minus)
 
 
 @dataclass(frozen=True)
@@ -342,6 +335,15 @@ class WmonViolation:
         )
 
 
+def violation(T, x, Tp, xp, i):
+    """The WmonViolation the pair makes for player i, or None when its
+    weak-monotonicity sum is not positive."""
+    value = wmon_value(T, x, Tp, xp, i)
+    if value > ZERO:
+        return WmonViolation(player=i, T=T, x=x, Tp=Tp, xp=xp, value=value)
+    return None
+
+
 def fuzz(M, spec, trials, seed):
     """Query M on random instance pairs and collect WMON violations.
 
@@ -367,11 +369,9 @@ def fuzz(M, spec, trials, seed):
         Tp = T.with_costs(edits)
         x = checked_query(M, T)
         xp = checked_query(M, Tp)
-        report = wmon_value(T, x, Tp, xp, i)
-        if report.violated:
-            violations.append(
-                WmonViolation(player=i, T=T, x=x, Tp=Tp, xp=xp, value=report.value)
-            )
+        found = violation(T, x, Tp, xp, i)
+        if found is not None:
+            violations.append(found)
     return violations
 
 
@@ -418,16 +418,7 @@ def exhaustive_pairs(M, n, m, values):
                 if row == code:
                     continue
                 kp = k + (row - code) * w
-                report = wmon_value(T, answer(k), instances[kp], answer(kp), i)
-                if report.violated:
-                    violations.append(
-                        WmonViolation(
-                            player=i,
-                            T=T,
-                            x=answer(k),
-                            Tp=instances[kp],
-                            xp=answer(kp),
-                            value=report.value,
-                        )
-                    )
+                found = violation(T, answer(k), instances[kp], answer(kp), i)
+                if found is not None:
+                    violations.append(found)
     return violations

@@ -387,12 +387,36 @@ def test_malformed_mechanism_selector_is_a_mechanism_failure(selector, command, 
         lambda doc: doc.update(verdict="x"),
         lambda doc: doc["verdict"]["instance"].update(dummy_of=[1]),
         lambda doc: doc.update(mechanism=5),
+        # json.dumps writes float("inf") as Infinity, which json.load reads.
+        lambda doc: doc["verdict"].update(claimed_bound="1/0"),
+        lambda doc: doc["verdict"].update(claimed_bound=float("inf")),
+        lambda doc: doc.update(
+            verdict={
+                "kind": "StrategyIncomplete",
+                "step": float("inf"),
+                "diagnostic": "",
+            }
+        ),
+        lambda doc: doc["verdict"]["instance"].update(dummy_of={"6": float("inf")}),
+        lambda doc: doc["params"].update(a="1/0"),
+        lambda doc: doc["params"].update(a=float("inf")),
     ],
-    ids=["verdict-list", "verdict-string", "dummy-of-list", "mechanism-int"],
+    ids=[
+        "verdict-list",
+        "verdict-string",
+        "dummy-of-list",
+        "mechanism-int",
+        "bound-zero-denominator",
+        "bound-infinite",
+        "step-infinite",
+        "dummy-infinite",
+        "param-zero-denominator",
+        "param-infinite",
+    ],
 )
 def test_verify_rejects_a_malformed_report(edit, tmp_path, capsys):
     report = tmp_path / "r.json"
-    argv = ["attack", "--strategy", "s2x2", "--mechanism", "minwork"]
+    argv = ["attack", "--strategy", "s3x3", "--mechanism", "minwork"]
     assert main(argv + ["--report", str(report)]) == 0
     doc = json.loads(report.read_text())
     edit(doc)

@@ -246,6 +246,46 @@ def test_add_and_compare_match_per_tier_reference(p, q):
     assert tv_compare(u, _tiered(dict(p))) == EQ
 
 
+def _add_by_merge(u, v):
+    """TieredValue.__add__ as first written: the coefficients merged in a
+    dict tier by tier, with shortcuts for a zero operand and for two
+    values on one shared tier."""
+    v = tv(v)
+    if u.infinite or v.infinite:
+        return INF
+    a, b = u.items(), v.items()
+    if not b:
+        return u
+    if not a:
+        return v
+    if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+        q = a[0][1] + b[0][1]
+        return TieredValue._canonical(((a[0][0], q),) if q else ())
+    merged = dict(a)
+    for t, q in b:
+        merged[t] = merged.get(t, 0) + q
+    return TieredValue._canonical(
+        tuple(sorted((t, q) for t, q in merged.items() if q))
+    )
+
+
+_operands = st.one_of(_coeffs.map(_tiered), st.just(INF))
+
+
+@given(_operands, _operands)
+def test_addition_matches_the_dict_merge_oracle(u, v):
+    total = u + v
+    assert total == _add_by_merge(u, v) and _is_canonical(total)
+    assert u + ZERO == _add_by_merge(u, ZERO) == u
+    assert ZERO + u == _add_by_merge(ZERO, u) == u
+    if v.infinite:
+        with pytest.raises(ExactNumError):
+            u - v
+    else:
+        difference = u - v
+        assert difference == _add_by_merge(u, -v) and _is_canonical(difference)
+
+
 def _rendered_by_fraction(v):
     """format_value as first written, on Fraction's own str() and sign."""
     if v.infinite:
@@ -298,9 +338,9 @@ def test_format_value_text_is_kept_and_equal_for_equal_values(v):
 def test_tv_sum_matches_repeated_addition(values, minus):
     expected = ZERO
     for v in values:
-        expected = expected + v
+        expected = _add_by_merge(expected, v)
     for v in minus:
-        expected = expected - v
+        expected = _add_by_merge(expected, -v)
     got = tv_sum(values, minus)
     assert got == expected and _is_canonical(got)
     assert tv_sum(values) == sum(values, ZERO)

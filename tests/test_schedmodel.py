@@ -236,6 +236,24 @@ def test_external_mechanism_close_closes_both_pipes():
     assert mech._proc.stdout.closed
 
 
+def test_external_mechanism_close_kills_a_child_that_ignores_sigterm():
+    script = (
+        "import signal, sys, time; signal.signal(signal.SIGTERM, signal.SIG_IGN); "
+        "sys.stdin.readline(); print('{\"owner\": [1]}', flush=True); time.sleep(30)"
+    )
+    mech = ExternalMechanism([sys.executable, "-c", script])
+    proc = mech._proc
+    try:
+        # The child answers only once it has set SIGTERM aside.
+        assert mech.query(Instance([[1]])) == Allocation([1])
+        mech.close()
+        assert proc.returncode is not None
+    finally:
+        proc.kill()
+        proc.wait(timeout=5)
+        mech.close()
+
+
 def test_external_mechanism_unread_request_times_out(monkeypatch):
     # The request is far larger than a pipe buffer and the child never reads
     # it, so the write itself must give up at the query's deadline.

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from mechdock.exactnum import (
     EPS1,
     EPS2,
-    GT,
     ZERO,
     TieredValue,
     format_value,
@@ -23,7 +22,6 @@ from mechdock.wmon import (
     HypothesisError,
     LemmaExpectation,
     WmonPreconditionError,
-    WmonReport,
     WmonViolation,
     _dd,
     _l1,
@@ -58,28 +56,28 @@ def test_wmon_value_compliant_answer():
     # follows the L1 prediction: keeps job 3, stays away from job 1
     xp = Allocation([1, 2, 2])
     rep = wmon_value(G1, G1_ALLOC, G2, xp, 2)
-    assert not rep.violated
-    assert rep.value == ZERO
+    assert not rep > ZERO
+    assert rep == ZERO
 
 
 def test_wmon_value_violation_arithmetic():
     xp = Allocation([1, 1, 1])  # player 2 gets nothing
     rep = wmon_value(G1, G1_ALLOC, G2, xp, 2)
-    assert rep.violated
-    assert rep.value == tv(1)  # (3-2)*(1-0)
+    assert rep > ZERO
+    assert rep == tv(1)  # (3-2)*(1-0)
 
 
 def test_wmon_value_identity_pair():
     rep = wmon_value(G1, G1_ALLOC, G1, G1_ALLOC, 2)
-    assert rep.value == ZERO and not rep.violated
+    assert rep == ZERO and not rep > ZERO
 
 
 def test_wmon_value_skips_double_infinite():
     T = Instance([["inf", 1], [1, 1]])
     Tp = Instance([["inf", 2], [1, 1]])
     rep = wmon_value(T, Allocation([2, 1]), Tp, Allocation([2, 2]), 1)
-    assert rep.value == tv(-1)  # job 1 adds nothing; job 2 gives (1-2)*(1-0)
-    assert not rep.violated
+    assert rep == tv(-1)  # job 1 adds nothing; job 2 gives (1-2)*(1-0)
+    assert not rep > ZERO
 
 
 def test_wmon_value_rejects_other_row_changes():
@@ -197,7 +195,7 @@ def test_exhaustive_grid_finds_optmakespan_violation():
     assert violations
     v = violations[0]
     rep = wmon_value(v.T, v.x, v.Tp, v.xp, v.player)
-    assert rep.violated and rep.value == v.value
+    assert rep > ZERO and rep == v.value
 
 
 def exhaustive_pairs_oracle(M, n, m, values):
@@ -221,7 +219,7 @@ def exhaustive_pairs_oracle(M, n, m, values):
                     continue
                 Tp = T.with_costs((i, j, c) for j, c in enumerate(row, start=1))
                 report = wmon_value(T, answer(T), Tp, answer(Tp), i)
-                if report.violated:
+                if report > ZERO:
                     violations.append(
                         WmonViolation(
                             player=i,
@@ -229,7 +227,7 @@ def exhaustive_pairs_oracle(M, n, m, values):
                             x=answer(T),
                             Tp=Tp,
                             xp=answer(Tp),
-                            value=report.value,
+                            value=report,
                         )
                     )
     return violations
@@ -355,7 +353,7 @@ def wmon_value_oracle(T, x, Tp, xp, i):
                 f"mixed infinite/finite term with flipped assignment at job {j}"
             )
         total = total + (t - tp) * Fraction(d)
-    return WmonReport(value=total, violated=tv_compare(total, ZERO) == GT)
+    return total
 
 
 def _random_cell(rng):
@@ -401,7 +399,7 @@ def _outcome(fn, *args):
         report = fn(*args)
     except WmonPreconditionError as exc:
         return "error", str(exc)
-    return format_value(report.value), report.violated
+    return format_value(report), report > ZERO
 
 
 # One label per outcome of the oracle; T' before T, which it contains.
@@ -497,7 +495,7 @@ def _assert_broken_predictions_violate(T, Tp, lemmas):
             continue
         for xp in answers[1]:
             if cons.defects(xp):
-                assert wmon_value(T, x, Tp, xp, cons.player).violated
+                assert wmon_value(T, x, Tp, xp, cons.player) > ZERO
 
 
 @settings(max_examples=300, deadline=None)
