@@ -313,6 +313,14 @@ def parse_value(text):
 
     A term is  rational [ "e" tier ]  with a bare rational meaning tier 0,
     e.g. "1-2e1" is 1 - 2*eps_1 and "1873/1000" is a plain rational.
+
+    The text is read in one pass, and each term's coefficient is made once
+    from its integers, reduced by their gcd (so "2/4" reads as 1/2; the
+    reader never trusts the writer to have reduced it). When the tiers come
+    strictly ascending, as in every text format_value writes, each tier has
+    one term, so the terms less the zero ones are already the canonical
+    coefficients. Otherwise the terms are summed tier by tier and go through
+    the normalising constructor.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected string, got {type(text).__name__}")
@@ -321,25 +329,36 @@ def parse_value(text):
         raise ParseError("empty value")
     if s == "inf":
         return INF
-    coeffs = {}
-    pos = 0
-    first = True
-    while pos < len(s):
+    terms = []
+    ascending = True
+    last = -1
+    pos, end = 0, len(s)
+    while pos < end:
         m = _TERM.match(s, pos)
-        if not m or m.end() == pos:
+        if m is None:
             raise ParseError(f"malformed value {text!r} at offset {pos}")
+        # A term ends in digits that \d+ took greedily, so a later one can
+        # only begin with its sign: an unsigned "12" is one term.
         sign, numer, denom, tier = m.groups()
-        if not first and sign is None:
-            raise ParseError(f"missing sign between terms in {text!r}")
-        if denom is not None and int(denom) == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        q = Fraction(int(numer), int(denom) if denom else 1)
-        if sign == "-":
-            q = -q
+        if denom is not None:
+            den = int(denom)
+            if not den:
+                raise ParseError(f"zero denominator in {text!r}")
         t = int(tier) if tier is not None else 0
-        coeffs[t] = coeffs.get(t, Fraction(0)) + q
+        if t <= last:
+            ascending = False
+        last = t
+        num = int(numer)
+        if num:
+            if sign == "-":
+                num = -num
+            terms.append((t, Fraction(num) if denom is None else Fraction(num, den)))
         pos = m.end()
-        first = False
+    if ascending:
+        return TieredValue._canonical(tuple(terms))
+    coeffs = {}
+    for t, q in terms:
+        coeffs[t] = coeffs.get(t, 0) + q
     return TieredValue(coeffs)
 
 

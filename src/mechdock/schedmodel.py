@@ -219,11 +219,19 @@ class Instance:
         )
 
     @classmethod
-    def from_json_dict(cls, d):
+    def from_json_dict(cls, d, parsed=None):
         """Instance from its JSON form, read sparsely: only the cells that
         are not "inf" are parsed, each distinct text once. A malformed cell
-        is reported before the matrix shape, as a dense parse would."""
-        widths, cells, parsed = [], [], {}
+        is reported before the matrix shape, as a dense parse would.
+
+        parsed maps a text to its value; a caller reading instances that
+        share most of their cells (the two of a WMON pair) passes one dict
+        to them all, and by default each call has a fresh one. The "inf"
+        cells are skipped by the loop's own string comparison, which on
+        CPython 3.11 is faster than a compress over map(operator.ne, ...)."""
+        if parsed is None:
+            parsed = {}
+        widths, cells = [], []
         for row in d["costs"]:
             written = []
             for j, text in enumerate(row):

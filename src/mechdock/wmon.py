@@ -325,11 +325,14 @@ class WmonViolation:
 
     @classmethod
     def from_json_dict(cls, d):
+        """The two instances differ in one row, so they share one memo of
+        parsed cell texts."""
+        parsed = {}
         return cls(
             player=int(d["player"]),
-            T=Instance.from_json_dict(d["T"]),
+            T=Instance.from_json_dict(d["T"], parsed),
             x=Allocation.from_json_dict(d["x"]),
-            Tp=Instance.from_json_dict(d["Tprime"]),
+            Tp=Instance.from_json_dict(d["Tprime"], parsed),
             xp=Allocation.from_json_dict(d["xprime"]),
             value=tv(d["value"]),
         )

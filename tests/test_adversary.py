@@ -112,16 +112,31 @@ def test_main_optmakespan_small():
     _assert_sound(verdict)
 
 
-def test_failed_lemma_premise_ends_as_strategy_incomplete():
-    def script(s):
-        s.bootstrap(d2x2(), "two-player square")
-        s.apply([(1, 1, ZERO)], "zero player 1's job 1", _l1(1, f1=[1]))
+def _premise_fails(s):
+    # dictator:2 holds job 1 for player 2, so L1's premise fails at step 2
+    s.bootstrap(d2x2(), "two-player square")
+    s.apply([(1, 1, ZERO)], "zero player 1's job 1", _l1(1, f1=[1]))
 
-    verdict, transcript = run(script, make_mechanism("dictator:2"))
+
+def test_failed_lemma_premise_ends_as_strategy_incomplete():
+    verdict, transcript = run(_premise_fails, make_mechanism("dictator:2"))
     assert isinstance(verdict, StrategyIncomplete)
     assert verdict.step == 2 == len(transcript)
     assert verdict.diagnostic == "lemma premise fails: L1: job 1 in F1 is not held"
     assert "expectation" not in transcript[-1]
+
+
+def test_strategy_incomplete_round_trips_through_json():
+    verdict, _ = run(_premise_fails, make_mechanism("dictator:2"))
+    d = verdict.to_json_dict()
+    assert d == {
+        "kind": "StrategyIncomplete",
+        "step": 2,
+        "diagnostic": "lemma premise fails: L1: job 1 in F1 is not held",
+    }
+    back = verdict_from_json_dict(json.loads(json.dumps(d)))
+    assert back == verdict
+    assert verify_verdict(back) == []
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -463,6 +463,28 @@ def test_verify_checks_a_stored_monotonicity_violation(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "selector, kind, reason",
+    [
+        ("minwork", "RatioWitness", None),
+        ("dictator:2", "Unbounded", "tier-gap"),
+        ("stub:9", "Unbounded", "infinite-assignment"),
+        ("stub:1", "WmonViolation", None),
+    ],
+)
+def test_each_verdict_kind_round_trips_through_verify(
+    selector, kind, reason, tmp_path, capsys
+):
+    report = tmp_path / "r.json"
+    argv = ["attack", "--strategy", "s2x2", "--mechanism", selector]
+    assert main(argv + ["--report", str(report)]) == 0
+    verdict = json.loads(report.read_text())["verdict"]
+    assert (verdict["kind"], verdict.get("reason")) == (kind, reason)
+    capsys.readouterr()
+    assert main(["verify", "--report", str(report)]) == 0
+    assert capsys.readouterr().out.startswith("report verified")
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ["--construction", "b_nr"],

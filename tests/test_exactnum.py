@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -344,3 +345,117 @@ def test_tv_sum_matches_repeated_addition(values, minus):
     got = tv_sum(values, minus)
     assert got == expected and _is_canonical(got)
     assert tv_sum(values) == sum(values, ZERO)
+
+
+_ORACLE_TERM = re.compile(r"([+-])?(\d+)(?:/(\d+))?(?:e(\d+))?")
+
+
+def _parse_by_tier_sums(text):
+    """parse_value as first written: every term added into its tier's sum
+    from Fraction(0), then the normalising constructor."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected string, got {type(text).__name__}")
+    s = text.replace("−", "-").strip()
+    if not s:
+        raise ParseError("empty value")
+    if s == "inf":
+        return INF
+    coeffs = {}
+    pos = 0
+    first = True
+    while pos < len(s):
+        m = _ORACLE_TERM.match(s, pos)
+        if not m or m.end() == pos:
+            raise ParseError(f"malformed value {text!r} at offset {pos}")
+        sign, numer, denom, tier = m.groups()
+        if not first and sign is None:
+            raise ParseError(f"missing sign between terms in {text!r}")
+        if denom is not None and int(denom) == 0:
+            raise ParseError(f"zero denominator in {text!r}")
+        q = Fraction(int(numer), int(denom) if denom else 1)
+        if sign == "-":
+            q = -q
+        t = int(tier) if tier is not None else 0
+        coeffs[t] = coeffs.get(t, Fraction(0)) + q
+        pos = m.end()
+        first = False
+    return TieredValue(coeffs)
+
+
+def _parse_outcome(parse, text):
+    """The value with each coefficient's exact integers, or the error."""
+    try:
+        v = parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    coeffs = tuple((t, type(q), q.numerator, q.denominator) for t, q in v._coeffs)
+    return v.infinite, coeffs, v
+
+
+# Terms over few tiers and small integers, so duplicate and out-of-order
+# tiers, zero and cancelling coefficients, explicit "e0" and leading zeros
+# come up often; a zero denominator and a hundred-digit numerator now and
+# then.
+_term_parts = st.tuples(
+    st.sampled_from(["", "+", "-", "−"]),
+    st.sampled_from(["0", "1", "2", "3", "4", "007", str(3**200)]),
+    st.sampled_from([None, "1", "2", "4", "6", "0", "03"]),
+    st.sampled_from([None, "0", "1", "2", "3", "00", "01"]),
+)
+
+
+def _term_text(sign, numer, denom, tier):
+    return (
+        sign
+        + numer
+        + ("" if denom is None else "/" + denom)
+        + ("" if tier is None else "e" + tier)
+    )
+
+
+def _tier_of(term):
+    return int(term[3] or 0)
+
+
+@st.composite
+def _value_texts(draw):
+    terms = draw(st.lists(_term_parts, min_size=1, max_size=4))
+    order = draw(st.sampled_from(["as drawn", "cancelling", "ascending"]))
+    if order == "cancelling":  # a term and its negation, in any order
+        sign, numer, denom, tier = draw(st.sampled_from(terms))
+        terms.append(("+" if sign in ("-", "−") else "-", numer, denom, tier))
+        terms = draw(st.permutations(terms))
+    elif order == "ascending":  # one term per tier, as format_value writes
+        terms = sorted({_tier_of(term): term for term in terms}.values(), key=_tier_of)
+    if draw(st.booleans()):  # a sign between every two terms
+        terms[1:] = [("+" if s == "" else s, *rest) for s, *rest in terms[1:]]
+    text = "".join(_term_text(*term) for term in terms)
+    pad = st.sampled_from(["", " ", "\t", "\n ", "\u2003"])
+    return draw(pad) + text + draw(pad)
+
+
+# Well-formed texts, fixed odd ones, random texts over the grammar's
+# characters with an Arabic-Indic digit (which \d matches) among them, and
+# values that are not strings.
+_PARSE_TEXTS = st.one_of(
+    _value_texts(),
+    st.sampled_from(["inf", " inf\n", "−inf", "", "  ", "1 2", "1.5", "e3"]),
+    st.text(alphabet="0123456789/+-−e inf.x٣", max_size=10),
+    st.one_of(st.integers(), st.none(), st.lists(st.just("1"), max_size=1)),
+)
+
+
+@given(_PARSE_TEXTS)
+def test_parse_value_matches_the_tier_sum_oracle(text):
+    got = _parse_outcome(parse_value, text)
+    assert got == _parse_outcome(_parse_by_tier_sums, text)
+    if got[0] is False:
+        assert _is_canonical(got[2])
+
+
+def test_parse_value_reduces_and_cancels():
+    assert parse_value("2/4")._coeffs == ((0, Fraction(1, 2)),)
+    assert parse_value("1e1-1e1")._coeffs == ()
+    assert parse_value("0+0e2")._coeffs == ()
+    assert parse_value("1e2+1e0")._coeffs == ((0, 1), (2, 1))
+    assert parse_value("1e0+1/2+1e1")._coeffs == ((0, Fraction(3, 2)), (1, 1))

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from mechdock import schedmodel
 from mechdock.exactnum import EPS1, EPS2, INF, ZERO, parse_value, tv
 from mechdock.forge import MainParams, build_main, d2x2
 from mechdock.schedmodel import (
@@ -380,6 +382,11 @@ JSON_CELLS = (
 )
 
 
+# Rows that are not lists of cells but iterate all the same: a string (by
+# character), a dict (by key) and an empty row.
+ODD_ROWS = ["", "1", "10", "inf", {"inf": "1", "1": "x"}, {"1": 2, "inf": 5}, []]
+
+
 @st.composite
 def stored_matrices(draw):
     n, m = draw(st.integers(0, 3)), draw(st.integers(0, 4))
@@ -388,6 +395,8 @@ def stored_matrices(draw):
         [draw(st.sampled_from(JSON_CELLS)) for _ in range(draw(width))]
         for _ in range(n)
     ]
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = draw(st.sampled_from(ODD_ROWS))
     d = {"costs": rows}
     dummy = draw(st.sampled_from([None, {"1": 1}, {"2": "3"}, {"x": 1}]))
     if dummy is not None:
@@ -411,6 +420,21 @@ def _outcome(build, d):
 @given(stored_matrices())
 def test_from_json_dict_matches_dense_parse(d):
     assert _outcome(Instance.from_json_dict, d) == _outcome(_dense_reference, d)
+
+
+def test_each_read_has_a_memo_of_its_own(monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_value(text)
+
+    monkeypatch.setattr(schedmodel, "parse_value", counted)
+    d = {"costs": [["1", "inf", "1/2"], ["1/2", "1", "inf"]]}
+    assert Instance.from_json_dict(d) == Instance.from_json_dict(d)
+    assert sorted(calls) == ["1", "1", "1/2", "1/2"]
+    memo = inspect.signature(Instance.from_json_dict).parameters["parsed"]
+    assert memo.default is None
 
 
 # JSON trees whose lists are often all plain strings or all plain ints, so

@@ -6,12 +6,15 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mechdock import schedmodel
 from mechdock.exactnum import (
     EPS1,
     EPS2,
     ZERO,
+    ParseError,
     TieredValue,
     format_value,
+    parse_value,
     tv,
     tv_compare,
 )
@@ -275,6 +278,46 @@ def test_violation_record_roundtrip():
     d = rec.to_json_dict()
     assert d["kind"] == "WmonViolation"
     assert WmonViolation.from_json_dict(d) == rec
+
+
+def _violation_dict():
+    return WmonViolation(
+        player=2, T=G1, x=G1_ALLOC, Tp=G2, xp=Allocation([1, 1, 1]), value=tv(1)
+    ).to_json_dict()
+
+
+def test_violation_pair_is_read_through_one_memo(monkeypatch):
+    # T and Tprime hold the texts "1", "2" and "3"; each is parsed once
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_value(text)
+
+    monkeypatch.setattr(schedmodel, "parse_value", counted)
+    d = _violation_dict()
+    back = WmonViolation.from_json_dict(d)
+    assert (back.T, back.Tp) == (G1, G2)
+    assert sorted(calls) == ["1", "2", "3"]
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("1/0", "zero denominator in '1/0'"),
+        ("x", "malformed value 'x' at offset 0"),
+        (["1"], "expected string, got list"),
+    ],
+)
+def test_a_malformed_cell_only_tprime_holds_fails_as_alone(cell, message):
+    d = _violation_dict()
+    d["Tprime"]["costs"][1][2] = cell
+    with pytest.raises(ParseError) as pair:
+        WmonViolation.from_json_dict(d)
+    with pytest.raises(ParseError) as alone:
+        Instance.from_json_dict(d["Tprime"])
+    assert str(pair.value) == str(alone.value) == message
+    assert WmonViolation.from_json_dict(_violation_dict()).Tp == G2
 
 
 # Player 2's row [2, 1, 3, 2, 2] becomes [3, 0, 1, 9, 7]: job 1 is raised,
