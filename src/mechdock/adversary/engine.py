@@ -2,7 +2,10 @@
 
 A run is a bootstrap query followed by steps. Each step edits one
 player's costs, queries the mechanism, and names the weak-monotonicity
-lemma the edit sets up, whose prediction the answer is checked against.
+lemma the edit sets up as a wmon.Lemma, which carries its predictions.
+wmon.infer checks the lemma's premise on the edit and returns the
+predictions the answer is checked against, and the step stores the
+lemma's name, its player and those predictions as its expectation.
 Session.squeeze is the one definition of the move the case trees repeat
 most: zero or halve the jobs a player holds and raise the jobs the player
 does not hold, so that L1 predicts the player keeps the first set and
@@ -29,14 +32,13 @@ from fractions import Fraction
 from ..exactnum import EPS4, ZERO, format_value
 from ..mechlib import minwork_allocate
 from ..schedmodel import checked_query
-from ..wmon import HypothesisError, WmonPreconditionError, _l1, infer, wmon_value
+from ..wmon import HypothesisError, WmonPreconditionError, _l1, infer, violation
 from .verdicts import (
     UNBOUNDED_INFINITE,
     UNBOUNDED_TIER_GAP,
     RatioWitness,
     StrategyIncomplete,
     Unbounded,
-    WmonViolation,
     verify_verdict,
 )
 
@@ -68,8 +70,8 @@ class Session:
 
         After the infinite-assignment screen, a lemma whose premise fails
         on the edit ends the run as StrategyIncomplete. A failed prediction
-        ends it as a WmonViolation when the pair's monotonicity sum is
-        positive, and as StrategyIncomplete otherwise.
+        ends it with the WmonViolation wmon.violation finds in the pair, and
+        as StrategyIncomplete when it finds none.
         """
         T, x = self.T, self.x
         edits = list(edits)
@@ -82,27 +84,23 @@ class Session:
             step["dummy_of"] = {str(p): j for p, j in sorted(dummy_of.items())}
         xp = self._query(Tp, step)
         try:
-            cons = infer(lemma, T, x, Tp)
+            predicted = infer(lemma, T, x, Tp)
         except HypothesisError as exc:
             self.fail(f"lemma premise fails: {exc}")
-        expectation = f"{lemma.variant} player {lemma.player}: {cons.describe()}"
-        step["expectation"] = expectation
-        defects = cons.defects(xp)
+        step["expectation"] = (
+            f"{lemma.variant} player {lemma.player}: {predicted.describe()}"
+        )
+        defects = predicted.defects(xp)
         if not defects:
             return
         try:
-            value = wmon_value(T, x, Tp, xp, cons.player)
+            found = violation(T, x, Tp, xp, lemma.player)
         except WmonPreconditionError as exc:
             self.fail(f"prediction failed but the pair is unevaluable: {exc}")
-        if value > ZERO:
-            step["branch"] = "prediction failed; weak monotonicity violated"
-            self.finish(
-                WmonViolation(player=cons.player, T=T, x=x, Tp=Tp, xp=xp, value=value)
-            )
-        self.fail(
-            "; ".join(defects)
-            + f" yet the pair is weakly monotone (sum {format_value(value)})"
-        )
+        if found is None:
+            self.fail("; ".join(defects) + " yet the pair is weakly monotone")
+        step["branch"] = "prediction failed; weak monotonicity violated"
+        self.finish(found)
 
     def squeeze(self, player, zero, nudge, note):
         """The L1 step on one player: set each job of `zero` to 0, then

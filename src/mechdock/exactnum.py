@@ -173,14 +173,8 @@ class TieredValue:
     def __lt__(self, other):
         return tv_compare(self, tv(other)) == LT
 
-    def __le__(self, other):
-        return tv_compare(self, tv(other)) != GT
-
     def __gt__(self, other):
         return tv_compare(self, tv(other)) == GT
-
-    def __ge__(self, other):
-        return tv_compare(self, tv(other)) != LT
 
     def __repr__(self):
         return f"tv({format_value(self)!r})"

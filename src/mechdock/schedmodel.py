@@ -221,8 +221,9 @@ class Instance:
     @classmethod
     def from_json_dict(cls, d, parsed=None):
         """Instance from its JSON form, read sparsely: only the cells that
-        are not "inf" are parsed, each distinct text once. A malformed cell
-        is reported before the matrix shape, as a dense parse would.
+        are not "inf" are parsed, each distinct text once. Each row must be
+        a list; a row that is not, or a malformed cell, is reported in
+        reading order and before the matrix shape.
 
         parsed maps a text to its value; a caller reading instances that
         share most of their cells (the two of a WMON pair) passes one dict
@@ -232,7 +233,9 @@ class Instance:
         if parsed is None:
             parsed = {}
         widths, cells = [], []
-        for row in d["costs"]:
+        for r, row in enumerate(d["costs"], start=1):
+            if type(row) is not list:
+                raise ModelError(f"row {r} of the cost matrix is not a list")
             written = []
             for j, text in enumerate(row):
                 if text == "inf":
@@ -390,9 +393,6 @@ class Allocation:
         if not isinstance(other, Allocation):
             return NotImplemented
         return self.owner == other.owner
-
-    def __hash__(self):
-        return hash(self.owner)
 
     def __repr__(self):
         return f"Allocation({list(self.owner)})"

@@ -3,9 +3,11 @@
 For two instances differing only in player i's row, a weakly monotone
 allocation rule satisfies  sum_j (t_i^j - t'_i^j)(x_i^j - x'_i^j) <= 0.
 Four standard consequences (L1-L4) and a row-wide dominated decrease are
-implemented as hypothesis-checked inferences: given the edit pattern,
-they predict constraints any weakly monotone (and, for L3, finite-ratio)
-mechanism must satisfy on the second allocation. A seeded fuzzer
+each written once, as a Lemma record: the lemma, the edited player and
+the predictions any weakly monotone (and, for L3, finite-ratio) mechanism
+must meet on the second allocation. infer checks the lemma's premise on
+the edit and returns the record, with any job the premise adds to keep,
+and Lemma.defects lists the predictions an answer breaks. A seeded fuzzer
 searches for violations on random instances.
 The sum is a value: wmon_value returns it as a TieredValue, and a pair
 whose sum is positive is a violation. Callers that word a message compare
@@ -15,7 +17,7 @@ it with ZERO themselves; violation packages the positive case.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
@@ -86,67 +88,33 @@ def wmon_value(T, x, Tp, xp, i):
 
 
 @dataclass(frozen=True)
-class LemmaExpectation:
-    """Parameters of one lemma application (variant selects the fields used).
+class Lemma:
+    """One lemma application: the lemma (variant), the player whose row
+    the edit moves, and what the lemma predicts of that player's post-edit
+    allocation: it keeps every job of keep, gets no job of forbid, gets a
+    job of each one_of group, and for each (trigger, required) implication
+    keeps the required job whenever it gets the trigger. The same fields
+    state the premise, which infer checks:
 
-    L1: f1 = held jobs strictly lowered, f2 = unheld jobs strictly raised;
-        everything else unchanged. Predicts keep f1, never get f2.
-    L2: job j held and lowered, job k lowered; everything else unchanged.
-        Predicts at least one of {j, k}; if k's decrease is strictly
-        smaller than j's, predicts keep j.
-    L3: like L1 for a player with a dummy job, whose cost may change
-        arbitrarily; predicts the dummy is kept as well.
-    L4: jobs j1, j2 both held, j1 lowered, j2 raised; everything else
-        unchanged. Predicts: if j2 is kept then j1 is kept.
-    dominated-decrease: every changed job is lowered, the jobs of f1 are
-        held, and each one's decrease strictly exceeds the total decrease
-        over the other jobs, so dropping any of them forces a positive
-        WMON sum. Predicts keep f1.
+    L1: keep (F1) held and strictly lowered, forbid (F2) unheld and
+        strictly raised; every other job unchanged.
+    L2: one_of = ((j, k),): j held and lowered, k lowered; every other job
+        unchanged. If k's decrease is strictly smaller, j is also kept.
+    L3: L1 for a player holding a dummy job, whose cost may change
+        arbitrarily; the dummy is also kept.
+    L4: implications = ((j2, j1),): j1 and j2 held, j1 lowered, j2 raised;
+        every other job unchanged.
+    dominated-decrease: every changed job lowered, the jobs of keep held,
+        and each one's decrease strictly exceeds the total decrease over
+        the other jobs, so dropping any of them forces a positive WMON sum.
     """
 
     variant: str
     player: int
-    f1: frozenset = frozenset()
-    f2: frozenset = frozenset()
-    j: int = 0
-    k: int = 0
-    j1: int = 0
-    j2: int = 0
-
-
-def _l1(player, f1=(), f2=()):
-    return LemmaExpectation(
-        variant="L1", player=player, f1=frozenset(f1), f2=frozenset(f2)
-    )
-
-
-def _l2(player, j, k):
-    return LemmaExpectation(variant="L2", player=player, j=j, k=k)
-
-
-def _l3(player, f1=(), f2=()):
-    return LemmaExpectation(
-        variant="L3", player=player, f1=frozenset(f1), f2=frozenset(f2)
-    )
-
-
-def _l4(player, j1, j2):
-    return LemmaExpectation(variant="L4", player=player, j1=j1, j2=j2)
-
-
-def _dd(player, keep):
-    return LemmaExpectation("dominated-decrease", player, f1=frozenset(keep))
-
-
-@dataclass
-class Constraints:
-    """Predicted restrictions on the post-edit allocation of one player."""
-
-    player: int
-    keep: set = field(default_factory=set)
-    forbid: set = field(default_factory=set)
-    one_of: list = field(default_factory=list)
-    implications: list = field(default_factory=list)
+    keep: frozenset = frozenset()
+    forbid: frozenset = frozenset()
+    one_of: tuple = ()
+    implications: tuple = ()
 
     def defects(self, xp):
         out = []
@@ -185,14 +153,36 @@ class Constraints:
         return ", ".join(bits) or "none"
 
 
+def _l1(player, f1=(), f2=()):
+    return Lemma("L1", player, keep=frozenset(f1), forbid=frozenset(f2))
+
+
+def _l2(player, j, k):
+    return Lemma("L2", player, one_of=((j, k),))
+
+
+def _l3(player, f1=(), f2=()):
+    return Lemma("L3", player, keep=frozenset(f1), forbid=frozenset(f2))
+
+
+def _l4(player, j1, j2):
+    return Lemma("L4", player, implications=((j2, j1),))
+
+
+def _dd(player, keep):
+    return Lemma("dominated-decrease", player, keep=frozenset(keep))
+
+
 def _require(cond, msg):
     if not cond:
         raise HypothesisError(msg)
 
 
-def infer(exp, T, x, Tp):
-    """Check the lemma's hypotheses on (T, x, Tp) and return its predictions."""
-    i = exp.player
+def infer(lemma, T, x, Tp):
+    """Check the lemma's premise on (T, x, Tp) and return its predictions:
+    the lemma itself, or a copy with the jobs the premise adds to keep (L2's
+    bigger decrease, L3's dummy)."""
+    i, v = lemma.player, lemma.variant
     _require(T.rows_equal_except(Tp, i), "instances differ outside the row")
 
     def lowered(jj):
@@ -207,31 +197,27 @@ def infer(exp, T, x, Tp):
 
     def changed_outside(declared):
         """The first job outside `declared` whose player-i cost changed;
-        the rows agree elsewhere, so only the differing columns are read."""
-        for jj in T.changed_jobs(Tp):
-            if jj not in declared and T.cost(i, jj) != Tp.cost(i, jj):
-                return jj
-        return None
+        the rows agree elsewhere, so a column that differs differs there."""
+        return next((jj for jj in T.changed_jobs(Tp) if jj not in declared), None)
 
     def moves_as_declared(free=()):
-        """L1/L3 premise: F1 held and lowered, F2 unheld and raised, every
-        other job but the free ones unchanged."""
-        v = exp.variant
-        for j in exp.f1:
+        """L1/L3 premise: keep held and lowered, forbid unheld and raised,
+        every other job but the free ones unchanged."""
+        for j in lemma.keep:
             _require(x.assigns(i, j), f"{v}: job {j} in F1 is not held")
             _require(lowered(j), f"{v}: job {j} in F1 is not strictly lowered")
-        for j in exp.f2:
+        for j in lemma.forbid:
             _require(not x.assigns(i, j), f"{v}: job {j} in F2 is held")
             _require(raised(j), f"{v}: job {j} in F2 is not strictly raised")
-        jj = changed_outside(exp.f1 | exp.f2 | set(free))
+        jj = changed_outside(lemma.keep | lemma.forbid | set(free))
         _require(jj is None, f"{v}: job {jj} outside F1/F2 changed")
 
-    if exp.variant == "L1":
+    if v == "L1":
         moves_as_declared()
-        return Constraints(player=i, keep=set(exp.f1), forbid=set(exp.f2))
+        return lemma
 
-    if exp.variant == "L2":
-        j, k = exp.j, exp.k
+    if v == "L2":
+        ((j, k),) = lemma.one_of
         _require(j != k, "L2: j and k must differ")
         _require(x.assigns(i, j), "L2: job j is not held")
         _require(lowered(j), "L2: job j is not strictly lowered")
@@ -240,53 +226,49 @@ def infer(exp, T, x, Tp):
         _require(jj is None, f"L2: job {jj} outside {{j,k}} changed")
         d_j = T.cost(i, j) - Tp.cost(i, j)
         d_k = T.cost(i, k) - Tp.cost(i, k)
-        cons = Constraints(player=i, one_of=[frozenset({j, k})])
         if tv_compare(d_k, d_j) == LT:
-            cons.keep.add(j)
-        return cons
+            return replace(lemma, keep=lemma.keep | {j})
+        return lemma
 
-    if exp.variant == "L3":
+    if v == "L3":
         jd = T.dummy_of.get(i)
         _require(jd is not None, "L3: player has no dummy job")
         _require(x.assigns(i, jd), "L3: player does not hold the dummy")
-        _require(jd not in exp.f1 and jd not in exp.f2, "L3: dummy inside F1/F2")
-        moves_as_declared(free={jd})
-        return Constraints(
-            player=i, keep=set(exp.f1) | {jd}, forbid=set(exp.f2)
+        _require(
+            jd not in lemma.keep and jd not in lemma.forbid, "L3: dummy inside F1/F2"
         )
+        moves_as_declared(free={jd})
+        return replace(lemma, keep=lemma.keep | {jd})
 
-    if exp.variant == "L4":
-        j1, j2 = exp.j1, exp.j2
+    if v == "L4":
+        ((j2, j1),) = lemma.implications
         _require(j1 != j2, "L4: jobs must differ")
         _require(x.assigns(i, j1) and x.assigns(i, j2), "L4: jobs not both held")
         _require(lowered(j1), "L4: job j1 is not strictly lowered")
         _require(raised(j2), "L4: job j2 is not strictly raised")
         jj = changed_outside({j1, j2})
         _require(jj is None, f"L4: job {jj} outside {{j1,j2}} changed")
-        return Constraints(player=i, implications=[(j2, j1)])
+        return lemma
 
-    if exp.variant == "dominated-decrease":
-        other_total = ZERO
-        decreases = {}
-        for j in T.changed_jobs(Tp):
-            t, tp = T.cost(i, j), Tp.cost(i, j)
-            if t == tp:
-                continue
-            _require(lowered(j), f"keep-lowered: job {j} is not a finite decrease")
-            if j in exp.f1:
-                _require(x.assigns(i, j), f"keep-lowered: job {j} is not held")
-                decreases[j] = t - tp
-            else:
-                other_total = other_total + (t - tp)
-        for j in sorted(exp.f1):
-            _require(j in decreases, f"keep-lowered: kept job {j} unchanged")
-            _require(
-                tv_compare(decreases[j], other_total) == GT,
-                f"keep-lowered: job {j}'s decrease does not dominate the rest",
-            )
-        return Constraints(player=i, keep=set(exp.f1))
-
-    raise HypothesisError(f"unknown lemma variant {exp.variant!r}")
+    # the dominated decrease: with the rows agreeing elsewhere, every job
+    # whose column differs is one whose player-i cost changed
+    other_total = ZERO
+    decreases = {}
+    for j in T.changed_jobs(Tp):
+        _require(lowered(j), f"keep-lowered: job {j} is not a finite decrease")
+        drop = T.cost(i, j) - Tp.cost(i, j)
+        if j in lemma.keep:
+            _require(x.assigns(i, j), f"keep-lowered: job {j} is not held")
+            decreases[j] = drop
+        else:
+            other_total = other_total + drop
+    for j in sorted(lemma.keep):
+        _require(j in decreases, f"keep-lowered: kept job {j} unchanged")
+        _require(
+            tv_compare(decreases[j], other_total) == GT,
+            f"keep-lowered: job {j}'s decrease does not dominate the rest",
+        )
+    return lemma
 
 
 @dataclass(frozen=True)

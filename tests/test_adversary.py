@@ -188,6 +188,15 @@ def test_attack_report_and_replay():
     assert verify_report(doctored)
 
 
+def test_a_stored_row_that_is_not_a_list_makes_a_malformed_report():
+    doc = attack("s2x2", make_mechanism("minwork")).to_json_dict()
+    costs = doc["verdict"]["instance"]["costs"]
+    costs[0] = "".join(costs[0])  # a string row used to load by character
+    assert verify_report(doc) == [
+        "malformed report: row 1 of the cost matrix is not a list"
+    ]
+
+
 def test_attack_main_params_threading():
     report = attack(
         "main", make_mechanism("minwork"), {"a": Fraction(1873, 1000), "r": 3}

@@ -164,6 +164,29 @@ def test_attack_rejects_a_malformed_extern_owner(tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "mech, message",
+    [
+        (
+            f"{sys.executable} {Path(__file__).parent / 'extern_reply.py'} "
+            "'{\"owner\": [1]}'",
+            "invalid allocation: owner vector has length 1, expected 2",
+        ),
+        (
+            f"{sys.executable} {Path(__file__).parent / 'extern_reply.py'} "
+            "'{\"owner\": [1, 7]}'",
+            "invalid allocation: job 2 assigned to out-of-range player 7",
+        ),
+        (f"{sys.executable} -c pass", "mechanism closed its output stream"),
+    ],
+    ids=["short-owner", "out-of-range-owner", "silent-exit"],
+)
+def test_attack_a_bad_extern_answer_is_a_mechanism_failure(mech, message, capsys):
+    argv = ["attack", "--strategy", "s2x2", "--mechanism", f"extern:{mech}"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"mechanism failure: {message}\n"
+
+
 def test_attack_mechanism_launch_failure():
     rc = main(
         ["attack", "--strategy", "s2x2", "--mechanism", "extern:/nonexistent-bin"]
@@ -499,3 +522,97 @@ def test_removed_constructions_and_flags_are_usage_errors(flags, tmp_path):
         main(["gen", *flags, "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+def _set(path, value):
+    """An edit setting the verdict entry at `path` (keys and indices)."""
+
+    def edit(verdict):
+        *parents, last = path
+        for key in parents:
+            verdict = verdict[key]
+        verdict[last] = value
+
+    return edit
+
+
+# One JSON edit of a genuine s2x2 report per defect `verify` names. The
+# minwork report is a RatioWitness on [[1-1e4, 1], [1+1e4, inf]] with
+# certificate [2, 1]; dictator:2 gives a tier-gap Unbounded on
+# [[1, 1e2], [0, 1/2e1]] with certificate [2, 1]; stub:9 gives an
+# infinite-assignment Unbounded whose mechanism puts job 2 on player 2 at
+# infinite cost; stub:1 gives a WmonViolation for player 2 with x = [2, 1].
+VERIFY_DEFECTS = {
+    "certificate-infinite": (
+        "minwork",
+        _set(["certificate", "owner"], [1, 2]),
+        "certificate has infinite makespan",
+    ),
+    "certificate-zero": (
+        "minwork",
+        _set(["instance", "costs"], [["1-1e4", "0"], ["0", "inf"]]),
+        "certificate has zero makespan",
+    ),
+    "infinite-reason-finite-makespan": (
+        "stub:9",
+        _set(["mech_allocation", "owner"], [1, 1]),
+        "reason says infinite assignment but mechanism makespan is finite",
+    ),
+    "tier-gap-certificate-zero": (
+        "dictator:2",
+        _set(["instance", "costs", 0, 1], "0"),
+        "tier-gap certificate has zero makespan",
+    ),
+    "no-tier-gap": (
+        "dictator:2",
+        _set(["mech_allocation", "owner"], [2, 1]),
+        "no tier gap between makespans",
+    ),
+    "unknown-reason": (
+        "dictator:2",
+        _set(["reason"], "bogus"),
+        "unknown unboundedness reason 'bogus'",
+    ),
+    "first-allocation-invalid": (
+        "stub:1",
+        _set(["x", "owner"], [2, 7]),
+        "first allocation invalid: job 2 assigned to out-of-range player 7",
+    ),
+    "second-allocation-invalid": (
+        "stub:1",
+        _set(["xprime", "owner"], [1]),
+        "second allocation invalid: owner vector has length 1, expected 2",
+    ),
+    "pair-preconditions": (
+        "stub:1",
+        _set(["T", "costs", 1, 0], "inf"),
+        "stored pair violates preconditions: job 1 assigned to player 2 at "
+        "infinite cost in T",
+    ),
+    "sum-not-positive": (
+        "stub:1",
+        _set(["xprime", "owner"], [2, 1]),
+        "recomputed monotonicity sum is not positive",
+    ),
+    "unknown-kind": (
+        "minwork",
+        _set(["kind"], "Bogus"),
+        "malformed report: unknown verdict kind 'Bogus'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(VERIFY_DEFECTS))
+def test_verify_names_each_defect_of_an_edited_report(case, tmp_path, capsys):
+    selector, edit, message = VERIFY_DEFECTS[case]
+    report = tmp_path / "r.json"
+    argv = ["attack", "--strategy", "s2x2", "--mechanism", selector]
+    assert main(argv + ["--report", str(report)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--report", str(report)]) == 0
+    assert capsys.readouterr().out.startswith("report verified")
+    doc = json.loads(report.read_text())
+    edit(doc["verdict"])
+    report.write_text(json.dumps(doc))
+    assert main(["verify", "--report", str(report)]) == 1
+    assert capsys.readouterr().err == f"verification failed: {message}\n"

@@ -382,8 +382,8 @@ JSON_CELLS = (
 )
 
 
-# Rows that are not lists of cells but iterate all the same: a string (by
-# character), a dict (by key) and an empty row.
+# Odd rows: strings (which iterate by character) and dicts (by key), each
+# an error since a stored row must be a list, and an empty list.
 ODD_ROWS = ["", "1", "10", "inf", {"inf": "1", "1": "x"}, {"1": 2, "inf": 5}, []]
 
 
@@ -405,8 +405,13 @@ def stored_matrices(draw):
 
 
 def _dense_reference(d):
-    """Every cell parsed, then the dense constructor."""
-    rows = [[parse_value(text) for text in row] for row in d["costs"]]
+    """Every row checked to be a list and every cell parsed, in reading
+    order, then the dense constructor."""
+    rows = []
+    for r, row in enumerate(d["costs"], start=1):
+        if not isinstance(row, list):
+            raise ModelError(f"row {r} of the cost matrix is not a list")
+        rows.append([parse_value(text) for text in row])
     return Instance(rows, {int(p): int(j) for p, j in d.get("dummy_of", {}).items()})
 
 
@@ -420,6 +425,14 @@ def _outcome(build, d):
 @given(stored_matrices())
 def test_from_json_dict_matches_dense_parse(d):
     assert _outcome(Instance.from_json_dict, d) == _outcome(_dense_reference, d)
+
+
+@pytest.mark.parametrize("row", ["10", {"1": "2"}, ("1",), None])
+def test_a_stored_row_that_is_not_a_list_is_an_error(row):
+    # a string row used to load as its characters: ["10"] as [["1", "0"]]
+    d = {"costs": [["1", "2"], row]}
+    with pytest.raises(ModelError, match="^row 2 of the cost matrix is not a list$"):
+        Instance.from_json_dict(d)
 
 
 def test_each_read_has_a_memo_of_its_own(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -10,6 +11,8 @@ from mechdock import schedmodel
 from mechdock.exactnum import (
     EPS1,
     EPS2,
+    GT,
+    LT,
     ZERO,
     ParseError,
     TieredValue,
@@ -23,7 +26,6 @@ from mechdock.schedmodel import Allocation, Instance, MechanismHandle, checked_q
 from mechdock.wmon import (
     FuzzSpec,
     HypothesisError,
-    LemmaExpectation,
     WmonPreconditionError,
     WmonViolation,
     _dd,
@@ -102,10 +104,7 @@ def test_wmon_value_rejects_flipped_mixed_term():
 
 
 def test_infer_l1_reference_pair():
-    exp = LemmaExpectation(
-        variant="L1", player=2, f1=frozenset({3}), f2=frozenset({1})
-    )
-    cons = infer(exp, G1, G1_ALLOC, G2)
+    cons = infer(_l1(2, f1=[3], f2=[1]), G1, G1_ALLOC, G2)
     assert cons.keep == {3} and cons.forbid == {1}
     assert cons.defects(Allocation([1, 2, 2])) == []
     assert cons.defects(Allocation([2, 2, 2]))
@@ -113,9 +112,8 @@ def test_infer_l1_reference_pair():
 
 
 def test_infer_l2_reference_pair():
-    exp = LemmaExpectation(variant="L2", player=2, j=2, k=1)
-    cons = infer(exp, H1, H1_ALLOC, H2)
-    assert cons.one_of == [frozenset({1, 2})]
+    cons = infer(_l2(2, j=2, k=1), H1, H1_ALLOC, H2)
+    assert cons.one_of == ((2, 1),)
     assert cons.keep == set()  # equal decreases: no refinement
     assert cons.defects(Allocation([2, 1, 1])) == []
     assert cons.defects(Allocation([1, 1, 1]))
@@ -123,43 +121,31 @@ def test_infer_l2_reference_pair():
 
 def test_infer_l2_refinement_forces_the_bigger_decrease():
     Tp = Instance([[1, 2, 3], ["3/2", 0, 3]])  # job 1 drops by 1/2, job 2 by 1
-    exp = LemmaExpectation(variant="L2", player=2, j=2, k=1)
-    cons = infer(exp, H1, H1_ALLOC, Tp)
+    cons = infer(_l2(2, j=2, k=1), H1, H1_ALLOC, Tp)
     assert cons.keep == {2}
 
 
 def test_infer_l3_reference_pair():
-    exp = LemmaExpectation(
-        variant="L3", player=2, f1=frozenset({3}), f2=frozenset({1})
-    )
-    cons = infer(exp, I1, I1_ALLOC, I2)
+    cons = infer(_l3(2, f1=[3], f2=[1]), I1, I1_ALLOC, I2)
     assert cons.keep == {3, 4} and cons.forbid == {1}
     assert cons.defects(Allocation([1, 1, 2, 2])) == []
     assert cons.defects(Allocation([1, 1, 1, 2]))
 
 
 def test_infer_l4_reference_pair():
-    exp = LemmaExpectation(variant="L4", player=2, j1=1, j2=2)
-    cons = infer(exp, K1, K1_ALLOC, K2)
-    assert cons.implications == [(2, 1)]
+    cons = infer(_l4(2, j1=1, j2=2), K1, K1_ALLOC, K2)
+    assert cons.implications == ((2, 1),)
     assert cons.defects(Allocation([2, 2, 1])) == []
     assert cons.defects(Allocation([2, 1, 1])) == []  # dropped both: fine
     assert cons.defects(Allocation([1, 2, 1]))
 
 
 def test_infer_checks_hypotheses():
-    exp = LemmaExpectation(
-        variant="L1", player=2, f1=frozenset({2}), f2=frozenset({1})
-    )
     with pytest.raises(HypothesisError):
-        infer(exp, G1, G1_ALLOC, G2)  # job 2 is unchanged, not lowered
+        # job 2 is unchanged, not lowered
+        infer(_l1(2, f1=[2], f2=[1]), G1, G1_ALLOC, G2)
     with pytest.raises(HypothesisError):
-        infer(
-            LemmaExpectation(variant="L3", player=2, f1=frozenset({3})),
-            G1,
-            G1_ALLOC,
-            G2,
-        )  # no dummy job
+        infer(_l3(2, f1=[3]), G1, G1_ALLOC, G2)  # no dummy job
 
 
 def test_keep_lowered_constraints():
@@ -335,18 +321,9 @@ def test_lemma_checks_name_the_first_job_changed_outside_the_declared_ones(share
     else:
         M2 = Instance([[1, 2, 3, 4, 5], M2_ROW])
     cases = [
-        (
-            LemmaExpectation(variant="L1", player=2, f1=frozenset({3}), f2=frozenset({1})),
-            "L1: job 2 outside F1/F2 changed",
-        ),
-        (
-            LemmaExpectation(variant="L2", player=2, j=3, k=2),
-            "L2: job 1 outside {j,k} changed",
-        ),
-        (
-            LemmaExpectation(variant="L4", player=2, j1=3, j2=4),
-            "L4: job 1 outside {j1,j2} changed",
-        ),
+        (_l1(2, f1=[3], f2=[1]), "L1: job 2 outside F1/F2 changed"),
+        (_l2(2, j=3, k=2), "L2: job 1 outside {j,k} changed"),
+        (_l4(2, j1=3, j2=4), "L4: job 1 outside {j1,j2} changed"),
     ]
     for exp, message in cases:
         with pytest.raises(HypothesisError, match=f"^{re.escape(message)}$"):
@@ -488,24 +465,29 @@ def test_wmon_value_matches_the_per_job_oracle():
 HALF_GRID = st.integers(0, 4).map(lambda k: Fraction(k, 2))  # 0, 1/2, .., 2
 
 
+def _grid_cost(k):
+    """Grid point k: k/2 for k <= 4, and 5 stands for an infinite cost."""
+    return "inf" if k == 5 else Fraction(k, 2)
+
+
 @st.composite
 def _edited_pairs(draw):
-    """Costs on a half-integer grid for n, m <= 3, one player's row with
-    each cost kept, lowered or raised on the grid, and a dummy cost before
-    and after."""
+    """Costs on a half-integer grid for n, m <= 3 that ends in an infinite
+    cost, one player's row with each cost kept, lowered or raised on the
+    grid (so a cost can start infinite, be raised to infinity or be lowered
+    from it), and a finite dummy cost before and after."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    cells = st.lists(HALF_GRID, min_size=m, max_size=m)
-    rows = draw(st.lists(cells, min_size=n, max_size=n))
+    rows = [[draw(st.integers(0, 5)) for _ in range(m)] for _ in range(n)]
     i = draw(st.integers(1, n))
     row = []
-    for old in rows[i - 1]:
-        k = int(2 * old)
+    for k in rows[i - 1]:
         move = draw(st.sampled_from(["keep", "lower", "raise"]))
         if move == "lower" and k > 0:
             k = draw(st.integers(0, k - 1))
-        elif move == "raise" and k < 4:
-            k = draw(st.integers(k + 1, 4))
-        row.append(Fraction(k, 2))
+        elif move == "raise" and k < 5:
+            k = draw(st.integers(k + 1, 5))
+        row.append(_grid_cost(k))
+    rows = [[_grid_cost(k) for k in r] for r in rows]
     dummy = draw(HALF_GRID), draw(HALF_GRID)
     return rows, i, row, dummy
 
@@ -561,3 +543,226 @@ def test_every_broken_lemma_prediction_has_a_positive_wmon_sum(pair):
     Tp = T.with_costs([(i, j, c) for j, c in zip(jobs, row)] + [(i, jd, dp)])
     lemmas = [_l3(i, f1, f2) for f1, f2 in _splits(jobs)]
     _assert_broken_predictions_violate(T, Tp, lemmas)
+
+
+# -- the lemma record against the lemma checks as first written ----------------
+
+
+@dataclass(frozen=True)
+class LemmaExpectation:
+    """A lemma application as first written: variant selects the fields
+    that apply (f1/f2 for L1, L3 and the dominated decrease, j/k for L2,
+    j1/j2 for L4)."""
+
+    variant: str
+    player: int
+    f1: frozenset = frozenset()
+    f2: frozenset = frozenset()
+    j: int = 0
+    k: int = 0
+    j1: int = 0
+    j2: int = 0
+
+
+@dataclass
+class Constraints:
+    """Predicted restrictions on the post-edit allocation of one player,
+    as infer first restated them."""
+
+    player: int
+    keep: set = field(default_factory=set)
+    forbid: set = field(default_factory=set)
+    one_of: list = field(default_factory=list)
+    implications: list = field(default_factory=list)
+
+    def defects(self, xp):
+        out = []
+        for j in sorted(self.keep):
+            if not xp.assigns(self.player, j):
+                out.append(f"player {self.player} was predicted to keep job {j}")
+        for j in sorted(self.forbid):
+            if xp.assigns(self.player, j):
+                out.append(f"player {self.player} was predicted not to get job {j}")
+        for group in self.one_of:
+            if not any(xp.assigns(self.player, j) for j in group):
+                out.append(
+                    f"player {self.player} was predicted to get one of "
+                    f"{sorted(group)}"
+                )
+        for trigger, required in self.implications:
+            if xp.assigns(self.player, trigger) and not xp.assigns(
+                self.player, required
+            ):
+                out.append(
+                    f"player {self.player} kept job {trigger} but dropped "
+                    f"job {required}"
+                )
+        return out
+
+    def describe(self):
+        bits = []
+        if self.keep:
+            bits.append(f"keep {sorted(self.keep)}")
+        if self.forbid:
+            bits.append(f"not-get {sorted(self.forbid)}")
+        for group in self.one_of:
+            bits.append(f"one-of {sorted(group)}")
+        for trigger, required in self.implications:
+            bits.append(f"if-get {trigger} then-get {required}")
+        return ", ".join(bits) or "none"
+
+
+def _require(cond, msg):
+    if not cond:
+        raise HypothesisError(msg)
+
+
+def infer_oracle(exp, T, x, Tp):
+    """infer as first written: five string-dispatched branches, each
+    restating the expectation as Constraints."""
+    i = exp.player
+    _require(T.rows_equal_except(Tp, i), "instances differ outside the row")
+
+    def lowered(jj):
+        t, tp = T.cost(i, jj), Tp.cost(i, jj)
+        return t.finite and tp.finite and tv_compare(t, tp) == GT
+
+    def raised(jj):
+        t, tp = T.cost(i, jj), Tp.cost(i, jj)
+        if t.infinite:
+            return False
+        return tp.infinite or tv_compare(tp, t) == GT
+
+    def changed_outside(declared):
+        for jj in T.changed_jobs(Tp):
+            if jj not in declared and T.cost(i, jj) != Tp.cost(i, jj):
+                return jj
+        return None
+
+    def moves_as_declared(free=()):
+        v = exp.variant
+        for j in exp.f1:
+            _require(x.assigns(i, j), f"{v}: job {j} in F1 is not held")
+            _require(lowered(j), f"{v}: job {j} in F1 is not strictly lowered")
+        for j in exp.f2:
+            _require(not x.assigns(i, j), f"{v}: job {j} in F2 is held")
+            _require(raised(j), f"{v}: job {j} in F2 is not strictly raised")
+        jj = changed_outside(exp.f1 | exp.f2 | set(free))
+        _require(jj is None, f"{v}: job {jj} outside F1/F2 changed")
+
+    if exp.variant == "L1":
+        moves_as_declared()
+        return Constraints(player=i, keep=set(exp.f1), forbid=set(exp.f2))
+
+    if exp.variant == "L2":
+        j, k = exp.j, exp.k
+        _require(j != k, "L2: j and k must differ")
+        _require(x.assigns(i, j), "L2: job j is not held")
+        _require(lowered(j), "L2: job j is not strictly lowered")
+        _require(lowered(k), "L2: job k is not strictly lowered")
+        jj = changed_outside({j, k})
+        _require(jj is None, f"L2: job {jj} outside {{j,k}} changed")
+        d_j = T.cost(i, j) - Tp.cost(i, j)
+        d_k = T.cost(i, k) - Tp.cost(i, k)
+        cons = Constraints(player=i, one_of=[frozenset({j, k})])
+        if tv_compare(d_k, d_j) == LT:
+            cons.keep.add(j)
+        return cons
+
+    if exp.variant == "L3":
+        jd = T.dummy_of.get(i)
+        _require(jd is not None, "L3: player has no dummy job")
+        _require(x.assigns(i, jd), "L3: player does not hold the dummy")
+        _require(jd not in exp.f1 and jd not in exp.f2, "L3: dummy inside F1/F2")
+        moves_as_declared(free={jd})
+        return Constraints(player=i, keep=set(exp.f1) | {jd}, forbid=set(exp.f2))
+
+    if exp.variant == "L4":
+        j1, j2 = exp.j1, exp.j2
+        _require(j1 != j2, "L4: jobs must differ")
+        _require(x.assigns(i, j1) and x.assigns(i, j2), "L4: jobs not both held")
+        _require(lowered(j1), "L4: job j1 is not strictly lowered")
+        _require(raised(j2), "L4: job j2 is not strictly raised")
+        jj = changed_outside({j1, j2})
+        _require(jj is None, f"L4: job {jj} outside {{j1,j2}} changed")
+        return Constraints(player=i, implications=[(j2, j1)])
+
+    if exp.variant == "dominated-decrease":
+        other_total = ZERO
+        decreases = {}
+        for j in T.changed_jobs(Tp):
+            t, tp = T.cost(i, j), Tp.cost(i, j)
+            if t == tp:
+                continue
+            _require(lowered(j), f"keep-lowered: job {j} is not a finite decrease")
+            if j in exp.f1:
+                _require(x.assigns(i, j), f"keep-lowered: job {j} is not held")
+                decreases[j] = t - tp
+            else:
+                other_total = other_total + (t - tp)
+        for j in sorted(exp.f1):
+            _require(j in decreases, f"keep-lowered: kept job {j} unchanged")
+            _require(
+                tv_compare(decreases[j], other_total) == GT,
+                f"keep-lowered: job {j}'s decrease does not dominate the rest",
+            )
+        return Constraints(player=i, keep=set(exp.f1))
+
+    raise HypothesisError(f"unknown lemma variant {exp.variant!r}")
+
+
+def _lemma_pairs(i, jobs):
+    """Every lemma on player i over `jobs`, each as a record and as the
+    expectation first written for it."""
+    for f1, f2 in _splits(jobs):
+        f1s, f2s = frozenset(f1), frozenset(f2)
+        yield _l1(i, f1, f2), LemmaExpectation("L1", i, f1=f1s, f2=f2s)
+        yield _l3(i, f1, f2), LemmaExpectation("L3", i, f1=f1s, f2=f2s)
+        if not f2:
+            yield _dd(i, keep=f1), LemmaExpectation("dominated-decrease", i, f1=f1s)
+    for j, k in product(jobs, repeat=2):  # j == k fails its premise
+        yield _l2(i, j=j, k=k), LemmaExpectation("L2", i, j=j, k=k)
+        yield _l4(i, j1=j, j2=k), LemmaExpectation("L4", i, j1=j, j2=k)
+
+
+def _infer_outcome(check, lemma, T, x, Tp):
+    try:
+        return check(lemma, T, x, Tp), None
+    except HypothesisError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edited_pairs(), st.booleans(), st.booleans())
+def test_the_lemma_record_predicts_as_the_lemma_checks_first_written(
+    pair, with_dummy, shared
+):
+    # Each lemma's premise fails with the same message, or it holds for
+    # both and every second answer breaks the same predictions.
+    rows, i, row, (d, dp) = pair
+    edits = [(i, j, c) for j, c in enumerate(row, start=1)]
+    dummy_of = {}
+    if with_dummy:
+        jd = len(row) + 1
+        rows = [r + [d if p == i else "inf"] for p, r in enumerate(rows, start=1)]
+        edits.append((i, jd, dp))
+        dummy_of = {i: jd}
+    T = Instance(rows, dummy_of=dummy_of)
+    if shared:
+        Tp = T.with_costs(edits)
+    else:
+        dense = [list(r) for r in rows]
+        for p, j, c in edits:
+            dense[p - 1][j - 1] = c
+        Tp = Instance(dense, dummy_of=dummy_of)
+    answers = list(map(Allocation, product(T.players(), repeat=T.m)))
+    for lemma, exp in _lemma_pairs(i, list(T.jobs())):
+        for x in answers:
+            got, msg = _infer_outcome(infer, lemma, T, x, Tp)
+            want, want_msg = _infer_outcome(infer_oracle, exp, T, x, Tp)
+            assert msg == want_msg
+            if want is None:
+                continue
+            assert got.describe() == want.describe()
+            for xp in answers:
+                assert got.defects(xp) == want.defects(xp)
