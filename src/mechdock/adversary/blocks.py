@@ -7,7 +7,10 @@ times). Once player 1 holds every non-trivial block job, the chain is
 walked; any defection there, or at a block, is converted into a scripted
 certificate worth 1 + a (or 3). If the mechanism concedes everything,
 player 1's dummy is raised to the certificate makespan and the certified
-parameter bound is claimed.
+parameter bound is claimed. The steps are the Session moves the small case
+trees use: squeeze (L1 hold/raise) zeroes winnings and pins jobs away,
+and raise_dummy (L3) corners a player; only the transition's L4 and L2
+steps spell out their edits.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from ..exactnum import EPS4, tv
 from ..forge import MainParams, build_main, certified_bound, transition_second_cost
 from ..schedmodel import Allocation
-from ..wmon import _l2, _l3, _l4
+from ..wmon import _l2, _l4
 
 
 def block_chain(s, a, r, kc):
@@ -114,12 +117,11 @@ def _semi_dummy_defection(s, p, i1, q, jm, transitioned):
     a = Fraction(p.a)
     s.branch(f"block {i1}: player {q} split the pair")
     s.squeeze(q, [j1], [jm], "zero the co-player's first job, raise his trivial one")
-    gamma = tv(a**-i1)
-    lowered = _held_nontrivial(s, p)
-    edits = [(1, j, s.T.cost(1, j) - EPS4) for j in lowered]
-    edits.append((1, p.dummy_job(1), gamma))
-    s.apply(
-        edits, "raise player 1's dummy to the certificate makespan", _l3(1, f1=lowered)
+    s.raise_dummy(
+        1,
+        _held_nontrivial(s, p) + [p.dummy_job(1)],
+        tv(a**-i1),
+        "raise player 1's dummy to the certificate makespan",
     )
     cert = _reference_cert(s, p, transitioned, overrides={j1: q, jm: q})
     s.finish_ratio(cert, Fraction(3))
@@ -138,15 +140,11 @@ def _transition(s, p, i1, q, jm, variant, transitioned):
     )
     if s.x.assigns(q, jm):
         s.branch("co-player kept the raised pair")
-        edits = [
-            (q, p.dummy_job(q), tv(2 * a**-i1)),
-            (q, j1, s.T.cost(q, j1) - EPS4),
-            (q, jm, s.T.cost(q, jm) - EPS4),
-        ]
-        s.apply(
-            edits,
+        s.raise_dummy(
+            q,
+            [p.dummy_job(q), j1, jm],
+            tv(2 * a**-i1),
             "raise the co-player's dummy to the certificate makespan",
-            _l3(q, f1=[j1, jm]),
         )
         cert = _reference_cert(
             s, p, transitioned, overrides={jm: 1, j1: other}
@@ -189,13 +187,11 @@ def _single_keeper(s, p, i1, kept, missing, transitioned):
     # and the L1 step forbids it to player 1.
     if w not in (lo, hi):  # pragma: no cover
         s.fail(f"job {missing} held by player {w} after pinning")
-    s.apply(
-        [
-            (w, p.dummy_job(w), tv(a**-i1)),
-            (w, missing, s.T.cost(w, missing) - EPS4),
-        ],
+    s.raise_dummy(
+        w,
+        [p.dummy_job(w), missing],
+        tv(a**-i1),
         "raise that co-player's dummy to the certificate makespan",
-        _l3(w, f1=[missing]),
     )
     cert = _reference_cert(
         s, p, transitioned, overrides={kept: 1, missing: 1}
@@ -215,13 +211,11 @@ def _chain_defection(s, p, t, transitioned):
     # forbids it to player 1.
     if not s.x.assigns(co, cj):  # pragma: no cover
         s.fail(f"chain job {t} not with its co-player after pinning")
-    s.apply(
-        [
-            (co, p.dummy_job(co), tv(a ** -(p.r + t))),
-            (co, cj, s.T.cost(co, cj) - EPS4),
-        ],
+    s.raise_dummy(
+        co,
+        [p.dummy_job(co), cj],
+        tv(a ** -(p.r + t)),
         "raise the chain co-player's dummy",
-        _l3(co, f1=[cj]),
     )
     cert = _reference_cert(s, p, transitioned, overrides={cj: 1})
     s.finish_ratio(cert, 1 + a)
@@ -234,11 +228,11 @@ def _terminal_concession(s, p, transitioned):
     k = max(transitioned) if transitioned else 0
     gamma = tv(a ** -(k - 1)) if k else tv(1)
     s.branch("player 1 holds all non-trivial jobs")
-    lowered = _held_nontrivial(s, p)
-    edits = [(1, j, s.T.cost(1, j) - EPS4) for j in lowered]
-    edits.append((1, p.dummy_job(1), gamma))
-    s.apply(
-        edits, "raise player 1's dummy to the certificate makespan", _l3(1, f1=lowered)
+    s.raise_dummy(
+        1,
+        _held_nontrivial(s, p) + [p.dummy_job(1)],
+        gamma,
+        "raise player 1's dummy to the certificate makespan",
     )
     cert = _reference_cert(s, p, transitioned)
     s.finish_ratio(cert, certified_bound(p))

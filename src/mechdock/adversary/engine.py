@@ -6,10 +6,15 @@ lemma the edit sets up as a wmon.Lemma, which carries its predictions.
 wmon.infer checks the lemma's premise on the edit and returns the
 predictions the answer is checked against, and the step stores the
 lemma's name, its player and those predictions as its expectation.
-Session.squeeze is the one definition of the move the case trees repeat
-most: zero or halve the jobs a player holds and raise the jobs the player
-does not hold, so that L1 predicts the player keeps the first set and
-gains none of the second.
+The case trees are written in three Session moves, each the one
+definition of its step. Session.squeeze (L1 hold/raise) zeroes or halves
+the jobs a player holds and raises the jobs the player does not hold, so
+that L1 predicts the player keeps the first set and gains none of the
+second. Session.price_out (L1 price-out) raises a player's costs until
+the player gets none of the jobs, which leaves a job someone's dummy.
+Session.raise_dummy (L3) raises a player's dummy job while every other
+job the player holds drops by an infinitesimal, so that L3 predicts the
+player keeps them all.
 Deviations are resolved in a fixed order: the allocation is validated,
 an assignment at infinite cost (which covers a misallocated dummy)
 short-circuits to an unbounded-ratio verdict, a lemma whose premise
@@ -29,10 +34,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exactnum import EPS4, ZERO, format_value
+from ..exactnum import EPS4, INF, ZERO, format_value
 from ..mechlib import minwork_allocate
 from ..schedmodel import checked_query
-from ..wmon import HypothesisError, WmonPreconditionError, _l1, infer, violation
+from ..wmon import HypothesisError, WmonPreconditionError, _l1, _l3, infer, violation
 from .verdicts import (
     UNBOUNDED_INFINITE,
     UNBOUNDED_TIER_GAP,
@@ -118,6 +123,29 @@ class Session:
                 raised.append(j)
                 edits.append((player, j, t + EPS4 if t.standard_part() else 2 * t))
         self.apply(edits, note, _l1(player, f1=held, f2=raised))
+
+    def price_out(self, player, jobs, note, dummy_of=None):
+        """The L1 price-out on one player: raise each job of `jobs`, adding
+        EPS4 to a cost with a standard part and making an infinitesimal one
+        infinite. L1 predicts the player gets none of them; `dummy_of`
+        declares the dummy jobs of the edited instance."""
+        edits = []
+        for j in jobs:
+            t = self.T.cost(player, j)
+            edits.append((player, j, t + EPS4 if t.standard_part() else INF))
+        self.apply(edits, note, _l1(player, f2=jobs), dummy_of=dummy_of)
+
+    def raise_dummy(self, player, jobs, value, note):
+        """The L3 step on one player: set the player's dummy job to `value`
+        and lower each other job of `jobs` by EPS4. L3 predicts the player
+        keeps the lowered jobs and the dummy."""
+        dummy = self.T.dummy_of.get(player)
+        lowered = [j for j in jobs if j != dummy]
+        edits = [
+            (player, j, value if j == dummy else self.T.cost(player, j) - EPS4)
+            for j in jobs
+        ]
+        self.apply(edits, note, _l3(player, f1=lowered))
 
     def _query(self, T, step):
         """Record the step, query the mechanism on T and screen the answer

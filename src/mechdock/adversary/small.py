@@ -2,20 +2,22 @@
 
 Each strategy walks a finite case tree: it queries the mechanism, branches
 on the answer, edits designated entries, and terminates with a verdict.
-Most steps are Session.squeeze, the one definition of the L1 move: held
-jobs are zeroed or halved, unheld jobs doubled when infinitesimal and
-raised by a tier-4 nudge when standard-scale. The price-out, undercut
-and dummy-raising steps spell out their edits.
+The case trees are written in three Session moves: squeeze (L1
+hold/raise) zeroes or halves held jobs and raises unheld ones, price_out
+(L1 price-out) raises a player's costs until a job becomes someone's
+dummy, and raise_dummy (L3) raises the cornered player's dummy while
+each job the player holds drops by an infinitesimal. The L2 undercuts,
+the L4 raises and the dominated decrease spell out their edits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exactnum import EPS1, EPS3, EPS4, INF, tv
+from ..exactnum import EPS1, EPS3, EPS4, tv
 from ..forge import d2x2, e3x3, f3x4
 from ..schedmodel import Allocation
-from ..wmon import _dd, _l1, _l2, _l3, _l4
+from ..wmon import _dd, _l2, _l4
 
 
 # -- two players, two jobs -------------------------------------------------
@@ -34,17 +36,8 @@ def square2(s):
         s.finish_tier_gap(Allocation([2, 1]))
     if s.x.assigns(1, 1):
         s.branch("player 1 holds both jobs")
-        s.apply(
-            [(2, 1, tv(1) + EPS4), (2, 2, INF)],
-            "price player 2 out of both jobs",
-            _l1(2, f2=[1, 2]),
-            dummy_of={1: 2},
-        )
-        s.apply(
-            [(1, 1, tv(1) - EPS4), (1, 2, tv(1))],
-            "raise the fresh dummy to one",
-            _l3(1, f1=[1]),
-        )
+        s.price_out(2, [1, 2], "price player 2 out of both jobs", dummy_of={1: 2})
+        s.raise_dummy(1, [1, 2], tv(1), "raise the fresh dummy to one")
         s.finish_ratio(Allocation([2, 1]), Fraction(2))
     s.branch("jobs split against the price order")
     s.apply(
@@ -57,17 +50,8 @@ def square2(s):
         s.squeeze(2, [1], [2], "zero player 2's held job, raise his unheld one")
         s.finish_tier_gap(Allocation([2, 2]))
     s.branch("player 2 swept both jobs")
-    s.apply(
-        [(1, 1, tv(1) + EPS4), (1, 2, INF)],
-        "price player 1 out of both jobs",
-        _l1(1, f2=[1, 2]),
-        dummy_of={2: 2},
-    )
-    s.apply(
-        [(2, 1, tv(1) - 2 * EPS1 - EPS4), (2, 2, tv(1))],
-        "raise the fresh dummy to one",
-        _l3(2, f1=[1]),
-    )
+    s.price_out(1, [1, 2], "price player 1 out of both jobs", dummy_of={2: 2})
+    s.raise_dummy(2, [1, 2], tv(1), "raise the fresh dummy to one")
     s.finish_ratio(Allocation([1, 2]), Fraction(2))
 
 
@@ -110,20 +94,18 @@ def square3(s, a, b, c):
             )
             s.finish_tier_gap(Allocation([3, 3, 3]))
         s.branch("player 3 swept all three jobs")
-        s.apply(
-            [(1, 2, tv(c) + EPS4), (1, 3, INF)],
+        s.price_out(
+            1,
+            [2, 3],
             "price player 1 out; the cheap job becomes player 3's dummy",
-            _l1(1, f2=[2, 3]),
             dummy_of={3: 3},
         )
         if s.x.assigns(2, 1):
             s.branch("player 2 took job 1")
             _finish_b_over_a(s, a, b)
         s.branch("player 3 kept everything")
-        s.apply(
-            [(3, 3, tv(c)), (3, 1, tv(a) - EPS4), (3, 2, tv(b) - EPS4)],
-            "raise player 3's dummy to the certificate makespan",
-            _l3(3, f1=[1, 2]),
+        s.raise_dummy(
+            3, [3, 1, 2], tv(c), "raise player 3's dummy to the certificate makespan"
         )
         s.finish_ratio(Allocation([2, 1, 3]), (a + b + c) / c)
     s.fail("unreachable 3x3 dispatch")  # pragma: no cover
@@ -131,16 +113,14 @@ def square3(s, a, b, c):
 
 def _finish_pair_on_player1(s, b, c):
     """Player 1 holds jobs 2 and 3: corner him and claim (b + c) / b."""
-    s.apply(
-        [(3, 3, INF), (3, 2, tv(b) + EPS4)],
+    s.price_out(
+        3,
+        [3, 2],
         "price player 3 out; job 3 becomes player 1's dummy",
-        _l1(3, f2=[2, 3]),
         dummy_of={1: 3},
     )
-    s.apply(
-        [(1, 3, tv(b)), (1, 2, s.T.cost(1, 2) - EPS4)],
-        "raise player 1's dummy to the certificate makespan",
-        _l3(1, f1=[2]),
+    s.raise_dummy(
+        1, [3, 2], tv(b), "raise player 1's dummy to the certificate makespan"
     )
     s.finish_ratio(Allocation([2, 3, 1]), (b + c) / b)
 
@@ -163,11 +143,7 @@ def square4(s, w):
         _boost_player1(s, w, Allocation([2, 2, 3, 1]))
     if s.x.assigns(2, 1) and s.x.assigns(2, 2):
         s.branch("player 2 holds jobs 1 and 2")
-        s.apply(
-            [(3, 2, INF), (3, 1, tv(1) + EPS4)],
-            "price player 3 out of the first two jobs",
-            _l1(3, f2=[1, 2]),
-        )
+        s.price_out(3, [2, 1], "price player 3 out of the first two jobs")
         if s.x.assigns(1, 2):
             s.branch("the priced job moved to player 1")
             _boost_player1(s, w, Allocation([3, 2, 2, 1]))
@@ -196,24 +172,21 @@ def square4(s, w):
         )
         if s.x.assigns(2, 3):
             s.branch("player 2 reclaimed job 3")
-            s.apply(
-                [(3, 3, INF), (3, 1, tv(1) + 2 * EPS4)],
+            s.price_out(
+                3,
+                [3, 1],
                 "price player 3 out; job 3 becomes player 2's dummy",
-                _l1(3, f2=[1, 3]),
                 dummy_of={1: 4, 2: 3},
             )
             if s.x.assigns(1, 2):
                 s.branch("the priced job moved to player 1")
                 _boost_player1(s, w, Allocation([3, 2, 2, 1]))
             s.branch("player 2 kept the first three jobs")
-            s.apply(
-                [
-                    (2, 3, tv(w)),
-                    (2, 1, tv(1) - 2 * EPS1 - EPS4),
-                    (2, 2, tv(1) - 2 * EPS1 - EPS4),
-                ],
+            s.raise_dummy(
+                2,
+                [3, 1, 2],
+                tv(w),
                 "raise player 2's dummy to the certificate makespan",
-                _l3(2, f1=[1, 2]),
             )
             s.finish_ratio(Allocation([3, 1, 2, 1]), (2 + w) / w)
         s.branch("player 3 kept job 3")
@@ -246,10 +219,10 @@ def square4(s, w):
             )
             s.finish_tier_gap(Allocation([3, 3, 3, 1]))
         s.branch("player 3 swept the first three jobs")
-        s.apply(
-            [(2, 1, tv(1) + EPS4), (2, 2, INF), (2, 3, INF)],
+        s.price_out(
+            2,
+            [1, 2, 3],
             "price player 2 out; job 3 becomes player 3's dummy",
-            _l1(2, f2=[1, 2, 3]),
             dummy_of={1: 4, 3: 3},
         )
         if s.x.assigns(1, 2):
@@ -263,14 +236,11 @@ def square4(s, w):
         )
         if s.x.assigns(3, 2):
             s.branch("player 3 held on to everything")
-            s.apply(
-                [
-                    (3, 3, tv(w)),
-                    (3, 1, tv(1) - 2 * EPS1 - 2 * EPS4),
-                    (3, 2, tv(1) - EPS4),
-                ],
+            s.raise_dummy(
+                3,
+                [3, 1, 2],
+                tv(w),
                 "raise player 3's dummy to the certificate makespan",
-                _l3(3, f1=[1, 2]),
             )
             s.finish_ratio(Allocation([2, 1, 3, 1]), (2 + w) / w)
         s.branch("the raised job escaped to player 1")
@@ -284,9 +254,5 @@ def square4(s, w):
 
 def _boost_player1(s, w, certificate):
     """Player 1 holds the priced job: boost his dummy and claim 1 + w."""
-    s.apply(
-        [(1, 4, tv(1)), (1, 2, tv(w) - EPS4)],
-        "raise player 1's dummy to one",
-        _l3(1, f1=[2]),
-    )
+    s.raise_dummy(1, [4, 2], tv(1), "raise player 1's dummy to one")
     s.finish_ratio(certificate, 1 + w)

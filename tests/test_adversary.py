@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,11 @@ from mechdock.adversary.verdicts import (
     verdict_from_json_dict,
     verify_verdict,
 )
-from mechdock.exactnum import ZERO, leading_ratio
+from mechdock.exactnum import INF, ZERO, leading_ratio, tv
 from mechdock.forge import d2x2
 from mechdock.mechlib import SeededStub, make_mechanism
 from mechdock.schedmodel import Allocation, makespan
-from mechdock.wmon import _l1
+from mechdock.wmon import _l1, _l4
 
 RHO_B = Fraction(22055, 10000)
 RHO_C = Fraction(26589, 10000)
@@ -124,6 +125,67 @@ def test_failed_lemma_premise_ends_as_strategy_incomplete():
     assert verdict.step == 2 == len(transcript)
     assert verdict.diagnostic == "lemma premise fails: L1: job 1 in F1 is not held"
     assert "expectation" not in transcript[-1]
+
+
+def _raise_a_missing_dummy(s):
+    s.bootstrap(d2x2(), "two-player square")
+    s.raise_dummy(1, [1], tv(1), "raise a dummy player 1 lacks")
+
+
+def _price_out_a_held_job(s):
+    s.bootstrap(d2x2(), "two-player square")
+    s.price_out(1, [1], "price player 1 out of a held job")
+
+
+def _only_bootstrap(s):
+    s.bootstrap(d2x2(), "two-player square")
+
+
+def _break_a_prediction_on_a_monotone_pair(s):
+    # L1's forbidden job 1 stays away from player 2, but the added one-of
+    # on job 2 fails; raising a job the player does not get is monotone.
+    s.bootstrap(d2x2(), "two-player square")
+    lemma = replace(_l1(2, f2=[1]), one_of=((2,),))
+    s.apply([(2, 1, 2)], "raise player 2's job 1", lemma)
+
+
+def _break_a_prediction_on_an_unevaluable_pair(s):
+    # Job 2 moves off player 1 as its cost becomes infinite, so the pair's
+    # monotonicity sum has a term mixing an infinite and a finite cost.
+    s.bootstrap(d2x2(), "two-player square")
+    lemma = replace(_l4(1, j1=1, j2=2), one_of=((2,),))
+    edits = [(1, 1, Fraction(1, 2)), (1, 2, INF)]
+    s.apply(edits, "lower job 1, price out job 2", lemma)
+
+
+@pytest.mark.parametrize(
+    "script, step, diagnostic",
+    [
+        (
+            _raise_a_missing_dummy,
+            2,
+            "lemma premise fails: L3: player has no dummy job",
+        ),
+        (_price_out_a_held_job, 2, "lemma premise fails: L1: job 1 in F2 is held"),
+        (_only_bootstrap, 1, "strategy script ended without a verdict"),
+        (
+            _break_a_prediction_on_a_monotone_pair,
+            2,
+            "player 2 was predicted to get one of [2] yet the pair is weakly "
+            "monotone",
+        ),
+        (
+            _break_a_prediction_on_an_unevaluable_pair,
+            2,
+            "prediction failed but the pair is unevaluable: mixed infinite/finite "
+            "term with flipped assignment at job 2",
+        ),
+    ],
+)
+def test_engine_failure_paths_end_as_strategy_incomplete(script, step, diagnostic):
+    verdict, transcript = run(script, make_mechanism("minwork"))
+    assert verdict == StrategyIncomplete(step=step, diagnostic=diagnostic)
+    assert len(transcript) == step
 
 
 def test_strategy_incomplete_round_trips_through_json():

@@ -215,6 +215,14 @@ def test_flags_the_strategy_or_construction_does_not_take_are_usage_errors(
     assert main(argv + ["--kc", "1"]) == 2
 
 
+def test_a_rational_flag_with_a_zero_denominator_is_a_usage_error(capsys):
+    argv = ["attack", "--strategy", "s3x3", "--mechanism", "minwork"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--a", "1/0"])
+    assert exc.value.code == 2
+    assert "bad rational '1/0'" in capsys.readouterr().err
+
+
 def test_attack_infeasible_parameters_are_a_usage_error(capsys):
     # a = 199/100 at r = 3 pushes b_1 below its floor: the parameters are
     # wrong, the mechanism is never queried.
@@ -598,6 +606,11 @@ VERIFY_DEFECTS = {
         "minwork",
         _set(["kind"], "Bogus"),
         "malformed report: unknown verdict kind 'Bogus'",
+    ),
+    "instance-dimensions": (
+        "minwork",
+        _set(["instance", "n"], 3),
+        "malformed report: instance dimensions disagree with matrix",
     ),
 }
 
