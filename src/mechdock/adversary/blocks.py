@@ -24,7 +24,7 @@ from ..wmon import _l2, _l4
 
 
 def block_chain(s, a, r, kc):
-    p = MainParams.from_alpha(a, r, kc)
+    p = MainParams(a, r, kc)
     s.bootstrap(build_main(p), f"block chain r={p.r} k_c={p.k_c}")
     transitioned = {}
     i_prev = 0
@@ -114,13 +114,12 @@ def _reference_cert(s, p, transitioned, overrides=None):
 def _semi_dummy_defection(s, p, i1, q, jm, transitioned):
     """The co-player took the block's first job but not his trivial one."""
     j1 = p.block_jobs(i1)[0]
-    a = Fraction(p.a)
     s.branch(f"block {i1}: player {q} split the pair")
     s.squeeze(q, [j1], [jm], "zero the co-player's first job, raise his trivial one")
     s.raise_dummy(
         1,
         _held_nontrivial(s, p) + [p.dummy_job(1)],
-        tv(a**-i1),
+        tv(p.a**-i1),
         "raise player 1's dummy to the certificate makespan",
     )
     cert = _reference_cert(s, p, transitioned, overrides={j1: q, jm: q})
@@ -128,13 +127,12 @@ def _semi_dummy_defection(s, p, i1, q, jm, transitioned):
 
 
 def _transition(s, p, i1, q, jm, variant, transitioned):
-    a = Fraction(p.a)
     j1 = p.block_jobs(i1)[0]
     other = p.block_coplayers(i1)[1] if variant == "E1" else p.block_coplayers(i1)[0]
     s.branch(f"block {i1}: {variant} against player {q}")
     # step 1: the co-player's trivial job is raised to his first-job price
     s.apply(
-        [(q, jm, tv(a ** -(i1 - 1))), (q, j1, s.T.cost(q, j1) - EPS4)],
+        [(q, jm, tv(p.a ** -(i1 - 1))), (q, j1, s.T.cost(q, j1) - EPS4)],
         f"transition step 1 on block {i1}",
         _l4(q, j1=j1, j2=jm),
     )
@@ -143,19 +141,19 @@ def _transition(s, p, i1, q, jm, variant, transitioned):
         s.raise_dummy(
             q,
             [p.dummy_job(q), j1, jm],
-            tv(2 * a**-i1),
+            tv(2 * p.a**-i1),
             "raise the co-player's dummy to the certificate makespan",
         )
         cert = _reference_cert(
             s, p, transitioned, overrides={jm: 1, j1: other}
         )
-        s.finish_ratio(cert, 1 + a)
+        s.finish_ratio(cert, 1 + p.a)
     s.branch("player 1 took the raised job")
     # step 2: player 1's prices for the pair drop
-    c_cost = transition_second_cost(a, i1, p.b[i1 - 1])
-    first_arm = c_cost != tv(a**-i1)
+    c_cost = transition_second_cost(p.a, i1, p.b[i1 - 1])
+    first_arm = c_cost != tv(p.a**-i1)
     s.apply(
-        [(1, j1, tv(a**-i1)), (1, jm, c_cost)],
+        [(1, j1, tv(p.a**-i1)), (1, jm, c_cost)],
         f"transition step 2 on block {i1}",
         _l2(1, j=jm, k=j1),
     )
@@ -178,7 +176,6 @@ def _transition(s, p, i1, q, jm, variant, transitioned):
 def _single_keeper(s, p, i1, kept, missing, transitioned):
     """Player 1 kept one of the transitioned pair: corner whoever has the
     other and claim 1 + a."""
-    a = Fraction(p.a)
     s.branch(f"player 1 kept only job {kept}")
     s.squeeze(1, [kept], [missing], "zero the kept job, pin the missing one away")
     w = s.x.owner_of(missing)
@@ -190,18 +187,17 @@ def _single_keeper(s, p, i1, kept, missing, transitioned):
     s.raise_dummy(
         w,
         [p.dummy_job(w), missing],
-        tv(a**-i1),
+        tv(p.a**-i1),
         "raise that co-player's dummy to the certificate makespan",
     )
     cert = _reference_cert(
         s, p, transitioned, overrides={kept: 1, missing: 1}
     )
-    s.finish_ratio(cert, 1 + a)
+    s.finish_ratio(cert, 1 + p.a)
 
 
 def _chain_defection(s, p, t, transitioned):
     """The t-th chain job escaped player 1: corner its co-player."""
-    a = Fraction(p.a)
     cj = p.chain_job(t)
     co = p.chain_coplayer(t)
     s.branch(f"chain job {t} escaped player 1")
@@ -214,19 +210,18 @@ def _chain_defection(s, p, t, transitioned):
     s.raise_dummy(
         co,
         [p.dummy_job(co), cj],
-        tv(a ** -(p.r + t)),
+        tv(p.a ** -(p.r + t)),
         "raise the chain co-player's dummy",
     )
     cert = _reference_cert(s, p, transitioned, overrides={cj: 1})
-    s.finish_ratio(cert, 1 + a)
+    s.finish_ratio(cert, 1 + p.a)
 
 
 def _terminal_concession(s, p, transitioned):
     """Player 1 holds every non-trivial job: raise his dummy and claim the
     certified parameter bound."""
-    a = Fraction(p.a)
     k = max(transitioned) if transitioned else 0
-    gamma = tv(a ** -(k - 1)) if k else tv(1)
+    gamma = tv(p.a ** -(k - 1)) if k else tv(1)
     s.branch("player 1 holds all non-trivial jobs")
     s.raise_dummy(
         1,

@@ -6,8 +6,7 @@ its strategy: against the rebuilt mechanism for a built-in selector, and
 against the answers its transcript recorded for an `extern:` one.
 
 All stored numbers are exact grammar strings; decimals are rendered for
-display only. Exit codes: 0 success / sound verdict, 1 verification
-failure, 2 usage error, 3 incomplete strategy, 4 mechanism failure.
+display only. EPILOG, printed by --help, lists the exit codes.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .forge import (
     solve_best_a,
 )
 from .mechlib import RecordedAnswers, make_mechanism
-from .schedmodel import MechanismError, json_text
+from .schedmodel import DEFAULT_TIMEOUT_MS, TIMEOUT_ENV_VAR, MechanismError, json_text
 from .wmon import FuzzSpec, exhaustive_pairs, fuzz
 
 # Certified reference points: block count -> published ratio (a = ratio - 1).
@@ -79,10 +78,22 @@ def _set_params(args, specs):
     return {name: v for name, v in values.items() if v is not None}
 
 
+EPILOG = f"""exit codes:
+  0 success or a sound verdict, 1 verification failure, 2 usage error,
+  3 incomplete strategy, 4 mechanism failure
+
+environment:
+  {TIMEOUT_ENV_VAR}: per-query timeout of an extern: mechanism in ms;
+  a negative or non-integer value means the default, {DEFAULT_TIMEOUT_MS}
+"""
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mechdock",
         description="Adversarial testbed for truthful scheduling mechanisms.",
+        epilog=EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # A flag's prefix is a usage error, not that flag.
@@ -184,23 +195,20 @@ TOP_NOTE = " (bracket top certifies; the optimum may lie above)"
 
 def _bound_rows(r_values, kc, optimize, tol):
     """A row per r at its reference ratio, then (with optimize, or for r
-    without a reference ratio) a row at the optimizer's best a. Each row
-    ends with the note its printed line carries: the optimizer's a is only
-    a lower end of the optimum when it is the bracket top."""
+    without a reference ratio) a row at the optimizer's best a: (params,
+    bound or "" when infeasible, note). The note says the optimizer's a is
+    only a lower end of the optimum when it is the bracket top."""
     rows = []
     for r in r_values:
         k_c = kc if kc is not None else r
         if r in REFERENCE_RATIOS:
-            p = MainParams.from_alpha(REFERENCE_RATIOS[r] - 1, r, k_c)
-            feasible = feasibility_defect(p) is None
-            bound = certified_bound(p) if feasible else ""
-            rows.append((r, p.n, k_c, p.a, bound, feasible, ""))
+            p = MainParams(REFERENCE_RATIOS[r] - 1, r, k_c)
+            bound = certified_bound(p) if feasibility_defect(p) is None else ""
+            rows.append((p, bound, ""))
             if not optimize:
                 continue
-        a, bound = solve_best_a(r, k_c, *BRACKET, tol)
-        note = TOP_NOTE if a == BRACKET[1] else ""
-        n = MainParams.from_alpha(a, r, k_c).n
-        rows.append((r, n, k_c, a, bound, True, note))
+        p = solve_best_a(r, k_c, *BRACKET, tol)
+        rows.append((p, 1 + p.a, TOP_NOTE if p.a == BRACKET[1] else ""))
     return rows
 
 
@@ -218,10 +226,11 @@ def cmd_bounds(args):
         print(f"bounds failed: {exc}", file=sys.stderr)
         return 2
     lines = ["r,n,k_c,a,bound,feasible"]
-    for r, n, k_c, a, bound, feasible, note in rows:
-        lines.append(f"{r},{n},{k_c},{a},{bound},{str(feasible).lower()}")
+    for p, bound, note in rows:
+        feasible = str(bound != "").lower()
+        lines.append(f"{p.r},{p.n},{p.k_c},{p.a},{bound},{feasible}")
         shown = _decimal(bound) if bound != "" else "-"
-        print(f"r={r} n={n} k_c={k_c} a={_decimal(a)} bound={shown}{note}")
+        print(f"r={p.r} n={p.n} k_c={p.k_c} a={_decimal(p.a)} bound={shown}{note}")
     return _write(args.out, "\n".join(lines), f"wrote {args.out}") if args.out else 0
 
 

@@ -4,14 +4,14 @@ construction per strategy, their parameter table, and the parameter engine.
 The block-chain construction consists of r three-job blocks (non-trivial
 first job priced b_i for player 1, two trivial companion jobs), a chain of
 k_c two-player jobs whose co-player always pays a times player 1's cost,
-and one dummy job per player. The engine solves the backward recurrence
-fixing the b_i, checks feasibility, certifies the resulting approximation
-ratio bound, and searches for the best scale factor a.
+and one dummy job per player. From (a, r, k_c) alone the engine solves
+the backward recurrence fixing the b_i; it checks feasibility, certifies
+the resulting approximation ratio bound, and searches for the best a.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import EPS1, EPS2, EPS3, EPS4, INF, tv
@@ -29,7 +29,8 @@ class FeasibilityError(ForgeError):
 
 def z_sum(a, r, k_c):
     """Chain weight on player 1's row: sum of a^-j for j = r+1 .. r+k_c,
-    in the closed geometric form a^-r (1 - a^-k_c) / (a - 1)."""
+    in the closed geometric form a^-r (1 - a^-k_c) / (a - 1). Only the
+    compute_b_closed oracle and the tests use it; compute_b sums z itself."""
     a = Fraction(a)
     return a**-r * (1 - a**-k_c) / (a - 1)
 
@@ -82,29 +83,22 @@ def compute_b_closed(a, r, k_c, k):
 
 @dataclass(frozen=True)
 class MainParams:
-    """Parameters of the block-chain construction."""
+    """Parameters of the block-chain construction, built from (a, r, k_c)
+    alone: b and z are compute_b's block prices and chain weight."""
 
     a: Fraction
     r: int
     k_c: int
-    b: tuple
-    z: Fraction
+    b: tuple = field(init=False)
+    z: Fraction = field(init=False)
 
     def __post_init__(self):
+        b, z = compute_b(self.a, self.r, self.k_c)
         a = Fraction(self.a)
-        if not (a * a > 2 and a < 2):
+        if a * a <= 2:
             raise ForgeError(f"a={a} outside (sqrt 2, 2)")
-        _check_shape(self.r, self.k_c)
-        if len(self.b) != self.r:
-            raise ForgeError("one block price per block required")
-        if Fraction(self.z) != z_sum(a, self.r, self.k_c):
-            raise ForgeError("z disagrees with the chain sum")
-
-    @classmethod
-    def from_alpha(cls, a, r, k_c):
-        a = Fraction(a)
-        b, z = compute_b(a, r, k_c)
-        return cls(a=a, r=r, k_c=k_c, b=b, z=z)
+        for name, value in (("a", a), ("b", b), ("z", z)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -148,19 +142,18 @@ def check_feasible(p):
 def build_main(p):
     """The full n-player block-chain instance with a dummy job per player."""
     check_feasible(p)
-    a = Fraction(p.a)
     cols = [{} for _ in range(p.m)]
     for i in range(1, p.r + 1):
         j1, j2, j3 = p.block_jobs(i)
         lo, hi = p.block_coplayers(i)
-        first, companion = a ** -(i - 1), 2 * a**-i
+        first, companion = p.a ** -(i - 1), 2 * p.a**-i
         cols[j1 - 1] = {1: p.b[i - 1], lo: first, hi: first}
         cols[j2 - 1] = {1: companion, lo: EPS1}
         cols[j3 - 1] = {1: companion, hi: EPS1}
     for t in range(1, p.k_c + 1):
         cols[p.chain_job(t) - 1] = {
-            1: a ** -(p.r + t),
-            p.chain_coplayer(t): a ** -(p.r + t - 1),
+            1: p.a ** -(p.r + t),
+            p.chain_coplayer(t): p.a ** -(p.r + t - 1),
         }
     dummy_of = {}
     for q in range(1, p.n + 1):
@@ -182,6 +175,8 @@ def d2x2():
 
 def e3x3(a, b, c):
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    if a <= 0:
+        raise ForgeError("3x3 construction needs a > 0")
     if not a < b < c:
         raise ForgeError("3x3 construction needs a < b < c")
     return Instance([[INF, c, EPS1], [b, INF, INF], [a, b, EPS2]])
@@ -245,7 +240,7 @@ def resolve_params(params, given):
 
 def build_an(a, r, kc):
     """The block-chain instance for scale factor a, r blocks, kc chain jobs."""
-    return build_main(MainParams.from_alpha(a, r, kc))
+    return build_main(MainParams(a, r, kc))
 
 
 # Each construction is the instance of one strategy: "an" of main, "d2x2"
@@ -292,13 +287,12 @@ def bound_arms(p):
     V_k = (a^-(k-1) + a^-k + max(3 a^-k - b_k, a^-k) + sum(b[k:]) + z)
     / a^-(k-1); one backward pass carries the suffix sum plus z.
     """
-    a = Fraction(p.a)
-    base, rest = 1 + 1 / a, p.z
+    base, rest = 1 + 1 / p.a, p.z
     vks = [None] * p.r
     for k in range(p.r, 0, -1):
-        ak = a**-k
+        ak = p.a**-k
         second = max(3 * ak - p.b[k - 1], ak)
-        vks[k - 1] = base + (second + rest) * a ** (k - 1)
+        vks[k - 1] = base + (second + rest) * p.a ** (k - 1)
         rest += p.b[k - 1]
     return 1 + rest, vks
 
@@ -308,19 +302,20 @@ def certified_bound(p):
     is guaranteed to reach with these parameters."""
     check_feasible(p)
     v0, vks = bound_arms(p)
-    return min([1 + Fraction(p.a), v0] + vks)
+    return min([1 + p.a, v0] + vks)
 
 
-def _certifies_one_plus_a(a, r, k_c):
+def _certified_one_plus_a(a, r, k_c):
+    """The parameters at a when they certify the full 1 + a, else None."""
     try:
-        p = MainParams.from_alpha(a, r, k_c)
-        return certified_bound(p) == 1 + p.a
+        p = MainParams(a, r, k_c)
+        return p if certified_bound(p) == 1 + p.a else None
     except ForgeError:
-        return False
+        return None
 
 
 def solve_best_a(r, k_c, lo, hi, tol):
-    """Largest a in [lo, hi] whose parameters certify the full 1 + a bound.
+    """Parameters at the largest a in [lo, hi] certifying the full 1 + a.
 
     The certified bound equals 1 + a exactly while the terminal arms stay
     above it; past the crossing it degrades, so maximizing the bound means
@@ -332,24 +327,21 @@ def solve_best_a(r, k_c, lo, hi, tol):
         raise ForgeError("tolerance must be positive")
     if not lo < hi:
         raise ForgeError("empty bracket")
-    if _certifies_one_plus_a(hi, r, k_c):
-        p = MainParams.from_alpha(hi, r, k_c)
-        return hi, certified_bound(p)
     steps = 32
-    good = None
+    step = (hi - lo) / steps
     for idx in range(steps, -1, -1):
-        cand = lo + (hi - lo) * idx / steps
-        if _certifies_one_plus_a(cand, r, k_c):
-            good = cand
+        good = _certified_one_plus_a(lo + step * idx, r, k_c)
+        if good is not None:
             break
-    if good is None:
+    else:
         raise ForgeError("no feasible scale factor in the bracket")
-    bad = good + (hi - lo) / steps
-    while bad - good > tol:
-        mid = (good + bad) / 2
-        if _certifies_one_plus_a(mid, r, k_c):
-            good = mid
-        else:
+    # Bisect up to the failed grid point above good, if there is one.
+    bad = min(good.a + step, hi)
+    while bad - good.a > tol:
+        mid = (good.a + bad) / 2
+        p = _certified_one_plus_a(mid, r, k_c)
+        if p is None:
             bad = mid
-    p = MainParams.from_alpha(good, r, k_c)
-    return good, certified_bound(p)
+        else:
+            good = p
+    return good

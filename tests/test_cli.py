@@ -58,6 +58,21 @@ def test_gen_bad_scale_factor(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("a", ["0", "-1"])
+def test_a_nonpositive_3x3_scale_is_a_usage_error(a, tmp_path, capsys):
+    # it used to escape as a ModelError traceback, end StrategyIncomplete,
+    # or (gen at a = 0) write an instance
+    message = "3x3 construction needs a > 0\n"
+    out = tmp_path / "e.json"
+    assert main(["gen", "--construction", "e3x3", "--a", a, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"cannot build instance: {message}"
+    assert not out.exists()
+    for mechanism in ("minwork", "activestub:1"):
+        argv = ["attack", "--strategy", "s3x3", "--mechanism", mechanism, "--a", a]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"bad parameters: {message}"
+
+
 def test_attack_3x3_summary(tmp_path, capsys):
     report = tmp_path / "r.json"
     rc = main(
@@ -283,6 +298,13 @@ def test_bounds_rejects_a_tolerance_that_is_not_positive(capsys):
         assert capsys.readouterr().err == "bounds failed: tolerance must be positive\n"
 
 
+def test_bounds_names_a_bracket_without_a_certifying_scale(capsys):
+    # r = 1's best a, near the golden ratio 1.618, lies below 17/10
+    assert main(["bounds", "--r-list", "1", "--optimize"]) == 2
+    err = capsys.readouterr().err
+    assert err == "bounds failed: no feasible scale factor in the bracket\n"
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -375,6 +397,21 @@ def test_wmon_bad_shape_or_trials_is_a_usage_error(flags, message, exhaustive, c
 
 def test_verify_missing_file(tmp_path):
     assert main(["verify", "--report", str(tmp_path / "none.json")]) == 1
+
+
+def test_help_names_the_exit_codes_and_the_timeout_variable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert (
+        "exit codes: 0 success or a sound verdict, 1 verification failure,"
+        " 2 usage error, 3 incomplete strategy, 4 mechanism failure"
+    ) in out
+    assert (
+        "MECHDOCK_TIMEOUT_MS: per-query timeout of an extern: mechanism in ms;"
+        " a negative or non-integer value means the default, 10000"
+    ) in out
 
 
 def test_usage_error_exit_code():

@@ -4,6 +4,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mechdock import forge
 from mechdock.exactnum import EPS1, EPS2, EPS3, EPS4, INF, tv
 from mechdock.forge import (
     CONSTRUCTIONS,
@@ -109,7 +110,7 @@ def test_parameter_engine_matches_exact_references(a, r, k_c):
     b, z = compute_b(a, r, k_c)
     assert list(b) == [compute_b_closed(a, r, k_c, k) for k in range(1, r + 1)]
     assert z == z_sum(a, r, k_c) == z_sum_reference(a, r, k_c)
-    p = MainParams.from_alpha(a, r, k_c)
+    p = MainParams(a, r, k_c)
     v0, vks = bound_arms(p)
     assert (v0, vks) == bound_arms_reference(p)
     k = feasibility_defect(p)
@@ -124,15 +125,17 @@ def test_parameter_engine_matches_exact_references(a, r, k_c):
 
 def test_main_params_validation():
     with pytest.raises(ForgeError):
-        MainParams.from_alpha(Fraction(14, 10), 3, 3)  # below sqrt 2
+        MainParams(Fraction(14, 10), 3, 3)  # below sqrt 2
     with pytest.raises(ForgeError):
-        MainParams.from_alpha(Fraction(2), 3, 3)
-    with pytest.raises(ForgeError):
-        MainParams(a=Fraction(18, 10), r=1, k_c=1, b=(Fraction(1),), z=Fraction(0))
+        MainParams(Fraction(2), 3, 3)
+    # b and z are derived from (a, r, k_c) alone
+    p = MainParams("18/10", 2, 1)
+    assert p.a == Fraction(18, 10) and isinstance(p.a, Fraction)
+    assert (p.b, p.z) == compute_b(Fraction(18, 10), 2, 1)
 
 
 def test_build_main_example_row():
-    p = MainParams.from_alpha(Fraction(18736, 10000), 3, 3)
+    p = MainParams(Fraction(18736, 10000), 3, 3)
     T = build_main(p)
     assert (T.n, T.m) == (10, 22)
     printed = [
@@ -148,7 +151,7 @@ def test_build_main_example_row():
 
 
 def test_build_main_structure():
-    p = MainParams.from_alpha(Fraction(9, 5), 2, 2)
+    p = MainParams(Fraction(9, 5), 2, 2)
     T = build_main(p)
     assert (T.n, T.m) == (7, 15)
 
@@ -178,18 +181,16 @@ def test_build_main_structure():
 
 def test_build_main_degenerate_chain():
     # an empty chain needs a <= sqrt(3) for the single block price to clear
-    p = MainParams.from_alpha(Fraction(17, 10), 1, 0)
+    p = MainParams(Fraction(17, 10), 1, 0)
     T = build_main(p)
     assert (T.n, T.m) == (3, 6)
     with pytest.raises(FeasibilityError):
-        build_main(MainParams.from_alpha(Fraction(9, 5), 1, 0))
+        build_main(MainParams(Fraction(9, 5), 1, 0))
 
 
 def test_build_main_checks_feasibility():
-    # hand-built infeasible b
-    a, r, k_c = Fraction(19, 10), 3, 3
-    z = z_sum(a, r, k_c)
-    p = MainParams(a=a, r=r, k_c=k_c, b=(a**-1, a**-2, a**-3 / 2), z=z)
+    # without a chain the last block price falls below its floor a^-3
+    p = MainParams(Fraction(9, 5), 3, 0)
     assert feasibility_defect(p) == 3
     with pytest.raises(FeasibilityError):
         build_main(p)
@@ -211,8 +212,11 @@ def test_small_builders():
     E = e3x3(1, Fraction(22055, 10000), Fraction(26589, 10000))
     assert [E.cost(2, j) for j in E.jobs()] == [tv(Fraction(22055, 10000)), INF, INF]
     assert E.cost(1, 3) == EPS1 and E.cost(3, 3) == EPS2
-    with pytest.raises(ForgeError):
+    with pytest.raises(ForgeError, match="needs a < b < c"):
         e3x3(2, 1, 3)
+    for a in (0, -1):
+        with pytest.raises(ForgeError, match="3x3 construction needs a > 0"):
+            e3x3(a, 2, 3)
 
     F = f3x4(Fraction(141421, 100000))
     assert F.cost(1, 4) == EPS4
@@ -243,13 +247,13 @@ def test_resolve_params_names_every_missing_and_unknown_parameter():
 
 
 def test_certified_bound_reference_points():
-    p = MainParams.from_alpha(Fraction(1873, 1000), 3, 3)
+    p = MainParams(Fraction(1873, 1000), 3, 3)
     assert abs(float(certified_bound(p)) - 2.873) < 0.005
 
-    p = MainParams.from_alpha(Fraction(18019, 10000), 1, 60)
+    p = MainParams(Fraction(18019, 10000), 1, 60)
     assert certified_bound(p) >= Fraction(28018, 10000)
 
-    p = MainParams.from_alpha(Fraction(1618, 1000), 1, 60)
+    p = MainParams(Fraction(1618, 1000), 1, 60)
     v0, vks = bound_arms(p)
     assert certified_bound(p) == 1 + Fraction(1618, 1000)  # the 1+a arm binds
     assert v0 > Fraction(38, 10)
@@ -259,7 +263,7 @@ def test_v_arms_match_one_plus_a_when_recurrence_binds():
     # wherever b_k <= 2 a^-k the recurrence equalizes the arm to exactly 1+a
     for a in (Fraction(1873, 1000), Fraction(9, 5)):
         for r in (2, 3, 5):
-            p = MainParams.from_alpha(a, r, r)
+            p = MainParams(a, r, r)
             _, vks = bound_arms(p)
             for k in range(1, r + 1):
                 if p.b[k - 1] <= 2 * a**-k:
@@ -294,14 +298,32 @@ def test_poly_roots():
 
 
 def test_solve_best_a():
-    a_star, bound = solve_best_a(3, 3, Fraction(17, 10), Fraction(199, 100), Fraction(1, 10**4))
-    assert bound >= Fraction(2873, 1000) - Fraction(1, 1000)
-    assert bound == 1 + a_star
+    p = solve_best_a(3, 3, Fraction(17, 10), Fraction(199, 100), Fraction(1, 10**4))
+    assert p == MainParams(p.a, 3, 3)
+    assert certified_bound(p) == 1 + p.a >= Fraction(2873, 1000) - Fraction(1, 1000)
     # at r=1 with a long chain the boundary is the single-block cubic root
-    a_star, _ = solve_best_a(1, 60, Fraction(17, 10), Fraction(199, 100), Fraction(1, 10**5))
-    assert abs(float(a_star) - 1.80194) < 1e-3
-    with pytest.raises(ForgeError):
+    p = solve_best_a(1, 60, Fraction(17, 10), Fraction(199, 100), Fraction(1, 10**5))
+    assert abs(float(p.a) - 1.80194) < 1e-3
+    with pytest.raises(ForgeError, match="no feasible scale factor in the bracket"):
         solve_best_a(3, 3, Fraction(199, 100), Fraction(1999, 1000), Fraction(1, 100))
+    for hi in (Fraction(17, 10), Fraction(16, 10)):
+        with pytest.raises(ForgeError, match="empty bracket"):
+            solve_best_a(3, 3, Fraction(17, 10), hi, Fraction(1, 100))
+
+
+@pytest.mark.parametrize("r, calls", [(36, 1), (5, 15)])
+def test_solve_best_a_certifies_each_candidate_once(r, calls, monkeypatch):
+    # r = 36 certifies at the bracket top; r = 5 scans and then bisects
+    counted = []
+
+    def counting(p):
+        counted.append(p.a)
+        return certified_bound(p)
+
+    monkeypatch.setattr(forge, "certified_bound", counting)
+    p = solve_best_a(r, r, Fraction(17, 10), Fraction(199, 100), Fraction(1, 10**4))
+    assert len(counted) == len(set(counted)) == calls
+    assert p.a in counted
 
 
 def test_solve_best_a_rejects_a_tolerance_that_is_not_positive():

@@ -175,6 +175,26 @@ WMON_DIGESTS = {
 }
 
 
+# bounds runs whose printed rows and --out CSV are pinned below. The second
+# run's reference row is infeasible: its bound is "-" and its CSV row ends
+# ",,false".
+BOUNDS_RUNS = {
+    "optimize": ["--r-list", "3,4,5,10,30,36,100", "--optimize"],
+    "infeasible-reference": ["--r-list", "3", "--kc", "0", "--optimize"],
+}
+
+BOUNDS_DIGESTS = {
+    "optimize": (
+        "89ab942f66e46ee795387492bc1cf0e17ff886b31cf226c81c5423aba02513c0",
+        "a8024dadba9c31dd2277774ae28c968199e320c3aa51f1d29fdb35425b4e5814",
+    ),
+    "infeasible-reference": (
+        "1d68425f65c47d44df7caede28429d80586cb1caa3fe89481686beeb07abf0d9",
+        "dc658a8fe2737a96cdd6a5880bed143f2d06bbac9d4955de8eff2ef8d74b48c7",
+    ),
+}
+
+
 def _selectors(strategy):
     players = 2 if strategy == "s2x2" else 3
     return (
@@ -300,3 +320,18 @@ def test_wmon_out_files_match_golden_digests(tmp_path):
         assert main(argv) == 0
         got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == WMON_DIGESTS
+
+
+def test_bounds_output_matches_golden_digests(tmp_path, capsys):
+    """(stdout before the closing "wrote" line, CSV file) per run."""
+    got = {}
+    for name, flags in BOUNDS_RUNS.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(["bounds", *flags, "--out", str(out)]) == 0
+        *rows, wrote = capsys.readouterr().out.splitlines(keepends=True)
+        assert wrote == f"wrote {out}\n"
+        got[name] = (
+            hashlib.sha256("".join(rows).encode()).hexdigest(),
+            hashlib.sha256(out.read_bytes()).hexdigest(),
+        )
+    assert got == BOUNDS_DIGESTS

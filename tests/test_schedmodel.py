@@ -61,7 +61,7 @@ def makespan_oracle(T, x):
 def test_makespan_matches_the_per_job_oracle():
     rng = random.Random(36)
     # the r=36 chain: block prices over many large denominators
-    instances = [build_main(MainParams.from_alpha(Fraction(1989, 1000), 36, 36))] * 20
+    instances = [build_main(MainParams(Fraction(1989, 1000), 36, 36))] * 20
     cells = ["inf", "0", "1", "1/3", "2-1e1", "1e1+1/7e2", "5/6+1e3", "1e2"]
     for _ in range(500):
         n, m = rng.randint(1, 4), rng.randint(1, 8)
@@ -260,7 +260,7 @@ def test_external_mechanism_unread_request_times_out(monkeypatch):
     # The request is far larger than a pipe buffer and the child never reads
     # it, so the write itself must give up at the query's deadline.
     monkeypatch.setenv("MECHDOCK_TIMEOUT_MS", "500")
-    T = build_main(MainParams.from_alpha(Fraction(199, 100), 36, 36))
+    T = build_main(MainParams(Fraction(199, 100), 36, 36))
     assert len(T.to_json_line()) > 200_000
     mech = ExternalMechanism([sys.executable, "-c", "import time; time.sleep(4)"])
     try:
@@ -520,7 +520,7 @@ def test_to_json_line_orders_dummy_players_as_strings():
 
 def test_to_json_line_of_the_r36_chain():
     a = Fraction(199, 100) - Fraction(3, 10**4)
-    T = build_main(MainParams.from_alpha(a, 36, 36))
+    T = build_main(MainParams(a, 36, 36))
     assert (T.n, T.m) == (109, 253)
     line = T.to_json_line()
     assert line == _compact_dump(T)
