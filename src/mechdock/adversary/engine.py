@@ -110,9 +110,9 @@ class Session:
     def squeeze(self, player, zero, nudge, note):
         """The L1 step on one player: set each job of `zero` to 0, then
         halve each job of `nudge` the player holds and raise each other
-        one, doubling an infinitesimal cost and adding EPS4 to a cost with
-        a standard part. L1 predicts the player keeps the zeroed and halved
-        jobs and gets none of the raised ones."""
+        one, adding EPS4 to a cost with a standard part and doubling any
+        other (an infinite cost stays infinite). L1 predicts the player
+        keeps the zeroed and halved jobs and gets none of the raised ones."""
         held, raised, edits = list(zero), [], [(player, j, ZERO) for j in zero]
         for j in nudge:
             t = self.T.cost(player, j)
@@ -121,18 +121,20 @@ class Session:
                 edits.append((player, j, t * Fraction(1, 2)))
             else:
                 raised.append(j)
-                edits.append((player, j, t + EPS4 if t.standard_part() else 2 * t))
+                standard = t.finite and t.standard_part()
+                edits.append((player, j, t + EPS4 if standard else 2 * t))
         self.apply(edits, note, _l1(player, f1=held, f2=raised))
 
     def price_out(self, player, jobs, note, dummy_of=None):
         """The L1 price-out on one player: raise each job of `jobs`, adding
-        EPS4 to a cost with a standard part and making an infinitesimal one
-        infinite. L1 predicts the player gets none of them; `dummy_of`
-        declares the dummy jobs of the edited instance."""
+        EPS4 to a cost with a standard part and making any other infinite.
+        L1 predicts the player gets none of them; `dummy_of` declares the
+        dummy jobs of the edited instance."""
         edits = []
         for j in jobs:
             t = self.T.cost(player, j)
-            edits.append((player, j, t + EPS4 if t.standard_part() else INF))
+            standard = t.finite and t.standard_part()
+            edits.append((player, j, t + EPS4 if standard else INF))
         self.apply(edits, note, _l1(player, f2=jobs), dummy_of=dummy_of)
 
     def raise_dummy(self, player, jobs, value, note):

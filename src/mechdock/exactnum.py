@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 LT, EQ, GT = -1, 0, 1
 
@@ -30,21 +30,9 @@ class ParseError(ExactNumError):
     pass
 
 
-class _Unbounded:
-    """Sentinel for a ratio whose numerator lives at a coarser tier."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Unbounded"
-
-
-UNBOUNDED = _Unbounded()
+# A ratio whose numerator lives at a coarser tier. It is only compared,
+# and a Fraction compares exactly with it.
+UNBOUNDED = inf
 
 
 class TieredValue:
@@ -95,16 +83,10 @@ class TieredValue:
         return v
 
     @classmethod
-    def from_rational(cls, q):
-        if type(q) is not Fraction:
-            q = Fraction(q)
-        return cls._canonical(((0, q),) if q else ())
-
-    @classmethod
-    def eps(cls, tier, coeff=1):
+    def eps(cls, tier):
         if tier < 1:
             raise ExactNumError("epsilon tiers start at 1")
-        return cls({tier: Fraction(coeff)})
+        return cls({tier: 1})
 
     @property
     def finite(self):
@@ -151,9 +133,18 @@ class TieredValue:
         return tv_sum((self,), (other,))
 
     def __mul__(self, q):
+        """Scale by a rational. 0 * infinity is rejected, q < 0 needs a
+        finite value."""
         if isinstance(q, TieredValue):
             raise ExactNumError("tiered values cannot be multiplied together")
-        return tv_scale(Fraction(q), self)
+        q = Fraction(q)
+        if self.infinite:
+            if q <= 0:
+                raise ExactNumError("scaling infinity by a nonpositive rational")
+            return INF
+        if q == 0:
+            return ZERO
+        return TieredValue._canonical(tuple((t, q * c) for t, c in self._coeffs))
 
     __rmul__ = __mul__
 
@@ -194,20 +185,9 @@ def tv(x):
         return x
     if isinstance(x, str):
         return parse_value(x)
-    return TieredValue.from_rational(x)
-
-
-def tv_scale(q, v):
-    """Scale by a rational. 0 * infinity is rejected, q < 0 needs v finite."""
-    q = Fraction(q)
-    v = tv(v)
-    if v.infinite:
-        if q <= 0:
-            raise ExactNumError("scaling infinity by a nonpositive rational")
-        return INF
-    if q == 0:
-        return ZERO
-    return TieredValue._canonical(tuple((t, q * c) for t, c in v.items()))
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return TieredValue._canonical(((0, x),) if x else ())
 
 
 def tv_sum(values, minus=()):
@@ -313,8 +293,8 @@ def parse_value(text):
     reader never trusts the writer to have reduced it). When the tiers come
     strictly ascending, as in every text format_value writes, each tier has
     one term, so the terms less the zero ones are already the canonical
-    coefficients. Otherwise the terms are summed tier by tier and go through
-    the normalising constructor.
+    coefficients. Otherwise the terms are summed as one-term values with
+    tv_sum.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected string, got {type(text).__name__}")
@@ -350,10 +330,7 @@ def parse_value(text):
         pos = m.end()
     if ascending:
         return TieredValue._canonical(tuple(terms))
-    coeffs = {}
-    for t, q in terms:
-        coeffs[t] = coeffs.get(t, 0) + q
-    return TieredValue(coeffs)
+    return tv_sum([TieredValue._canonical((term,)) for term in terms])
 
 
 def format_value(v):

@@ -137,6 +137,18 @@ def _price_out_a_held_job(s):
     s.price_out(1, [1], "price player 1 out of a held job")
 
 
+def _price_out_an_infinite_cost_again(s):
+    s.bootstrap(d2x2(), "two-player square")
+    s.price_out(2, [2], "price player 2 out of job 2")
+    s.price_out(2, [2], "price player 2 out of job 2 again")
+
+
+def _squeeze_an_infinite_cost(s):
+    s.bootstrap(d2x2(), "two-player square")
+    s.price_out(2, [2], "price player 2 out of job 2")
+    s.squeeze(2, [], [2], "raise player 2's infinite job 2")
+
+
 def _only_bootstrap(s):
     s.bootstrap(d2x2(), "two-player square")
 
@@ -167,6 +179,16 @@ def _break_a_prediction_on_an_unevaluable_pair(s):
             "lemma premise fails: L3: player has no dummy job",
         ),
         (_price_out_a_held_job, 2, "lemma premise fails: L1: job 1 in F2 is held"),
+        (
+            _price_out_an_infinite_cost_again,
+            3,
+            "lemma premise fails: L1: job 2 in F2 is not strictly raised",
+        ),
+        (
+            _squeeze_an_infinite_cost,
+            3,
+            "lemma premise fails: L1: job 2 in F2 is not strictly raised",
+        ),
         (_only_bootstrap, 1, "strategy script ended without a verdict"),
         (
             _break_a_prediction_on_a_monotone_pair,

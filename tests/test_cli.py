@@ -581,6 +581,12 @@ def _set(path, value):
     return edit
 
 
+def _add_a_row_to_tprime(verdict):
+    tp = verdict["Tprime"]
+    tp["costs"].append(["1", "1"])
+    tp["n"] += 1
+
+
 # One JSON edit of a genuine s2x2 report per defect `verify` names. The
 # minwork report is a RatioWitness on [[1-1e4, 1], [1+1e4, inf]] with
 # certificate [2, 1]; dictator:2 gives a tier-gap Unbounded on
@@ -648,6 +654,16 @@ VERIFY_DEFECTS = {
         "minwork",
         _set(["instance", "n"], 3),
         "malformed report: instance dimensions disagree with matrix",
+    ),
+    "dummy-of-out-of-range": (
+        "minwork",
+        _set(["instance", "dummy_of"], {"1": 9}),
+        "malformed report: dummy_of entry out of range: 1 -> 9",
+    ),
+    "pair-shapes-differ": (
+        "stub:1",
+        _add_a_row_to_tprime,
+        "instances differ outside the cited row",
     ),
 }
 

@@ -1,6 +1,7 @@
 import inspect
 import json
 import random
+import select
 import sys
 import time
 from fractions import Fraction
@@ -205,10 +206,38 @@ def test_external_mechanism_timeout(monkeypatch):
 
 
 def test_external_mechanism_negative_timeout_uses_default(monkeypatch):
-    monkeypatch.setenv("MECHDOCK_TIMEOUT_MS", "-5")
+    # A negative or non-integer setting falls back to the 10 s default.
     mech = _extern()
     try:
-        assert mech.query(Instance([[1, 2], [3, 1]])) == Allocation([1, 2])
+        for raw in ("-5", "abc", "1.5"):
+            monkeypatch.setenv("MECHDOCK_TIMEOUT_MS", raw)
+            assert mech._timeout_s() == 10.0
+            assert mech.query(Instance([[1, 2], [3, 1]])) == Allocation([1, 2])
+    finally:
+        mech.close()
+
+
+def test_external_mechanism_query_after_the_child_exited():
+    mech = ExternalMechanism([sys.executable, "-c", "pass"])
+    try:
+        mech._proc.wait(timeout=10)
+        with pytest.raises(MechanismError, match="^mechanism process has exited$"):
+            mech.query(Instance([[1]]))
+    finally:
+        mech.close()
+
+
+def test_external_mechanism_child_that_closed_its_input_is_a_pipe_failure():
+    # The child closes stdin, says so, and stays alive. The test waits for
+    # that line without reading it, so the query's write finds no reader.
+    script = "import os, time; os.close(0); print('closed', flush=True); time.sleep(30)"
+    mech = ExternalMechanism([sys.executable, "-c", script])
+    try:
+        assert select.select([mech._proc.stdout.fileno()], [], [], 10)[0]
+        with pytest.raises(
+            MechanismError, match=r"^mechanism pipe failure: \[Errno 32\] Broken pipe$"
+        ):
+            mech.query(Instance([[1]]))
     finally:
         mech.close()
 
