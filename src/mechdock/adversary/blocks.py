@@ -7,20 +7,19 @@ times). Once player 1 holds every non-trivial block job, the chain is
 walked; any defection there, or at a block, is converted into a scripted
 certificate worth 1 + a (or 3). If the mechanism concedes everything,
 player 1's dummy is raised to the certificate makespan and the certified
-parameter bound is claimed. The steps are the Session moves the small case
-trees use: squeeze (L1 hold/raise) zeroes winnings and pins jobs away,
-and raise_dummy (L3) corners a player; only the transition's L4 and L2
-steps spell out their edits.
+parameter bound is claimed. The steps are the engine's Session moves;
+only the transition's second step, which writes target values rather
+than offsets from a held cost, spells out its edits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exactnum import EPS4, tv
+from ..exactnum import tv
 from ..forge import MainParams, build_main, certified_bound, transition_second_cost
 from ..schedmodel import Allocation
-from ..wmon import _l2, _l4
+from ..wmon import _l2
 
 
 def block_chain(s, a, r, kc):
@@ -131,11 +130,7 @@ def _transition(s, p, i1, q, jm, variant, transitioned):
     other = p.block_coplayers(i1)[1] if variant == "E1" else p.block_coplayers(i1)[0]
     s.branch(f"block {i1}: {variant} against player {q}")
     # step 1: the co-player's trivial job is raised to his first-job price
-    s.apply(
-        [(q, jm, tv(p.a ** -(i1 - 1))), (q, j1, s.T.cost(q, j1) - EPS4)],
-        f"transition step 1 on block {i1}",
-        _l4(q, j1=j1, j2=jm),
-    )
+    s.trade(q, jm, tv(p.a ** -(i1 - 1)), j1, f"transition step 1 on block {i1}")
     if s.x.assigns(q, jm):
         s.branch("co-player kept the raised pair")
         s.raise_dummy(

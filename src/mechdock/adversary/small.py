@@ -2,22 +2,19 @@
 
 Each strategy walks a finite case tree: it queries the mechanism, branches
 on the answer, edits designated entries, and terminates with a verdict.
-The case trees are written in three Session moves: squeeze (L1
-hold/raise) zeroes or halves held jobs and raises unheld ones, price_out
-(L1 price-out) raises a player's costs until a job becomes someone's
-dummy, and raise_dummy (L3) raises the cornered player's dummy while
-each job the player holds drops by an infinitesimal. The L2 undercuts,
-the L4 raises and the dominated decrease spell out their edits.
+The case trees are written in the Session moves of the engine; only
+the dominated decrease, which writes target values rather than offsets
+from a held cost, spells out its edits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exactnum import EPS1, EPS3, EPS4, tv
+from ..exactnum import EPS1, EPS4, tv
 from ..forge import d2x2, e3x3, f3x4
 from ..schedmodel import Allocation
-from ..wmon import _dd, _l2, _l4
+from ..wmon import _dd
 
 
 # -- two players, two jobs -------------------------------------------------
@@ -36,21 +33,17 @@ def square2(s):
         s.finish_tier_gap(Allocation([2, 1]))
     if s.x.assigns(1, 1):
         s.branch("player 1 holds both jobs")
-        s.price_out(2, [1, 2], "price player 2 out of both jobs", dummy_of={1: 2})
+        s.price_out(2, [1, 2], "price player 2 out of both jobs")
         s.raise_dummy(1, [1, 2], tv(1), "raise the fresh dummy to one")
         s.finish_ratio(Allocation([2, 1]), Fraction(2))
     s.branch("jobs split against the price order")
-    s.apply(
-        [(2, 1, tv(1) - 2 * EPS1), (2, 2, EPS3)],
-        "undercut player 2 on both jobs",
-        _l2(2, j=1, k=2),
-    )
+    s.undercut(2, 1, 2, "undercut player 2 on both jobs")
     if not s.x.assigns(2, 2):
         s.branch("player 1 kept job 2")
         s.squeeze(2, [1], [2], "zero player 2's held job, raise his unheld one")
         s.finish_tier_gap(Allocation([2, 2]))
     s.branch("player 2 swept both jobs")
-    s.price_out(1, [1, 2], "price player 1 out of both jobs", dummy_of={2: 2})
+    s.price_out(1, [1, 2], "price player 1 out of both jobs")
     s.raise_dummy(2, [1, 2], tv(1), "raise the fresh dummy to one")
     s.finish_ratio(Allocation([1, 2]), Fraction(2))
 
@@ -67,11 +60,7 @@ def square3(s, a, b, c):
             s.branch("player 1 holds jobs 2 and 3")
             _finish_pair_on_player1(s, b, c)
         s.branch("player 1 holds job 2, player 3 holds job 3")
-        s.apply(
-            [(1, 2, tv(c) - 2 * EPS1), (1, 3, EPS3)],
-            "undercut player 1 on jobs 2 and 3",
-            _l2(1, j=2, k=3),
-        )
+        s.undercut(1, 2, 3, "undercut player 1 on jobs 2 and 3")
         if s.x.assigns(1, 3):
             s.branch("player 1 collected job 3 as well")
             _finish_pair_on_player1(s, b, c)
@@ -95,10 +84,7 @@ def square3(s, a, b, c):
             s.finish_tier_gap(Allocation([3, 3, 3]))
         s.branch("player 3 swept all three jobs")
         s.price_out(
-            1,
-            [2, 3],
-            "price player 1 out; the cheap job becomes player 3's dummy",
-            dummy_of={3: 3},
+            1, [2, 3], "price player 1 out; the cheap job becomes player 3's dummy"
         )
         if s.x.assigns(2, 1):
             s.branch("player 2 took job 1")
@@ -113,12 +99,7 @@ def square3(s, a, b, c):
 
 def _finish_pair_on_player1(s, b, c):
     """Player 1 holds jobs 2 and 3: corner him and claim (b + c) / b."""
-    s.price_out(
-        3,
-        [3, 2],
-        "price player 3 out; job 3 becomes player 1's dummy",
-        dummy_of={1: 3},
-    )
+    s.price_out(3, [3, 2], "price player 3 out; job 3 becomes player 1's dummy")
     s.raise_dummy(
         1, [3, 2], tv(b), "raise player 1's dummy to the certificate makespan"
     )
@@ -148,11 +129,7 @@ def square4(s, w):
             s.branch("the priced job moved to player 1")
             _boost_player1(s, w, Allocation([3, 2, 2, 1]))
         s.branch("player 2 still holds jobs 1 and 2")
-        s.apply(
-            [(2, 2, tv(1)), (2, 1, tv(1) - EPS4)],
-            "raise player 2's cheap job to one",
-            _l4(2, j1=1, j2=2),
-        )
+        s.trade(2, 2, tv(1), 1, "raise player 2's cheap job to one")
         if s.x.assigns(1, 2):
             s.branch("player 2 let the raised job go")
             _boost_player1(s, w, Allocation([3, 2, 2, 1]))
@@ -173,10 +150,7 @@ def square4(s, w):
         if s.x.assigns(2, 3):
             s.branch("player 2 reclaimed job 3")
             s.price_out(
-                3,
-                [3, 1],
-                "price player 3 out; job 3 becomes player 2's dummy",
-                dummy_of={1: 4, 2: 3},
+                3, [3, 1], "price player 3 out; job 3 becomes player 2's dummy"
             )
             if s.x.assigns(1, 2):
                 s.branch("the priced job moved to player 1")
@@ -199,11 +173,7 @@ def square4(s, w):
         s.finish_tier_gap(Allocation([2, 2, cert_job3, 1]))
     if s.x.assigns(3, 1) and s.x.assigns(2, 2):
         s.branch("player 3 on job 1, player 2 on job 2")
-        s.apply(
-            [(3, 1, tv(1) - 2 * EPS1), (3, 2, EPS3)],
-            "undercut player 3 on the first two jobs",
-            _l2(3, j=1, k=2),
-        )
+        s.undercut(3, 1, 2, "undercut player 3 on the first two jobs")
         if s.x.assigns(1, 2):
             s.branch("the priced job moved to player 1")
             _boost_player1(s, w, Allocation([3, 2, 2, 1]))
@@ -220,20 +190,13 @@ def square4(s, w):
             s.finish_tier_gap(Allocation([3, 3, 3, 1]))
         s.branch("player 3 swept the first three jobs")
         s.price_out(
-            2,
-            [1, 2, 3],
-            "price player 2 out; job 3 becomes player 3's dummy",
-            dummy_of={1: 4, 3: 3},
+            2, [1, 2, 3], "price player 2 out; job 3 becomes player 3's dummy"
         )
         if s.x.assigns(1, 2):
             s.branch("the priced job moved to player 1")
             _boost_player1(s, w, Allocation([2, 3, 3, 1]))
         s.branch("player 3 kept job 2")
-        s.apply(
-            [(3, 2, tv(1)), (3, 1, tv(1) - 2 * EPS1 - EPS4)],
-            "raise player 3's cheap job to one",
-            _l4(3, j1=1, j2=2),
-        )
+        s.trade(3, 2, tv(1), 1, "raise player 3's cheap job to one")
         if s.x.assigns(3, 2):
             s.branch("player 3 held on to everything")
             s.raise_dummy(

@@ -280,7 +280,7 @@ def cmd_verify(args):
     try:
         with open(args.report) as fh:
             report = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
         return 1
     defects = verify_report(report)

@@ -537,7 +537,7 @@ class ExternalMechanism(MechanismHandle):
         try:
             reply = json.loads(line)
             return Allocation.from_json_dict(reply)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise MechanismError(f"bad mechanism reply {line!r}: {exc}")
 
     def close(self):

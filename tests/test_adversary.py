@@ -149,6 +149,28 @@ def _squeeze_an_infinite_cost(s):
     s.squeeze(2, [], [2], "raise player 2's infinite job 2")
 
 
+def _lower_a_zero_cost_below_zero(s):
+    # player 1 holds both jobs; raising the derived dummy lowers the zeroed
+    # job 1 by EPS4, below zero
+    s.bootstrap(d2x2(), "two-player square")
+    s.price_out(2, [2], "price player 2 out of job 2")
+    s.squeeze(1, [1], [], "zero player 1's job 1")
+    s.raise_dummy(1, [1, 2], tv(1), "raise the fresh dummy to one")
+
+
+def _undercut_an_unheld_job(s):
+    s.bootstrap(d2x2(), "two-player square")
+    s.undercut(2, 1, 2, "undercut player 2 on a job player 1 holds")
+
+
+def _raise_a_derived_dummy(s):
+    # no map is declared: pricing player 2 out of job 2 leaves it player
+    # 1's dummy, so both steps pass and only the missing verdict remains
+    s.bootstrap(d2x2(), "two-player square")
+    s.price_out(2, [1, 2], "price player 2 out of both jobs")
+    s.raise_dummy(1, [1, 2], tv(1), "raise the fresh dummy to one")
+
+
 def _only_bootstrap(s):
     s.bootstrap(d2x2(), "two-player square")
 
@@ -189,6 +211,13 @@ def _break_a_prediction_on_an_unevaluable_pair(s):
             3,
             "lemma premise fails: L1: job 2 in F2 is not strictly raised",
         ),
+        (
+            _lower_a_zero_cost_below_zero,
+            3,
+            "edit fails: negative cost at player 1, job 1",
+        ),
+        (_undercut_an_unheld_job, 2, "lemma premise fails: L2: job j is not held"),
+        (_raise_a_derived_dummy, 3, "strategy script ended without a verdict"),
         (_only_bootstrap, 1, "strategy script ended without a verdict"),
         (
             _break_a_prediction_on_a_monotone_pair,

@@ -1,0 +1,60 @@
+"""The pinned reports and bounds rows, re-checked by the benchmark's own
+verifier.
+
+`verify` re-checks a report with the program's own arithmetic, and the
+golden digests pin bytes, not claims. bench/checks.py recomputes each claim
+with separate arithmetic (bench/tiered.py) and never imports mechdock, so
+this module runs it over every report and bounds CSV tests/test_golden.py
+pins.
+"""
+
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+from mechdock.cli import main
+from test_golden import BOUNDS_RUNS, STEP_RUNS, STRATEGIES, _report_json, _selectors
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import checks  # noqa: E402
+
+
+def _pinned_reports():
+    for strategy, params in STRATEGIES.values():
+        for selector in _selectors(strategy):
+            yield json.loads(_report_json(strategy, params, selector))
+    for run in STEP_RUNS.values():
+        yield json.loads(_report_json(*run))
+
+
+def test_every_pinned_report_passes_the_independent_check():
+    kinds = Counter()
+    problems = {}
+    for report in _pinned_reports():
+        kinds[report["verdict"]["kind"]] += 1
+        found = checks.check_report(report)
+        if found:
+            problems[report["strategy"], report["mechanism"]] = found
+    assert problems == {}
+    assert kinds == {"Unbounded": 66, "WmonViolation": 59, "RatioWitness": 27}
+
+
+def test_every_pinned_bounds_row_passes_the_independent_check(tmp_path, capsys):
+    checked = []
+    for name, flags in BOUNDS_RUNS.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(["bounds", *flags, "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        by_r = {}
+        for row in rows:
+            by_r.setdefault(int(row.split(",")[0]), []).append(row)
+        for r, r_rows in by_r.items():
+            problems, _ = checks.check_bounds_rows("\n".join([header, *r_rows]), r)
+            assert problems == [], (name, r)
+            checked.append((name, r))
+    capsys.readouterr()
+    assert checked == [
+        *(("optimize", r) for r in (3, 4, 5, 10, 30, 36, 100)),
+        ("infeasible-reference", 3),
+    ]

@@ -202,6 +202,27 @@ def test_attack_a_bad_extern_answer_is_a_mechanism_failure(mech, message, capsys
     assert capsys.readouterr().err == f"mechanism failure: {message}\n"
 
 
+# Deep enough that json's decoder exceeds the interpreter's recursion limit.
+DEEPLY_NESTED = "[" * 100_000
+
+
+def test_attack_a_deeply_nested_extern_reply_is_a_mechanism_failure(capsys):
+    script = Path(__file__).parent / "extern_reply.py"
+    mech = f"extern:{sys.executable} {script} '{DEEPLY_NESTED}'"
+    assert main(["attack", "--strategy", "s2x2", "--mechanism", mech]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("mechanism failure: bad mechanism reply '[[[")
+    assert "maximum recursion depth exceeded" in err
+
+
+def test_verify_a_deeply_nested_report_is_unreadable(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    report.write_text(DEEPLY_NESTED)
+    assert main(["verify", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read report: maximum recursion depth exceeded")
+
+
 def test_attack_mechanism_launch_failure():
     rc = main(
         ["attack", "--strategy", "s2x2", "--mechanism", "extern:/nonexistent-bin"]
@@ -393,6 +414,36 @@ def test_wmon_bad_shape_or_trials_is_a_usage_error(flags, message, exhaustive, c
     captured = capsys.readouterr()
     assert captured.err == message + "\n"
     assert captured.out == ""
+
+
+def _append_the_last_step(doc):
+    doc["transcript"].append(doc["transcript"][-1])
+
+
+def _set_strategy(doc):
+    doc["strategy"] = "s9x9"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_append_the_last_step, "replay produced a different report"),
+        (_set_strategy, "replay failed: unknown strategy 's9x9'"),
+    ],
+    ids=["extra-step", "unknown-strategy"],
+)
+def test_verify_rejects_a_report_its_replay_does_not_reproduce(
+    edit, message, tmp_path, capsys
+):
+    report = tmp_path / "r.json"
+    argv = ["attack", "--strategy", "s2x2", "--mechanism", "minwork"]
+    assert main(argv + ["--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    edit(doc)
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(report)]) == 1
+    assert capsys.readouterr().err == f"verification failed: {message}\n"
 
 
 def test_verify_missing_file(tmp_path):
