@@ -38,55 +38,22 @@ UNBOUNDED = inf
 class TieredValue:
     """Immutable exact value: rational coefficients per tier, or +infinity.
 
-    Stored coefficients are nonzero and kept sorted by tier (canonical form);
-    an infinite value carries no coefficients. The _text slot holds the
-    value's rendering once format_value has made it; it is left unset by
-    the constructors.
+    The constructor takes the coefficients in canonical form, a tuple of
+    (tier, Fraction) pairs with tiers strictly ascending and every
+    coefficient nonzero, and stores them as given; an infinite value
+    carries none. Every value is built inside this module, by code that
+    makes its coefficients canonical. The _text slot holds the value's
+    rendering once format_value has made it; it is left unset here.
     """
 
     __slots__ = ("infinite", "_coeffs", "_text")
 
-    def __init__(self, coeffs=None, infinite=False):
-        if infinite:
-            if coeffs:
-                raise ExactNumError("infinite value cannot carry coefficients")
-            object.__setattr__(self, "infinite", True)
-            object.__setattr__(self, "_coeffs", ())
-            return
-        items = []
-        if coeffs:
-            pairs = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for tier, q in pairs:
-                tier = int(tier)
-                if tier < 0:
-                    raise ExactNumError(f"negative tier {tier}")
-                q = Fraction(q)
-                if q != 0:
-                    items.append((tier, q))
-        items.sort()
-        for (t1, _), (t2, _) in zip(items, items[1:]):
-            if t1 == t2:
-                raise ExactNumError(f"duplicate tier {t1}")
-        object.__setattr__(self, "infinite", False)
-        object.__setattr__(self, "_coeffs", tuple(items))
+    def __init__(self, coeffs=(), infinite=False):
+        object.__setattr__(self, "infinite", infinite)
+        object.__setattr__(self, "_coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("TieredValue is immutable")
-
-    @classmethod
-    def _canonical(cls, items):
-        """A finite value from coefficients already in canonical form, so the
-        normalising constructor can be skipped on the hot paths."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "infinite", False)
-        object.__setattr__(v, "_coeffs", items)
-        return v
-
-    @classmethod
-    def eps(cls, tier):
-        if tier < 1:
-            raise ExactNumError("epsilon tiers start at 1")
-        return cls({tier: 1})
 
     @property
     def finite(self):
@@ -95,23 +62,12 @@ class TieredValue:
     def items(self):
         return self._coeffs
 
-    def coeff(self, tier):
-        for t, q in self._coeffs:
-            if t == tier:
-                return q
-        return Fraction(0)
-
     def standard_part(self):
         """Tier-0 coefficient (0 if absent). Only defined for finite values."""
         if self.infinite:
             raise ExactNumError("standard part of infinity")
-        return self.coeff(0)
-
-    def leading_tier(self):
-        """Smallest tier with nonzero coefficient, or None for 0 / infinity."""
-        if self.infinite or not self._coeffs:
-            return None
-        return self._coeffs[0][0]
+        c = self._coeffs
+        return c[0][1] if c and c[0][0] == 0 else Fraction(0)
 
     def is_zero(self):
         return self.finite and not self._coeffs
@@ -144,14 +100,9 @@ class TieredValue:
             return INF
         if q == 0:
             return ZERO
-        return TieredValue._canonical(tuple((t, q * c) for t, c in self._coeffs))
+        return TieredValue(tuple((t, q * c) for t, c in self._coeffs))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        if self.infinite:
-            raise ExactNumError("cannot negate infinity")
-        return TieredValue._canonical(tuple((t, -q) for t, q in self._coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, TieredValue):
@@ -173,10 +124,10 @@ class TieredValue:
 
 INF = TieredValue(infinite=True)
 ZERO = TieredValue()
-EPS1 = TieredValue.eps(1)
-EPS2 = TieredValue.eps(2)
-EPS3 = TieredValue.eps(3)
-EPS4 = TieredValue.eps(4)
+EPS1 = TieredValue(((1, Fraction(1)),))
+EPS2 = TieredValue(((2, Fraction(1)),))
+EPS3 = TieredValue(((3, Fraction(1)),))
+EPS4 = TieredValue(((4, Fraction(1)),))
 
 
 def tv(x):
@@ -187,7 +138,7 @@ def tv(x):
         return parse_value(x)
     if type(x) is not Fraction:
         x = Fraction(x)
-    return TieredValue._canonical(((0, x),) if x else ())
+    return TieredValue(((0, x),) if x else ())
 
 
 def tv_sum(values, minus=()):
@@ -214,7 +165,7 @@ def tv_sum(values, minus=()):
                     g = gcd(part[1], den)
                     part[0] = part[0] * (den // g) + num * (part[1] // g)
                     part[1] = part[1] // g * den
-    return TieredValue._canonical(
+    return TieredValue(
         tuple(
             (t, Fraction(num, den) if q is None else q)
             for t, (num, den, q) in sorted(acc.items())
@@ -266,17 +217,18 @@ def leading_ratio(num, den):
     num, den = tv(num), tv(den)
     if den.infinite:
         raise ExactNumError("denominator must be finite")
-    tau = den.leading_tier()
-    if tau is None:
+    if not den._coeffs:
         raise ExactNumError("denominator must be nonzero")
-    if den.coeff(tau) < 0:
+    tau, d = den._coeffs[0]
+    if d < 0:
         raise ExactNumError("denominator negative at its leading tier")
     if num.infinite:
         return UNBOUNDED
-    for t, q in num.items():
-        if t < tau and q != 0:
-            return UNBOUNDED
-    return num.coeff(tau) / den.coeff(tau)
+    # the numerator's coarsest tier decides
+    if not num._coeffs or num._coeffs[0][0] > tau:
+        return Fraction(0)
+    t, q = num._coeffs[0]
+    return UNBOUNDED if t < tau else q / d
 
 
 _TERM = re.compile(r"([+-])?(\d+)(?:/(\d+))?(?:e(\d+))?")
@@ -329,8 +281,8 @@ def parse_value(text):
             terms.append((t, Fraction(num) if denom is None else Fraction(num, den)))
         pos = m.end()
     if ascending:
-        return TieredValue._canonical(tuple(terms))
-    return tv_sum([TieredValue._canonical((term,)) for term in terms])
+        return TieredValue(tuple(terms))
+    return tv_sum([TieredValue((term,)) for term in terms])
 
 
 def format_value(v):

@@ -26,6 +26,9 @@ from .exactnum import INF, format_value, parse_value, tv, tv_sum
 
 DEFAULT_TIMEOUT_MS = 10000
 TIMEOUT_ENV_VAR = "MECHDOCK_TIMEOUT_MS"
+# The most characters of a bad reply, and of its error, that the "bad
+# mechanism reply" message quotes.
+_QUOTE_LIMIT = 200
 
 
 class ModelError(ValueError):
@@ -458,6 +461,18 @@ class BuiltinMechanism(MechanismHandle):
         return self._fn(T)
 
 
+def _quoted_reply(line, exc):
+    """A bad reply and its error as the message quotes them: whole for a
+    reply of at most _QUOTE_LIMIT characters; else the reply's first
+    _QUOTE_LIMIT characters and its length, and the error cut as short."""
+    detail = str(exc)
+    if len(line) <= _QUOTE_LIMIT:
+        return f"{line!r}: {detail}"
+    if len(detail) > _QUOTE_LIMIT:
+        detail = detail[:_QUOTE_LIMIT] + "..."
+    return f"{line[:_QUOTE_LIMIT]!r}... ({len(line)} characters): {detail}"
+
+
 class ExternalMechanism(MechanismHandle):
     """Child process speaking one JSON object per line on stdin/stdout.
 
@@ -538,7 +553,7 @@ class ExternalMechanism(MechanismHandle):
             reply = json.loads(line)
             return Allocation.from_json_dict(reply)
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise MechanismError(f"bad mechanism reply {line!r}: {exc}")
+            raise MechanismError(f"bad mechanism reply {_quoted_reply(line, exc)}")
 
     def close(self):
         proc = getattr(self, "_proc", None)

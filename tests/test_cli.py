@@ -1,10 +1,15 @@
+import io
 import json
+import os
 import re
+import shlex
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mechdock.cli import main
 from mechdock.schedmodel import Instance
@@ -175,7 +180,10 @@ def test_attack_rejects_a_malformed_extern_owner(tmp_path, capsys):
     report = tmp_path / "r.json"
     argv = ["attack", "--strategy", "s2x2", "--mechanism", mech]
     assert main(argv + ["--report", str(report)]) == 4
-    assert "bad mechanism reply" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "mechanism failure: bad mechanism reply '{\"owner\": [1.9, 2.2]}': "
+        "owner must be a list of integers, got [1.9, 2.2]\n"
+    )
     assert not report.exists()
 
 
@@ -212,7 +220,97 @@ def test_attack_a_deeply_nested_extern_reply_is_a_mechanism_failure(capsys):
     assert main(["attack", "--strategy", "s2x2", "--mechanism", mech]) == 4
     err = capsys.readouterr().err
     assert err.startswith("mechanism failure: bad mechanism reply '[[[")
-    assert "maximum recursion depth exceeded" in err
+    assert "'... (100000 characters): maximum recursion depth exceeded" in err
+    # the reply is quoted by its first 200 characters, on one short line
+    assert err.count("\n") == 1 and len(err.encode()) < 1024
+
+
+def _valid_owner(data):
+    """Whether reply bytes hold an allocation every s2x2 query accepts: a
+    JSON object whose "owner" is two integers, each player 1 or 2."""
+    try:
+        reply = json.loads(data.decode("utf-8", "replace"))
+    except (ValueError, RecursionError):
+        return False
+    owner = reply.get("owner") if type(reply) is dict else None
+    return (
+        type(owner) is list
+        and len(owner) == 2
+        and all(type(p) is int and p in (1, 2) for p in owner)
+    )
+
+
+_json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 3),
+        st.floats(allow_nan=False, width=16),
+        st.text(max_size=3),
+    ),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3), st.dictionaries(st.text(max_size=3), kids)
+    ),
+    max_leaves=6,
+)
+_owners = st.one_of(
+    st.sampled_from([[1, 1], [1, 2], [2, 1], [2, 2]]),
+    _json_values,
+    st.builds(lambda d: f"[1, {'9' * d}]", st.sampled_from([4300, 4301, 6000])),
+)
+
+
+@st.composite
+def _hostile_replies(draw):
+    """Reply bytes on one line (argv cannot carry NUL): an object with an
+    owner and extra keys, any JSON value, nesting or raw bytes, then maybe
+    trailing data and a byte that is not UTF-8."""
+    owner = draw(_owners)
+    fields = [("owner", owner if isinstance(owner, str) else json.dumps(owner))]
+    extra = draw(st.dictionaries(st.text(max_size=3), _json_values, max_size=2))
+    fields += [(key, json.dumps(v)) for key, v in extra.items()]
+    record = "{%s}" % ", ".join(f"{json.dumps(key)}: {v}" for key, v in fields)
+    body = draw(
+        st.one_of(
+            st.just(record),
+            _json_values.map(json.dumps),
+            st.sampled_from(["[" * 100_000, '{"owner": ' + "[" * 50, "", "owner"]),
+        )
+    )
+    data = (body + draw(st.sampled_from(["", " ", " x", "}", "{}", "\r"]))).encode()
+    data += draw(st.binary(max_size=4))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\x80", b"\xc3", b"\xff"]))
+        data = data[:at] + bad + data[at:]
+    return data.replace(b"\n", b"").replace(b"\0", b"")
+
+
+@settings(max_examples=25, deadline=None)
+@given(_hostile_replies())
+@example(b'{"owner": [2, 1], "note": "\xff"}')
+@example(b'{"owner": [1, ' + b"9" * 5000 + b"]}")
+@example(b"[" * 100_000)
+@example(b'{"owner": [1, 2]} x')
+@example(b'{"owner": [' + b'"a", ' * 100 + b'"a"]}')
+def test_attack_ends_a_hostile_extern_reply_as_one_failure_line(data):
+    # each example starts a child that answers every query with these bytes
+    argv = [sys.executable, str(Path(__file__).parent / "extern_reply.py")]
+    mech = "extern:" + shlex.join(argv + [os.fsdecode(data)])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["attack", "--strategy", "s2x2", "--mechanism", mech])
+    if _valid_owner(data):
+        assert (rc, err.getvalue()) == (0, "")
+        assert out.getvalue().startswith("verdict ")
+        return
+    assert rc == 4 and out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("mechanism failure: ")
+    # a bad reply is quoted whole up to 200 characters and cut beyond, so
+    # the line does not grow with the reply
+    if "bad mechanism reply" in lines[0]:
+        assert len(err.getvalue().encode()) < 4096
 
 
 def test_verify_a_deeply_nested_report_is_unreadable(tmp_path, capsys):

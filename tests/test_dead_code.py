@@ -544,6 +544,29 @@ def test_every_function_parameter_is_read():
     assert unread == []
 
 
+def test_only_exactnum_builds_tiered_values():
+    """TieredValue(...) stores the coefficients it is given unchecked, so
+    only exactnum, which makes them canonical, calls it; every other
+    module gets its values from tv, parse_value and the arithmetic. A
+    renaming import would hide a call, so none is allowed."""
+    found = []
+    for path, tree in _parse_src().items():
+        if path.name == "exactnum.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.name == "TieredValue":
+                what = f"imported as {node.asname}" if node.asname else None
+            elif isinstance(node, ast.Call):
+                fn = node.func
+                called = getattr(fn, "id", getattr(fn, "attr", None))
+                what = "called" if called == "TieredValue" else None
+            else:
+                continue
+            if what:
+                found.append(f"{path.relative_to(SRC)}:{node.lineno} {what}")
+    assert found == []
+
+
 def _imported(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":

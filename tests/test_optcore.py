@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from mechdock.exactnum import GT, INF, LT, ZERO, TieredValue, tv, tv_compare
+from mechdock.exactnum import GT, INF, LT, ZERO, tv, tv_compare
 from mechdock.optcore import BudgetExceeded, SearchError, _load_keys, opt_makespan
 from mechdock.schedmodel import Allocation, Instance, active_players, makespan
+from test_exactnum import tiered
 
 NR = Instance([[1, 0, "inf"], [1, "inf", 0]], dummy_of={1: 2, 2: 3})
 
@@ -155,8 +156,8 @@ def random_tiered_cost(rng):
         t: Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 7]))
         for t in rng.sample(range(4), rng.randint(0, 4))
     }
-    v = TieredValue(coeffs)
-    return -v if tv_compare(v, ZERO) == LT else v
+    v = tiered(coeffs)
+    return ZERO - v if tv_compare(v, ZERO) == LT else v
 
 
 def test_keyed_search_matches_the_tiered_value_oracle():
@@ -188,7 +189,7 @@ _key_values = st.dictionaries(
     st.integers(0, 5),
     st.fractions(min_value=-20, max_value=20, max_denominator=12),
     max_size=4,
-).map(TieredValue)
+).map(tiered)
 
 
 @given(

@@ -15,7 +15,6 @@ from mechdock.exactnum import (
     LT,
     ZERO,
     ParseError,
-    TieredValue,
     format_value,
     parse_value,
     tv,
@@ -38,6 +37,7 @@ from mechdock.wmon import (
     infer,
     wmon_value,
 )
+from test_exactnum import tiered
 
 # The four reference pairs behind the inference lemmas.
 G1 = Instance([[1, 2, 3], [2, 1, 3]])
@@ -379,13 +379,13 @@ def wmon_value_oracle(T, x, Tp, xp, i):
 def _random_cell(rng):
     if rng.random() < 0.3:
         return "inf"
-    v = TieredValue(
+    v = tiered(
         {
             t: Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
             for t in rng.sample(range(3), rng.randint(0, 2))
         }
     )
-    return -v if tv_compare(v, ZERO) < 0 else v
+    return ZERO - v if tv_compare(v, ZERO) < 0 else v
 
 
 def _random_pair(rng):
