@@ -23,15 +23,19 @@ from .schedmodel import (
 )
 
 def minwork_allocate(T):
-    """Each job to its cheapest player in tiered order; ties to lowest index."""
+    """Each job to its cheapest player in tiered order; ties to lowest index.
+
+    The first finite cell is taken without a compare, and a cell that is
+    the current best's own value object is skipped: equal is never LT."""
     owner = []
     for j in T.jobs():
-        best = best_cost = None
-        for i, c in T.finite_costs(j):
-            if best is None or tv_compare(c, best_cost) == LT:
-                best, best_cost = i, c
+        cells = iter(T.finite_costs(j))
+        best, best_cost = next(cells, (None, None))
         if best is None:
             raise MechanismError(f"job {j} has no finite-cost player")
+        for i, c in cells:
+            if c is not best_cost and tv_compare(c, best_cost) == LT:
+                best, best_cost = i, c
         owner.append(best)
     return Allocation(owner)
 

@@ -29,6 +29,10 @@ TIMEOUT_ENV_VAR = "MECHDOCK_TIMEOUT_MS"
 # The most characters of a bad reply, and of its error, that the "bad
 # mechanism reply" message quotes.
 _QUOTE_LIMIT = 200
+# The most digits of an out-of-range player, and the most defects, that
+# the "invalid allocation" message writes.
+_PLAYER_DIGITS = 20
+_DEFECT_LIMIT = 3
 
 
 class ModelError(ValueError):
@@ -419,6 +423,16 @@ def active_players(T, j):
     return frozenset(i for i, _ in T.finite_costs(j))
 
 
+def _quoted_player(p):
+    """A player number as a defect names it: whole up to _PLAYER_DIGITS
+    digits, else its sign, first _PLAYER_DIGITS digits and digit count."""
+    digits = str(abs(p))
+    if len(digits) <= _PLAYER_DIGITS:
+        return str(p)
+    sign = "-" if p < 0 else ""
+    return f"{sign}{digits[:_PLAYER_DIGITS]}... ({len(digits)} digits)"
+
+
 def validate_allocation(T, x):
     """Structural defects of x against T; empty list when valid."""
     defects = []
@@ -427,16 +441,22 @@ def validate_allocation(T, x):
         return defects
     for j, p in enumerate(x.owner, start=1):
         if not (1 <= p <= T.n):
-            defects.append(f"job {j} assigned to out-of-range player {p}")
+            defects.append(
+                f"job {j} assigned to out-of-range player {_quoted_player(p)}"
+            )
     return defects
 
 
 def checked_query(mech, T):
-    """Query a mechanism, raising MechanismError on an invalid allocation."""
+    """Query a mechanism, raising MechanismError on an invalid allocation.
+    The message names the first _DEFECT_LIMIT defects and counts the rest."""
     x = mech.query(T)
     defects = validate_allocation(T, x)
     if defects:
-        raise MechanismError("invalid allocation: " + "; ".join(defects))
+        shown = defects[:_DEFECT_LIMIT]
+        if len(defects) > _DEFECT_LIMIT:
+            shown.append(f"and {len(defects) - _DEFECT_LIMIT} more")
+        raise MechanismError("invalid allocation: " + "; ".join(shown))
     return x
 
 

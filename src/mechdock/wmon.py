@@ -8,10 +8,14 @@ the predictions any weakly monotone (and, for L3, finite-ratio) mechanism
 must meet on the second allocation. infer checks the lemma's premise on
 the edit and returns the record, with any job the premise adds to keep,
 and Lemma.defects lists the predictions an answer breaks. A seeded fuzzer
-searches for violations on random instances.
+searches for violations on random instances, and exhaustive_pairs on
+every small grid instance.
 The sum is a value: wmon_value returns it as a TieredValue, and a pair
 whose sum is positive is a violation. Callers that word a message compare
-it with ZERO themselves; violation packages the positive case.
+it with ZERO themselves; violation packages the positive case. The sum is
+shared by the two orders of a pair: swapping (T, x) and (T', x') changes
+neither it nor its preconditions, so exhaustive_pairs sums each unordered
+pair once and reports a positive sum in both orders.
 """
 
 from __future__ import annotations
@@ -335,6 +339,8 @@ def fuzz(M, spec, trials, seed):
     Deterministic under a fixed seed and spec; each trial draws a grid
     instance, perturbs a random subset of one row by random rationals
     (clamped at zero), and evaluates the WMON sum on the two answers.
+    A cell p/q moved by ±s/t is written as the one Fraction
+    (p*t ± s*q)/(q*t), or as zero when that numerator is not positive.
     """
     rng = random.Random(seed)
     grid = [tv(Fraction(v)) for v in spec.values]
@@ -344,13 +350,16 @@ def fuzz(M, spec, trials, seed):
         T = Instance(costs)
         i = rng.randint(1, spec.n)
         jobs = rng.sample(range(1, spec.m + 1), rng.randint(1, spec.m))
+        row = costs[i - 1]
         edits = []
         for j in jobs:
-            delta = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+            step, den = rng.randint(1, 8), rng.randint(1, 4)
             if rng.random() < 0.5:
-                delta = -delta
-            moved = T.cost(i, j).standard_part() + delta
-            edits.append((i, j, max(Fraction(0), moved)))
+                step = -step
+            base = row[j - 1].standard_part()
+            num = base.numerator * den + step * base.denominator
+            moved = Fraction(num, base.denominator * den) if num > 0 else ZERO
+            edits.append((i, j, moved))
         Tp = T.with_costs(edits)
         x = checked_query(M, T)
         xp = checked_query(M, Tp)
@@ -371,6 +380,14 @@ def exhaustive_pairs(M, n, m, values):
     found by index arithmetic, and each instance is queried once, when it
     is first needed. Pairs are visited in product order over the grid as
     given, so a repeated grid value repeats the pairs it spans.
+
+    Each unordered pair is summed once per player. The WMON sum does not
+    change when (T, x) and (T', x') swap, and neither do its preconditions
+    (rows equal outside row i, no infinite assigned cell, no mixed flip).
+    Once every pair of instance k' has been summed, the pair (k, k', i)
+    reuses the sum made at (k', k, i): only positive sums are kept, keyed
+    (i, lower index, higher index), so a key that is absent means the sum
+    was not positive.
     """
     grid = [tv(Fraction(v)) for v in values]
     distinct = list(dict.fromkeys(grid))
@@ -380,6 +397,8 @@ def exhaustive_pairs(M, n, m, values):
         for flat in product(distinct, repeat=n * m)
     ]
     answers = [None] * len(instances)
+    summed = [False] * len(instances)
+    positive = {}
 
     def answer(k):
         if answers[k] is None:
@@ -403,7 +422,22 @@ def exhaustive_pairs(M, n, m, values):
                 if row == code:
                     continue
                 kp = k + (row - code) * w
-                found = violation(T, answer(k), instances[kp], answer(kp), i)
-                if found is not None:
-                    violations.append(found)
+                key = (i, k, kp) if k < kp else (i, kp, k)
+                if not summed[kp]:
+                    value = wmon_value(T, answer(k), instances[kp], answer(kp), i)
+                    if value > ZERO:
+                        positive[key] = value
+                value = positive.get(key)
+                if value is not None:
+                    violations.append(
+                        WmonViolation(
+                            player=i,
+                            T=T,
+                            x=answers[k],
+                            Tp=instances[kp],
+                            xp=answers[kp],
+                            value=value,
+                        )
+                    )
+        summed[k] = True
     return violations

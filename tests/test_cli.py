@@ -293,6 +293,8 @@ def _hostile_replies(draw):
 @example(b"[" * 100_000)
 @example(b'{"owner": [1, 2]} x')
 @example(b'{"owner": [' + b'"a", ' * 100 + b'"a"]}')
+@example(b'{"owner": [1, ' + b"9" * 4300 + b"]}")
+@example(b'{"owner": [-' + b"9" * 4300 + b", " + b"9" * 4300 + b"]}")
 def test_attack_ends_a_hostile_extern_reply_as_one_failure_line(data):
     # each example starts a child that answers every query with these bytes
     argv = [sys.executable, str(Path(__file__).parent / "extern_reply.py")]
@@ -307,10 +309,12 @@ def test_attack_ends_a_hostile_extern_reply_as_one_failure_line(data):
     assert rc == 4 and out.getvalue() == ""
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("mechanism failure: ")
-    # a bad reply is quoted whole up to 200 characters and cut beyond, so
-    # the line does not grow with the reply
-    if "bad mechanism reply" in lines[0]:
-        assert len(err.getvalue().encode()) < 4096
+    # a bad reply is quoted whole up to 200 characters and cut beyond, and
+    # an out-of-range player by its first 20 digits, so the line does not
+    # grow with the reply
+    assert len(err.getvalue().encode()) < 4096
+    if "invalid allocation" in lines[0]:
+        assert len(err.getvalue().encode()) < 512
 
 
 def test_verify_a_deeply_nested_report_is_unreadable(tmp_path, capsys):

@@ -2,12 +2,13 @@ import json
 import shlex
 import sys
 from fractions import Fraction
+from functools import cmp_to_key
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from mechdock.exactnum import EPS1, EPS2, GT, tv, tv_compare
+from mechdock.exactnum import EPS1, EPS2, GT, LT, ZERO, tv, tv_compare
 from mechdock.mechlib import (
     RecordedAnswers,
     SeededStub,
@@ -25,6 +26,7 @@ from mechdock.schedmodel import (
     validate_allocation,
 )
 from mechdock.wmon import FuzzSpec, fuzz
+from test_exactnum import tiered
 
 D_2X2 = Instance([[1, EPS2], [1, EPS1]])
 
@@ -147,39 +149,59 @@ def test_extern_selector_rejects_a_malformed_owner(owner):
 
 
 def _dense_minwork(rows):
-    """Reference min-work on a dense matrix: the cheapest finite player of
-    each job, ties to the lowest index; None when a job has none."""
+    """Reference min-work on a dense matrix: the first least finite cell of
+    each job by tv_compare, so ties go to the lowest index; a job with no
+    finite cell raises the error minwork_allocate raises."""
+    by_cost = cmp_to_key(lambda a, b: tv_compare(a[1], b[1]))
     owner = []
     for j in range(len(rows[0])):
-        best = None
-        for i, row in enumerate(rows, start=1):
-            c = tv(row[j])
-            if c.finite and (best is None or c < tv(rows[best - 1][j])):
-                best = i
-        if best is None:
-            return None
-        owner.append(best)
+        cells = [(i, tv(row[j])) for i, row in enumerate(rows, start=1)]
+        finite = [cell for cell in cells if cell[1].finite]
+        if not finite:
+            raise MechanismError(f"job {j + 1} has no finite-cost player")
+        owner.append(min(finite, key=by_cost)[0])
     return owner
+
+
+_coeff_maps = st.dictionaries(
+    st.integers(0, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    max_size=3,
+)
 
 
 @st.composite
 def _matrix_and_edits(draw):
+    """A matrix and edits whose cells are texts or values of a small pool on
+    up to four tiers; a pool cell is the pool's value object itself, shared
+    between cells, or an equal copy of it."""
+    pool = []
+    for coeffs in draw(st.lists(_coeff_maps, min_size=1, max_size=4)):
+        v = tiered(coeffs)
+        pool.append(ZERO - v if tv_compare(v, ZERO) == LT else v)
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    cell = st.sampled_from(["0", "1", "2", "1e1", "1/2+1e2", "inf"])
+    cell = st.one_of(
+        st.sampled_from(["0", "1", "2", "1e1", "1/2+1e2", "inf"]),
+        st.sampled_from(pool),
+        st.sampled_from(pool).map(lambda v: tiered(dict(v._coeffs))),
+    )
     rows = [[draw(cell) for _ in range(m)] for _ in range(n)]
     edit = st.tuples(st.integers(1, n), st.integers(1, m), cell)
     return rows, draw(st.lists(edit, max_size=6))
 
 
+@settings(max_examples=200, deadline=None)
 @given(_matrix_and_edits())
 def test_minwork_matches_dense_reference(case):
     rows, edits = case
     T = Instance(rows).with_costs(edits)
     for i, j, v in edits:
         rows[i - 1][j - 1] = v
-    expected = _dense_minwork(rows)
-    if expected is None:
-        with pytest.raises(MechanismError, match="no finite-cost player"):
+    try:
+        expected = _dense_minwork(rows)
+    except MechanismError as exc:
+        with pytest.raises(MechanismError) as got:
             minwork_allocate(T)
-    else:
-        assert list(minwork_allocate(T).owner) == expected
+        assert str(got.value) == str(exc)
+        return
+    assert list(minwork_allocate(T).owner) == expected

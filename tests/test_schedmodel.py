@@ -15,11 +15,13 @@ from mechdock.exactnum import EPS1, EPS2, INF, ZERO, parse_value, tv
 from mechdock.forge import MainParams, build_main, d2x2
 from mechdock.schedmodel import (
     Allocation,
+    BuiltinMechanism,
     ExternalMechanism,
     Instance,
     MechanismError,
     ModelError,
     active_players,
+    checked_query,
     json_text,
     makespan,
     validate_allocation,
@@ -90,6 +92,35 @@ def test_validate_allocation():
     assert validate_allocation(T, Allocation([1]))
     assert validate_allocation(T, Allocation([0, 2]))
     assert validate_allocation(T, Allocation([1, 3]))
+
+
+def test_an_invalid_allocation_message_is_bounded():
+    # a long player number is quoted by its first digits and digit count,
+    # and a wide instance's message names three defects and counts the rest
+    T = Instance([[1] * 50])
+    big = int("9" * 4300)
+    assert validate_allocation(T, Allocation([1] * 49 + [-big])) == [
+        "job 50 assigned to out-of-range player -99999999999999999999... "
+        "(4300 digits)"
+    ]
+    mech = BuiltinMechanism("wild", lambda T: Allocation([big] * T.m))
+    with pytest.raises(MechanismError) as exc:
+        checked_query(mech, T)
+    quoted = "out-of-range player 99999999999999999999... (4300 digits)"
+    assert str(exc.value) == (
+        "invalid allocation: "
+        + "; ".join(f"job {j} assigned to {quoted}" for j in (1, 2, 3))
+        + "; and 47 more"
+    )
+    # up to the cap, every defect is named in full, as before
+    mech = BuiltinMechanism("wild", lambda T: Allocation([0, 7, 10**19]))
+    with pytest.raises(MechanismError) as exc:
+        checked_query(mech, Instance([[1, 1, 1]]))
+    assert str(exc.value) == (
+        "invalid allocation: job 1 assigned to out-of-range player 0; "
+        "job 2 assigned to out-of-range player 7; "
+        "job 3 assigned to out-of-range player 10000000000000000000"
+    )
 
 
 def test_instance_rejects_negative_costs():

@@ -7,7 +7,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mechdock import schedmodel
+from mechdock import schedmodel, wmon
 from mechdock.exactnum import (
     EPS1,
     EPS2,
@@ -222,6 +222,35 @@ def exhaustive_pairs_oracle(M, n, m, values):
     return violations
 
 
+def fuzz_oracle(M, spec, trials, seed):
+    """The fuzzer as first written: each edit moves the cell's standard
+    part by a Fraction delta, negated by a coin, and clamps at zero."""
+    rng = random.Random(seed)
+    grid = [tv(Fraction(v)) for v in spec.values]
+    violations = []
+    for _ in range(trials):
+        costs = [[rng.choice(grid) for _ in range(spec.m)] for _ in range(spec.n)]
+        T = Instance(costs)
+        i = rng.randint(1, spec.n)
+        jobs = rng.sample(range(1, spec.m + 1), rng.randint(1, spec.m))
+        edits = []
+        for j in jobs:
+            delta = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+            if rng.random() < 0.5:
+                delta = -delta
+            moved = T.cost(i, j).standard_part() + delta
+            edits.append((i, j, max(Fraction(0), moved)))
+        Tp = T.with_costs(edits)
+        x = checked_query(M, T)
+        xp = checked_query(M, Tp)
+        report = wmon_value(T, x, Tp, xp, i)
+        if report > ZERO:
+            violations.append(
+                WmonViolation(player=i, T=T, x=x, Tp=Tp, xp=xp, value=report)
+            )
+    return violations
+
+
 class QueryLog(MechanismHandle):
     """Answers as the wrapped mechanism does and logs every query."""
 
@@ -234,7 +263,9 @@ class QueryLog(MechanismHandle):
         return self.mech.query(T)
 
 
-@pytest.mark.parametrize("selector", ["minwork", "optmakespan", "stub:7", "stub:11"])
+@pytest.mark.parametrize(
+    "selector", ["minwork", "optmakespan", "stub:7", "stub:11", "activestub:5"]
+)
 @pytest.mark.parametrize(
     "n, m, values",
     [
@@ -243,11 +274,14 @@ class QueryLog(MechanismHandle):
         (2, 2, ("1/2", 2, "1/2")),
         (2, 3, (1, 2)),
         (3, 2, (1, 2)),
+        (2, 2, (2, 1, 0, 1)),
     ],
 )
 def test_exhaustive_pairs_matches_the_oracle(selector, n, m, values):
     # Repeated grid values give equal instances: each is queried once, and
     # a pair is skipped exactly when the rewritten row equals the old one.
+    # A value repeated apart from its first place, as in (2, 1, 0, 1),
+    # revisits pairs whose sums were kept in another order.
     runs = []
     for sweep in (exhaustive_pairs, exhaustive_pairs_oracle):
         log = QueryLog(make_mechanism(selector))
@@ -255,6 +289,47 @@ def test_exhaustive_pairs_matches_the_oracle(selector, n, m, values):
         runs.append(([v.to_json_dict() for v in found], log.queries))
     assert runs[0] == runs[1]
     assert len(set(runs[0][1])) == len(runs[0][1])
+
+
+@pytest.mark.parametrize("n, m, values", [(2, 2, (0, 1, 2)), (2, 3, (1, 2))])
+def test_exhaustive_pairs_sums_each_unordered_pair_once(monkeypatch, n, m, values):
+    # On a grid without repeats, wmon_value runs once per unordered pair of
+    # instances and player whose rows differ only there: the second order
+    # reuses the first order's sum.
+    calls = []
+
+    def counted(T, x, Tp, xp, i):
+        calls.append((i, frozenset((T.to_json_line(), Tp.to_json_line()))))
+        return wmon_value(T, x, Tp, xp, i)
+
+    monkeypatch.setattr(wmon, "wmon_value", counted)
+    found = exhaustive_pairs(make_mechanism("stub:7"), n, m, values)
+    d = len(values)
+    rows = d**m
+    assert len(set(calls)) == len(calls)
+    assert len(calls) == n * d ** (m * (n - 1)) * rows * (rows - 1) // 2
+    # each positive sum is reported in both orders
+    assert found and len(found) % 2 == 0
+
+
+@pytest.mark.parametrize("selector", ["minwork", "optmakespan", "stub:7"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FuzzSpec(n=3, m=3, values=(0, 1, 2, 3, 4)),
+        FuzzSpec(n=2, m=3, values=(0, "1/3", "5/2", 1)),
+    ],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fuzz_matches_the_oracle(selector, spec, seed):
+    # the grid with fractions and 0 moves cells below zero (clamped) and
+    # onto denominators the grid does not have
+    runs = []
+    for search in (fuzz, fuzz_oracle):
+        log = QueryLog(make_mechanism(selector))
+        found = search(log, spec, 60, seed)
+        runs.append(([v.to_json_dict() for v in found], log.queries))
+    assert runs[0] == runs[1]
 
 
 def test_violation_record_roundtrip():
