@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..exactnum import UNBOUNDED, ZERO, format_value, leading_ratio
+from ..exactnum import UNBOUNDED, ZERO, format_value, leading_ratio, parse_rational
 from ..schedmodel import Allocation, Instance, makespan, validate_allocation
 from ..wmon import WmonPreconditionError, WmonViolation, wmon_value
 
@@ -76,7 +76,7 @@ def verdict_from_json_dict(d):
             instance=Instance.from_json_dict(d["instance"]),
             mech_alloc=Allocation.from_json_dict(d["mech_allocation"]),
             certificate=Allocation.from_json_dict(d["certificate"]),
-            claimed_bound=Fraction(d["claimed_bound"]),
+            claimed_bound=parse_rational(d["claimed_bound"]),
         )
     if kind == "Unbounded":
         return Unbounded(

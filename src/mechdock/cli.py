@@ -25,6 +25,7 @@ from .adversary import (
     verify_report,
 )
 from .adversary.verdicts import StrategyIncomplete
+from .exactnum import parse_rational
 from .forge import (
     CONSTRUCTIONS,
     ForgeError,
@@ -69,7 +70,8 @@ def _param_types(specs):
 def _add_param_flags(parser, specs):
     """One --<name> flag per parameter named in a table of specs."""
     for name, coerce in _param_types(specs).items():
-        parser.add_argument(f"--{name}", type=_fraction if coerce is Fraction else int)
+        kind = _fraction if coerce is parse_rational else int
+        parser.add_argument(f"--{name}", type=kind)
 
 
 def _set_params(args, specs):

@@ -285,6 +285,24 @@ def parse_value(text):
     return tv_sum([TieredValue((term,)) for term in terms])
 
 
+_RATIONAL = re.compile(r"-?\d+(?:/\d+)?")
+
+
+def parse_rational(x):
+    """A stored rational: a Fraction or int as it is, and text only in the
+    form str(Fraction) writes, -?digits[/digits]. Fraction(text) also reads
+    decimal exponents and computes 10**exp: "1e2000000" takes about a
+    second to read that way."""
+    if type(x) in (Fraction, int):
+        return Fraction(x)
+    if not isinstance(x, str):
+        raise ParseError(f"expected a rational, got {type(x).__name__}")
+    if not _RATIONAL.fullmatch(x):
+        shown = f"{x!r}" if len(x) <= 40 else f"{x[:40]!r}..."
+        raise ParseError(f"malformed rational {shown}")
+    return Fraction(x)
+
+
 def format_value(v):
     """Canonical rendering: ascending tiers, reduced fractions, no spaces.
 

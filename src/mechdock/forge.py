@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import EPS1, EPS2, EPS3, EPS4, INF, tv
+from .exactnum import EPS1, EPS2, EPS3, EPS4, INF, parse_rational, tv
 from .schedmodel import Instance
 
 
@@ -201,12 +201,12 @@ REQUIRED = object()
 
 @dataclass(frozen=True)
 class Param:
-    """One named parameter: its coercion (applied to strings too) and its
-    default, which is REQUIRED, a value, or a function of the values
-    coerced before it."""
+    """One named parameter: its coercion (applied to stored strings too:
+    int, or parse_rational for a rational) and its default, which is
+    REQUIRED, a value, or a function of the values coerced before it."""
 
     name: str
-    coerce: type
+    coerce: object
     default: object = REQUIRED
 
 
@@ -253,7 +253,7 @@ CONSTRUCTIONS = {
     "an": Spec(
         build_an,
         (
-            Param("a", Fraction),
+            Param("a", parse_rational),
             Param("r", int),
             Param("kc", int, lambda values: values["r"]),
         ),
@@ -262,12 +262,12 @@ CONSTRUCTIONS = {
     "e3x3": Spec(
         e3x3,
         (
-            Param("a", Fraction, Fraction(1)),
-            Param("b", Fraction, Fraction(22055, 10000)),
-            Param("c", Fraction, Fraction(26589, 10000)),
+            Param("a", parse_rational, Fraction(1)),
+            Param("b", parse_rational, Fraction(22055, 10000)),
+            Param("c", parse_rational, Fraction(26589, 10000)),
         ),
     ),
-    "f3x4": Spec(f3x4, (Param("x", Fraction, Fraction(141421, 100000)),)),
+    "f3x4": Spec(f3x4, (Param("x", parse_rational, Fraction(141421, 100000)),)),
 }
 
 

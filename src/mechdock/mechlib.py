@@ -43,9 +43,10 @@ def minwork_allocate(T):
 def optmakespan_allocate(T):
     """Lexicographically smallest owner vector achieving the optimal makespan.
 
-    Exact but exponential; intended for desk-scale instances (roughly
-    m <= 12 with <= 3 active players per job). A search that fails or
-    exceeds its node budget is a mechanism failure.
+    Exact but exponential: the product over jobs of their active-player
+    counts must stay within optcore.NODE_GUARD (10**8), so a job with one
+    active player costs nothing. A search that fails or exceeds that
+    budget is a mechanism failure.
     """
     try:
         return opt_makespan(T).witness

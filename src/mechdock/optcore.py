@@ -19,8 +19,7 @@ coefficient of the difference of two loads is at most 2*m*M = B - 1 in
 absolute value. At the coarsest tier where the difference is nonzero,
 with rank k, its term is at least B**k in absolute value, while the finer
 tiers add up to at most (B - 1) * (B**k - 1) / (B - 1) = B**k - 1; so the
-difference's key has the sign of its leading coefficient. B**(tier
-count) is above every load's key and stands for the unbounded incumbent.
+difference's key has the sign of its leading coefficient.
 """
 
 from __future__ import annotations
@@ -48,31 +47,41 @@ class OptResult:
 
 
 def _load_keys(costs, m):
-    """The integer key of each of the distinct finite costs, and a key
-    above every sum of at most m of them (see the module docstring)."""
+    """The integer key of each of the distinct finite costs, for loads that
+    are sums of at most m of them (see the module docstring)."""
     coeffs = [(t, q) for c in costs for t, q in c.items()]
     tiers = sorted({t for t, _ in coeffs})
     scale = lcm(*(q.denominator for _, q in coeffs))
     top = max((abs(q.numerator) * scale // q.denominator for _, q in coeffs), default=0)
     base = 2 * m * top + 1
     weight = {t: base**rank for rank, t in enumerate(reversed(tiers))}
-    keys = {
+    return {
         c: sum(q.numerator * (scale // q.denominator) * weight[t] for t, q in c.items())
         for c in costs
     }
-    return keys, base ** len(tiers)
 
 
 def opt_makespan(T):
-    """Exact minimum makespan over allocations to active players.
+    """Exact minimum makespan over allocations to active players, with the
+    lexicographically smallest owner vector achieving it as the witness.
 
-    Phase 1 finds the optimal value by depth-first branch-and-bound with
-    jobs ordered by descending cheapest active cost (pruning on current
-    max load >= incumbent). Phase 2 rebuilds the witness in job-index
-    order so the returned owner vector is the lexicographically smallest
-    one achieving the optimum. Each job's (player, cost) choices are read
-    once, by ascending player, and costs and loads are integer keys; a
-    branch is undone by restoring the load it replaced.
+    One depth-first branch-and-bound pass in job-index order, each job's
+    players by ascending index. A job with one active player is loaded
+    before the search, so only jobs with a real choice are branched on.
+    Costs and loads are integer keys; a branch is undone by restoring the
+    load it replaced.
+
+    The incumbent starts at the makespan of giving each job to its
+    cheapest player. Until an allocation is found, a branch is cut only
+    when its largest load goes above that bound; after, a branch that ties
+    the incumbent is cut too. The lexicographically smallest optimum A* is
+    always reached: every prefix of A* has a load of at most the optimum,
+    so only a tie with an allocation found earlier could cut it, and that
+    allocation would be lexicographically smaller. Once A* is recorded,
+    nothing replaces it.
+
+    Every branched job has at least two choices, so NODE_GUARD on the
+    product of choices also caps the recursion depth.
     """
     columns = []
     for j in T.jobs():
@@ -88,58 +97,45 @@ def opt_makespan(T):
                 f"search space exceeds {NODE_GUARD} nodes before pruning"
             )
 
-    keys, unbounded = _load_keys({c for finite in columns for _, c in finite}, T.m)
-    choices = [tuple((i, keys[c]) for i, c in finite) for finite in columns]
-
-    def min_cost(j):
-        return min(c for _, c in choices[j - 1])
-
-    order = [choices[j - 1] for j in sorted(T.jobs(), key=min_cost, reverse=True)]
-
+    keys = _load_keys({c for finite in columns for _, c in finite}, T.m)
     loads = [0] * (T.n + 1)
+    cheapest = [0] * (T.n + 1)
+    owner = [0] * T.m
+    branched = []
+    for j, finite in enumerate(columns):
+        choices = tuple((i, keys[c]) for i, c in finite)
+        if len(choices) == 1:
+            owner[j] = choices[0][0]
+            loads[owner[j]] += choices[0][1]
+        else:
+            branched.append((j, choices))
+        i, c = min(choices, key=lambda choice: choice[1])
+        cheapest[i] += c
+
+    # A branch is cut once its largest load reaches limit. Keys are integers,
+    # so bound + 1 cuts only loads above the starting bound; each allocation
+    # found sets limit to its makespan, so from then on ties are cut too.
+    limit = max(cheapest) + 1
+    witness = None
     explored = 0
-    best_value = unbounded
 
     def descend(idx, current_max):
-        nonlocal explored, best_value
-        if idx == len(order):
-            best_value = current_max
+        nonlocal explored, limit, witness
+        if idx == len(branched):
+            limit, witness = current_max, Allocation(owner)
             return
-        for i, c in order[idx]:
+        j, choices = branched[idx]
+        for i, c in choices:
             explored += 1
             old = loads[i]
             new_load = old + c
             new_max = new_load if new_load > current_max else current_max
-            if new_max >= best_value:
+            if new_max >= limit:
                 continue
             loads[i] = new_load
+            owner[j] = i
             descend(idx + 1, new_max)
             loads[i] = old
 
-    descend(0, 0)
-
-    # Phase 2: lexicographically smallest witness at the known optimum.
-    owner = [0] * T.m
-    loads = [0] * (T.n + 1)
-
-    def rebuild(j):
-        nonlocal explored
-        if j > T.m:
-            return True
-        for i, c in choices[j - 1]:
-            explored += 1
-            old = loads[i]
-            new_load = old + c
-            if new_load > best_value:
-                continue
-            loads[i] = new_load
-            owner[j - 1] = i
-            if rebuild(j + 1):
-                return True
-            loads[i] = old
-        return False
-
-    if not rebuild(1):
-        raise SearchError("witness reconstruction failed")  # pragma: no cover
-    witness = Allocation(owner)
+    descend(0, max(loads))
     return OptResult(witness=witness, explored=explored)

@@ -29,8 +29,9 @@ TIMEOUT_ENV_VAR = "MECHDOCK_TIMEOUT_MS"
 # The most characters of a bad reply, and of its error, that the "bad
 # mechanism reply" message quotes.
 _QUOTE_LIMIT = 200
-# The most digits of an out-of-range player, and the most defects, that
-# the "invalid allocation" message writes.
+# The most digits of an out-of-range number (an owner's player, a dummy_of
+# entry) that a defect writes, and the most defects that the "invalid
+# allocation" message names.
 _PLAYER_DIGITS = 20
 _DEFECT_LIMIT = 3
 
@@ -74,7 +75,10 @@ class Instance:
         dummy = dict(sorted((int(p), int(j)) for p, j in (dummy_of or {}).items()))
         for p, j in dummy.items():
             if not (1 <= p <= n and 1 <= j <= len(cols)):
-                raise ModelError(f"dummy_of entry out of range: {p} -> {j}")
+                raise ModelError(
+                    "dummy_of entry out of range: "
+                    f"{_quoted_player(p)} -> {_quoted_player(j)}"
+                )
             if p not in cols[j - 1]:
                 raise ModelError(f"player {p}'s dummy job {j} costs infinity")
             for other in cols[j - 1]:
@@ -424,8 +428,9 @@ def active_players(T, j):
 
 
 def _quoted_player(p):
-    """A player number as a defect names it: whole up to _PLAYER_DIGITS
-    digits, else its sign, first _PLAYER_DIGITS digits and digit count."""
+    """A player or job number as a defect names it: whole up to
+    _PLAYER_DIGITS digits, else its sign, first _PLAYER_DIGITS digits and
+    digit count."""
     digits = str(abs(p))
     if len(digits) <= _PLAYER_DIGITS:
         return str(p)
@@ -545,13 +550,14 @@ class ExternalMechanism(MechanismHandle):
             except OSError as exc:
                 raise MechanismError(f"mechanism pipe failure: {exc}")
 
-    def _read_line(self, deadline, timeout):
-        """One reply line, read from the raw pipe against the query's
-        deadline, so a child that stalls mid-line times out as one that
-        never answers."""
+    def _read_line(self, deadline, timeout, limit):
+        """One reply line of at most limit bytes, read from the raw pipe
+        against the query's deadline, so a child that stalls mid-line times
+        out as one that never answers, and one that writes without end is
+        cut off once its line passes the limit."""
         fd = self._proc.stdout.fileno()
         buf = self._pending
-        while b"\n" not in buf:
+        while b"\n" not in buf and len(buf) <= limit:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
                 raise MechanismError(f"mechanism timed out after {timeout:.3f}s")
@@ -560,6 +566,8 @@ class ExternalMechanism(MechanismHandle):
                 raise MechanismError("mechanism closed its output stream")
             buf += chunk
         line, _, self._pending = buf.partition(b"\n")
+        if len(line) > limit:
+            raise MechanismError(f"mechanism reply exceeds {limit} bytes")
         return line.decode("utf-8", "replace")
 
     def query(self, T):
@@ -568,7 +576,9 @@ class ExternalMechanism(MechanismHandle):
         timeout = self._timeout_s()
         deadline = time.monotonic() + timeout
         self._write(T.to_json_line().encode() + b"\n", deadline, timeout)
-        line = self._read_line(deadline, timeout)
+        # The longest reply line taken, far above an owner list of T.m
+        # player numbers, so that only a runaway child reaches it.
+        line = self._read_line(deadline, timeout, 65536 + 32 * T.m)
         try:
             reply = json.loads(line)
             return Allocation.from_json_dict(reply)

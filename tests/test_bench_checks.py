@@ -1,11 +1,12 @@
-"""The pinned reports and bounds rows, re-checked by the benchmark's own
-verifier.
+"""The pinned reports and bounds rows, and optmakespan's answers, re-checked
+by the benchmark's own verifier.
 
 `verify` re-checks a report with the program's own arithmetic, and the
 golden digests pin bytes, not claims. bench/checks.py recomputes each claim
 with separate arithmetic (bench/tiered.py) and never imports mechdock, so
 this module runs it over every report and bounds CSV tests/test_golden.py
-pins.
+pins, and its brute-force optimum over the instances a WMON fuzz run asks
+optmakespan about.
 """
 
 import json
@@ -14,6 +15,9 @@ from collections import Counter
 from pathlib import Path
 
 from mechdock.cli import main
+from mechdock.mechlib import optmakespan_allocate
+from mechdock.schedmodel import BuiltinMechanism
+from mechdock.wmon import FuzzSpec, fuzz
 from test_golden import BOUNDS_RUNS, STEP_RUNS, STRATEGIES, _report_json, _selectors
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -58,3 +62,21 @@ def test_every_pinned_bounds_row_passes_the_independent_check(tmp_path, capsys):
         *(("optimize", r) for r in (3, 4, 5, 10, 30, 36, 100)),
         ("infeasible-reference", 3),
     ]
+
+
+def test_optmakespan_answers_the_independent_brute_force_optimum():
+    # each fuzz trial asks about an instance on the grid 0..4 and its
+    # perturbed copy, whose edited cells are rationals off the grid
+    seen = []
+
+    def recorded(T):
+        seen.append((T, optmakespan_allocate(T)))
+        return seen[-1][1]
+
+    mech = BuiltinMechanism("optmakespan", recorded)
+    for n, m, seed in ((3, 3, 1), (4, 6, 2)):
+        fuzz(mech, FuzzSpec(n, m), 200, seed)
+    assert len(seen) == 800
+    for T, x in seen:
+        _, owner = checks.brute_force_opt(checks.Inst(T.to_json_dict()))
+        assert list(x.owner) == owner, T.to_json_dict()

@@ -1,15 +1,18 @@
+import functools
 import io
 import json
 import os
 import re
 import shlex
 import sys
+import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mechdock.cli import main
 from mechdock.schedmodel import Instance
@@ -201,8 +204,14 @@ def test_attack_rejects_a_malformed_extern_owner(tmp_path, capsys):
             "invalid allocation: job 2 assigned to out-of-range player 7",
         ),
         (f"{sys.executable} -c pass", "mechanism closed its output stream"),
+        (
+            # one byte past the cap of a 2-job query, then no newline
+            f"{sys.executable} -c \"import sys, time; sys.stdin.readline(); "
+            "sys.stdout.write('x' * 65601); sys.stdout.flush(); time.sleep(30)\"",
+            "mechanism reply exceeds 65600 bytes",
+        ),
     ],
-    ids=["short-owner", "out-of-range-owner", "silent-exit"],
+    ids=["short-owner", "out-of-range-owner", "silent-exit", "overlong-reply"],
 )
 def test_attack_a_bad_extern_answer_is_a_mechanism_failure(mech, message, capsys):
     argv = ["attack", "--strategy", "s2x2", "--mechanism", f"extern:{mech}"]
@@ -215,12 +224,14 @@ DEEPLY_NESTED = "[" * 100_000
 
 
 def test_attack_a_deeply_nested_extern_reply_is_a_mechanism_failure(capsys):
+    # half of DEEPLY_NESTED: still too deep for the decoder, and within the
+    # 65,600-byte reply line a 2-job query accepts
     script = Path(__file__).parent / "extern_reply.py"
-    mech = f"extern:{sys.executable} {script} '{DEEPLY_NESTED}'"
+    mech = f"extern:{sys.executable} {script} '{DEEPLY_NESTED[:50_000]}'"
     assert main(["attack", "--strategy", "s2x2", "--mechanism", mech]) == 4
     err = capsys.readouterr().err
     assert err.startswith("mechanism failure: bad mechanism reply '[[[")
-    assert "'... (100000 characters): maximum recursion depth exceeded" in err
+    assert "'... (50000 characters): maximum recursion depth exceeded" in err
     # the reply is quoted by its first 200 characters, on one short line
     assert err.count("\n") == 1 and len(err.encode()) < 1024
 
@@ -374,6 +385,19 @@ def test_attack_optmakespan_budget_is_a_mechanism_failure(capsys):
     argv = ["attack", "--strategy", "main", "--r", "10", "--a", "1966/1000"]
     assert main(argv + ["--mechanism", "optmakespan"]) == 4
     assert "mechanism failure: optmakespan" in capsys.readouterr().err
+
+
+def test_wmon_optmakespan_searches_only_jobs_with_a_choice(capsys):
+    # 1200 jobs with one player each have a single allocation; 30 jobs with
+    # two players each exceed the node budget before any search
+    argv = ["wmon", "--mechanism", "optmakespan", "--trials", "1"]
+    assert main(argv + ["--n", "1", "--m", "1200"]) == 0
+    assert capsys.readouterr().out == "0 violation(s) over 1 seeded trials\n"
+    assert main(argv + ["--n", "2", "--m", "30", "--grid", "1"]) == 4
+    assert capsys.readouterr().err == (
+        "mechanism failure: optmakespan: search space exceeds 100000000 nodes "
+        "before pruning\n"
+    )
 
 
 def test_bounds_reference_rows(tmp_path, capsys):
@@ -818,6 +842,24 @@ VERIFY_DEFECTS = {
         _add_a_row_to_tprime,
         "instances differ outside the cited row",
     ),
+    # an exponent is not read: "1e99999" once overflowed str() in the "not
+    # met" defect, and "1e2000000" took about a second to parse
+    "bound-exponent": (
+        "minwork",
+        _set(["claimed_bound"], "1e99999"),
+        "malformed report: malformed rational '1e99999'",
+    ),
+    "bound-large-exponent": (
+        "minwork",
+        _set(["claimed_bound"], "1e2000000"),
+        "malformed report: malformed rational '1e2000000'",
+    ),
+    "dummy-of-huge-job": (
+        "minwork",
+        _set(["instance", "dummy_of"], {"1": 10**400}),
+        "malformed report: dummy_of entry out of range: 1 -> "
+        "10000000000000000000... (401 digits)",
+    ),
 }
 
 
@@ -835,3 +877,90 @@ def test_verify_names_each_defect_of_an_edited_report(case, tmp_path, capsys):
     report.write_text(json.dumps(doc))
     assert main(["verify", "--report", str(report)]) == 1
     assert capsys.readouterr().err == f"verification failed: {message}\n"
+
+
+# Genuine reports, one run each: every verdict kind and both unbounded
+# reasons on s2x2, the stored parameters of s3x3 and main, and the recorded
+# answers of an extern report.
+MUTATED_RUNS = [
+    ["--strategy", "s2x2", "--mechanism", "minwork"],
+    ["--strategy", "s2x2", "--mechanism", "dictator:2"],
+    ["--strategy", "s2x2", "--mechanism", "stub:9"],
+    ["--strategy", "s2x2", "--mechanism", "stub:1"],
+    ["--strategy", "s3x3", "--mechanism", "minwork"],
+    ["--strategy", "main", "--mechanism", "minwork", "--r", "1", "--a", "3313/2048"],
+    ["--strategy", "s2x2", "--mechanism", EXTERN],
+]
+
+# What a stored value is replaced with: wrong types, empty containers, null,
+# true, NaN, exponent strings and a 4,000-digit integer.
+HOSTILE_VALUES = [
+    0, -1, 3, 1.5, "", "x", "inf", [], {}, None, True, float("nan"),
+    "1e99999", "1e2000000", "-1e400", 10**3999, [[1]], {"owner": [1]},
+]
+
+
+@functools.cache
+def _genuine_report(run):
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "r.json"
+        with redirect_stdout(io.StringIO()):
+            assert main(["attack", *MUTATED_RUNS[run], "--report", str(report)]) == 0
+        return report.read_text()
+
+
+def _enlarges_the_chain(path, value):
+    """Whether an edit raises the stored r or kc: replay would then rebuild
+    the chain at that size, which a 4,000-digit r makes unbounded work."""
+    if path not in (["params", "r"], ["params", "kc"]):
+        return False
+    try:
+        return int(value) > 1
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    run=st.integers(0, len(MUTATED_RUNS) - 1),
+    value=st.sampled_from(HOSTILE_VALUES),
+    data=st.data(),
+)
+def test_verify_ends_a_mutated_report_in_one_line(tmp_path_factory, run, value, data):
+    doc = json.loads(_genuine_report(run))
+    # walk from the root to a random entry, one step at least and then
+    # three times in four one step deeper
+    node, path = doc, []
+    while isinstance(node, (dict, list)) and node and (
+        not path or data.draw(st.integers(0, 3))
+    ):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(keys))
+        path.append(key)
+        node = node[key]
+    assume(not _enlarges_the_chain(path, value))
+    parent[key] = value
+    report = tmp_path_factory.mktemp("mutated") / "r.json"
+    report.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["verify", "--report", str(report)])
+    assert rc in (0, 1)
+    assert len((out.getvalue() + err.getvalue()).splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ["1e99999", "1e2000000"])
+def test_verify_reads_a_stored_parameter_only_as_it_is_written(text, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    argv = ["attack", "--strategy", "s3x3", "--mechanism", "minwork"]
+    assert main(argv + ["--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    doc["params"]["b"] = text
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    start = time.process_time()
+    assert main(["verify", "--report", str(report)]) == 1
+    assert time.process_time() - start < 0.1
+    assert capsys.readouterr().err == (
+        f"verification failed: replay failed: malformed rational {text!r}\n"
+    )

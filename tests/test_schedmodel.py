@@ -290,6 +290,38 @@ def test_external_mechanism_partial_reply_times_out(monkeypatch):
         mech.close()
 
 
+# 64 KiB plus 32 bytes per job: the longest reply line a 1-job query takes.
+REPLY_LIMIT = 65536 + 32
+
+
+@pytest.mark.parametrize(
+    "ending, message",
+    [
+        ("'\\n'", "bad mechanism reply 'xxx"),
+        ("'x'", f"^mechanism reply exceeds {REPLY_LIMIT} bytes$"),
+    ],
+    ids=["at-the-cap", "past-the-cap"],
+)
+def test_external_mechanism_caps_a_reply_line(ending, message, monkeypatch):
+    # The child writes a line of REPLY_LIMIT bytes, then either ends it or
+    # adds one more byte and stalls: the read stops at the cap, long before
+    # the query's deadline, and holds about one line in memory.
+    monkeypatch.setenv("MECHDOCK_TIMEOUT_MS", "20000")
+    script = (
+        "import sys, time; sys.stdin.readline(); "
+        f"sys.stdout.write('x' * {REPLY_LIMIT} + {ending}); sys.stdout.flush(); "
+        "time.sleep(30)"
+    )
+    mech = ExternalMechanism([sys.executable, "-c", script])
+    try:
+        start = time.monotonic()
+        with pytest.raises(MechanismError, match=message):
+            mech.query(Instance([[1]]))
+        assert time.monotonic() - start < 10
+    finally:
+        mech.close()
+
+
 def test_external_mechanism_close_closes_both_pipes():
     mech = _extern()
     assert mech.query(Instance([[1, 2], [3, 1]])) == Allocation([1, 2])
