@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..forge import CONSTRUCTIONS, Spec, resolve_params
+from ..forge import CONSTRUCTIONS, Spec, chain_shape, resolve_params
 from ..schedmodel import json_text
 from .blocks import block_chain
 from .engine import run
@@ -12,7 +12,7 @@ from .small import square2, square3, square4
 from .verdicts import verdict_from_json_dict, verify_verdict
 
 # What reading or replaying a malformed stored report can raise.
-MALFORMED_REPORT = (AttributeError, KeyError, ValueError, TypeError, ArithmeticError)
+MALFORMED_REPORT = (AttributeError, LookupError, ValueError, TypeError, ArithmeticError)
 
 # Each strategy runs on one construction and takes its parameters.
 STRATEGY_SPECS = {
@@ -31,12 +31,14 @@ class Report:
     verdict: object
     transcript: list
 
-    def to_json_dict(self):
+    def to_json_dict(self, dense=True):
+        """The report's plain JSON tree; with dense=False its instances stay
+        Instance objects, which json_text writes from their columns."""
         return {
             "strategy": self.strategy,
             "params": {k: str(v) for k, v in sorted(self.params.items())},
             "mechanism": self.mechanism,
-            "verdict": self.verdict.to_json_dict(),
+            "verdict": self.verdict.to_json_dict(dense),
             "transcript": self.transcript,
             "queries": len(self.transcript),
         }
@@ -44,7 +46,7 @@ class Report:
     def to_json(self):
         """The stored report: the bytes of json.dumps(self.to_json_dict(),
         sort_keys=True, indent=1)."""
-        return json_text(self.to_json_dict())
+        return json_text(self.to_json_dict(dense=False))
 
 
 def attack(strategy, mech, params=None):
@@ -68,13 +70,34 @@ def replay_report(report_dict, mechanism_factory):
     """Re-run a report's strategy against a rebuilt mechanism and compare.
 
     Returns a list of defects: empty when the re-run reproduces the stored
-    report byte for byte (deterministic mechanisms only).
+    report byte for byte (deterministic mechanisms only). A block-chain
+    report whose stored r and kc do not give the shape of its stored data
+    is refused before anything is built, so a report cannot make replay
+    build a chain larger than the report itself.
     """
+    strategy, params = report_dict["strategy"], report_dict.get("params", {})
+    if strategy == "main":
+        params = resolve_params(STRATEGY_SPECS[strategy].params, params)
+        if not _has_shape(report_dict, chain_shape(params["r"], params["kc"])):
+            return ["stored r and kc do not give the shape of the stored instance"]
     mech = mechanism_factory(report_dict["mechanism"])
-    fresh = attack(report_dict["strategy"], mech, report_dict.get("params", {}))
+    fresh = attack(strategy, mech, params)
     if not _same_json(fresh.to_json_dict(), report_dict):
         return ["replay produced a different report"]
     return []
+
+
+def _has_shape(report_dict, shape):
+    """Whether a block-chain report's stored data has the (players, jobs)
+    shape: its verdict instance, or for a StrategyIncomplete, which stores
+    no instance, the length of its first query's owner vector, one entry
+    per job."""
+    n, m = shape
+    verdict = report_dict["verdict"]
+    if verdict["kind"] == "StrategyIncomplete":
+        return len(report_dict["transcript"][0]["owner"]) == m
+    costs = verdict["T" if verdict["kind"] == "WmonViolation" else "instance"]["costs"]
+    return (len(costs), len(costs[0])) == (n, m)
 
 
 def _same_json(fresh, stored):

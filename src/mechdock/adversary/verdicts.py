@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..exactnum import UNBOUNDED, ZERO, format_value, leading_ratio, parse_rational
+from ..exactnum import (
+    UNBOUNDED,
+    ZERO,
+    format_value,
+    leading_ratio,
+    parse_rational,
+    quoted,
+)
 from ..schedmodel import Allocation, Instance, makespan, validate_allocation
 from ..wmon import WmonPreconditionError, WmonViolation, wmon_value
 
@@ -29,10 +36,12 @@ class RatioWitness:
 
     kind = "RatioWitness"
 
-    def to_json_dict(self):
+    def to_json_dict(self, dense=True):
+        """The stored form; with dense=False the instance stays an
+        Instance, which json_text writes from its columns."""
         return {
             "kind": self.kind,
-            "instance": self.instance.to_json_dict(),
+            "instance": self.instance.to_json_dict() if dense else self.instance,
             "mech_allocation": self.mech_alloc.to_json_dict(),
             "certificate": self.certificate.to_json_dict(),
             "claimed_bound": str(Fraction(self.claimed_bound)),
@@ -48,10 +57,12 @@ class Unbounded:
 
     kind = "Unbounded"
 
-    def to_json_dict(self):
+    def to_json_dict(self, dense=True):
+        """The stored form; with dense=False the instance stays an
+        Instance, which json_text writes from its columns."""
         return {
             "kind": self.kind,
-            "instance": self.instance.to_json_dict(),
+            "instance": self.instance.to_json_dict() if dense else self.instance,
             "mech_allocation": self.mech_alloc.to_json_dict(),
             "certificate": self.certificate.to_json_dict(),
             "reason": self.reason,
@@ -65,7 +76,8 @@ class StrategyIncomplete:
 
     kind = "StrategyIncomplete"
 
-    def to_json_dict(self):
+    def to_json_dict(self, dense=True):
+        """The stored form, which holds no instance."""
         return {"kind": self.kind, "step": self.step, "diagnostic": self.diagnostic}
 
 
@@ -130,7 +142,8 @@ def verify_verdict(v):
         ratio = leading_ratio(ms_mech, ms_cert)
         if ratio < v.claimed_bound:
             defects.append(
-                f"claimed bound {v.claimed_bound} not met: leading ratio {ratio}"
+                f"claimed bound {quoted(str(v.claimed_bound), str)} not met: "
+                f"leading ratio {quoted(str(ratio), str)}"
             )
         return defects
     if isinstance(v, WmonViolation):

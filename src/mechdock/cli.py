@@ -155,7 +155,7 @@ def cmd_gen(args):
         print(f"cannot build instance: {exc}", file=sys.stderr)
         return 2
     done = f"wrote {instance.n}x{instance.m} instance to {args.out}"
-    return _write(args.out, json_text(instance.to_json_dict()), done)
+    return _write(args.out, json_text(instance), done)
 
 
 def cmd_attack(args):
@@ -274,7 +274,7 @@ def cmd_wmon(args):
     print(f"{len(violations)} violation(s) over {scope}")
     if not args.out:
         return 0
-    text = json_text([v.to_json_dict() for v in violations])
+    text = json_text([v.to_json_dict(dense=False) for v in violations])
     return _write(args.out, text, f"wrote {args.out}")
 
 

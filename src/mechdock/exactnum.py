@@ -11,6 +11,10 @@ values are never multiplied). Coefficients are Fractions in lowest terms;
 the comparison, the sign tests and the rendering read their integer
 numerators and denominators directly, since Fraction's own comparisons
 and str() go through the numbers.Rational machinery on every call.
+
+The module also reads the numbers a stored report holds, each only in the
+form this program writes it, and gives the one rule by which a message
+quotes outside text.
 """
 
 from __future__ import annotations
@@ -262,14 +266,14 @@ def parse_value(text):
     while pos < end:
         m = _TERM.match(s, pos)
         if m is None:
-            raise ParseError(f"malformed value {text!r} at offset {pos}")
+            raise ParseError(f"malformed value {quoted(text)} at offset {pos}")
         # A term ends in digits that \d+ took greedily, so a later one can
         # only begin with its sign: an unsigned "12" is one term.
         sign, numer, denom, tier = m.groups()
         if denom is not None:
             den = int(denom)
             if not den:
-                raise ParseError(f"zero denominator in {text!r}")
+                raise ParseError(f"zero denominator in {quoted(text)}")
         t = int(tier) if tier is not None else 0
         if t <= last:
             ascending = False
@@ -298,9 +302,40 @@ def parse_rational(x):
     if not isinstance(x, str):
         raise ParseError(f"expected a rational, got {type(x).__name__}")
     if not _RATIONAL.fullmatch(x):
-        shown = f"{x!r}" if len(x) <= 40 else f"{x[:40]!r}..."
-        raise ParseError(f"malformed rational {shown}")
+        raise ParseError(f"malformed rational {quoted(x)}")
     return Fraction(x)
+
+
+_INTEGER = re.compile(r"-?\d+")
+
+
+def parse_int(x):
+    """A stored integer, parse_rational's twin: an int as it is, and text
+    only in the form str(int) writes, -?digits. int(text) also reads
+    surrounding spaces and digit-group underscores, such as " 3" and
+    "1_0"."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, str):
+        raise ParseError(f"expected an integer, got {type(x).__name__}")
+    if not _INTEGER.fullmatch(x):
+        raise ParseError(f"malformed integer {quoted(x)}")
+    return int(x)
+
+
+# The most characters of outside text that a message quotes.
+QUOTE_LIMIT = 200
+
+
+def quoted(text, show=repr):
+    """Outside text as a message quotes it: show(text) when it has at most
+    QUOTE_LIMIT characters; else show() of its first QUOTE_LIMIT
+    characters, then "..." and its length. A stored report or a reply can
+    hold text of any length, and a message quoting it stays one short
+    line."""
+    if len(text) <= QUOTE_LIMIT:
+        return show(text)
+    return f"{show(text[:QUOTE_LIMIT])}... ({len(text)} characters)"
 
 
 def format_value(v):

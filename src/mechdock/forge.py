@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import EPS1, EPS2, EPS3, EPS4, INF, parse_rational, tv
+from .exactnum import EPS1, EPS2, EPS3, EPS4, INF, ZERO, parse_int, parse_rational, tv
 from .schedmodel import Instance
 
 
@@ -74,6 +74,15 @@ def compute_b(a, r, k_c):
     return tuple(b), Fraction(z_num, den)
 
 
+def chain_shape(r, k_c):
+    """The block chain's (players, jobs): player 1, two co-players per
+    block and one per chain job; three jobs per block, the chain jobs and
+    a dummy job per player. A closed form, so a stored shape can be
+    checked against r and k_c before anything is built."""
+    n = 2 * r + 1 + k_c
+    return n, 3 * r + k_c + n
+
+
 def compute_b_closed(a, r, k_c, k):
     """Closed form of the recurrence: must agree with compute_b exactly."""
     a = Fraction(a)
@@ -102,11 +111,11 @@ class MainParams:
 
     @property
     def n(self):
-        return 2 * self.r + 1 + self.k_c
+        return chain_shape(self.r, self.k_c)[0]
 
     @property
     def m(self):
-        return 3 * self.r + self.k_c + self.n
+        return chain_shape(self.r, self.k_c)[1]
 
     def block_jobs(self, i):
         base = 3 * (i - 1)
@@ -140,24 +149,36 @@ def check_feasible(p):
 
 
 def build_main(p):
-    """The full n-player block-chain instance with a dummy job per player."""
+    """The full n-player block-chain instance with a dummy job per player.
+
+    Each distinct price is one value object, shared by every cell it
+    prices: a^-k comes from one table for k = 0 .. r + k_c, each companion
+    price 2 a^-i and each b_i is made once per block, and every dummy job
+    costs ZERO. format_value keeps a value's text on it, so writing the
+    instance renders each distinct price once; at r = 100 that is 403
+    values for 1,201 finite cells, the longest of hundreds of digits. The
+    sharing is by construction, not through a dict keyed by Fraction:
+    hashing a Fraction takes a modular inverse of its denominator, which
+    made the build slower than the copies it saved.
+    """
     check_feasible(p)
+    power = [tv(p.a**-k) for k in range(p.r + p.k_c + 1)]  # power[k] = a^-k
     cols = [{} for _ in range(p.m)]
     for i in range(1, p.r + 1):
         j1, j2, j3 = p.block_jobs(i)
         lo, hi = p.block_coplayers(i)
-        first, companion = p.a ** -(i - 1), 2 * p.a**-i
-        cols[j1 - 1] = {1: p.b[i - 1], lo: first, hi: first}
+        first, companion = power[i - 1], 2 * power[i]
+        cols[j1 - 1] = {1: tv(p.b[i - 1]), lo: first, hi: first}
         cols[j2 - 1] = {1: companion, lo: EPS1}
         cols[j3 - 1] = {1: companion, hi: EPS1}
     for t in range(1, p.k_c + 1):
         cols[p.chain_job(t) - 1] = {
-            1: p.a ** -(p.r + t),
-            p.chain_coplayer(t): p.a ** -(p.r + t - 1),
+            1: power[p.r + t],
+            p.chain_coplayer(t): power[p.r + t - 1],
         }
     dummy_of = {}
     for q in range(1, p.n + 1):
-        cols[p.dummy_job(q) - 1] = {q: 0}
+        cols[p.dummy_job(q) - 1] = {q: ZERO}
         dummy_of[q] = p.dummy_job(q)
     return Instance.from_columns(p.n, cols, dummy_of)
 
@@ -202,8 +223,9 @@ REQUIRED = object()
 @dataclass(frozen=True)
 class Param:
     """One named parameter: its coercion (applied to stored strings too:
-    int, or parse_rational for a rational) and its default, which is
-    REQUIRED, a value, or a function of the values coerced before it."""
+    parse_int for an integer, parse_rational for a rational) and its
+    default, which is REQUIRED, a value, or a function of the values
+    coerced before it."""
 
     name: str
     coerce: object
@@ -254,8 +276,8 @@ CONSTRUCTIONS = {
         build_an,
         (
             Param("a", parse_rational),
-            Param("r", int),
-            Param("kc", int, lambda values: values["r"]),
+            Param("r", parse_int),
+            Param("kc", parse_int, lambda values: values["r"]),
         ),
     ),
     "d2x2": Spec(d2x2),

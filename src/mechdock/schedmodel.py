@@ -4,12 +4,14 @@ Players and jobs are 1-indexed throughout. Instances and allocations are
 immutable; edits produce new instances. An instance stores only its finite
 cells, column by column, with infinity implicit (the block-chain instances
 are under 1% finite), and an edit shares every column it does not write.
-The JSON form is the dense matrix, and json_text writes every stored file
-in one layout; the one-line request sent to an external mechanism is
-written straight from the columns, with each run of infinite cells written
-at once. A mechanism is a deterministic black box mapping an instance to
-an allocation, either built in or an external subprocess speaking
-line-delimited JSON.
+The JSON form of an instance is the dense matrix. to_json_dict builds it
+as a plain tree, the form that is read and compared; the text of both
+written layouts comes from one row writer working on the columns, each run
+of infinite cells written at once: the one-line request sent to an
+external mechanism (to_json_line), and the indented layout of every stored
+file (json_text). A mechanism is a deterministic black box mapping an
+instance to an allocation, either built in or an external subprocess
+speaking line-delimited JSON.
 """
 
 from __future__ import annotations
@@ -22,13 +24,10 @@ import subprocess
 import time
 from json.encoder import encode_basestring_ascii
 
-from .exactnum import INF, format_value, parse_value, tv, tv_sum
+from .exactnum import INF, format_value, parse_value, quoted, tv, tv_sum
 
 DEFAULT_TIMEOUT_MS = 10000
 TIMEOUT_ENV_VAR = "MECHDOCK_TIMEOUT_MS"
-# The most characters of a bad reply, and of its error, that the "bad
-# mechanism reply" message quotes.
-_QUOTE_LIMIT = 200
 # The most digits of an out-of-range number (an owner's player, a dummy_of
 # entry) that a defect writes, and the most defects that the "invalid
 # allocation" message names.
@@ -52,6 +51,10 @@ class Instance:
     column omits costs infinity. The constructor takes dense rows;
     from_columns takes the finite entries directly. An edit copies only
     the columns it touches and shares the rest with the original.
+
+    The dense to_json_dict tree is the form a stored instance is read and
+    compared in; the text an instance is written as, the request line and
+    the stored layout alike, is written from the columns.
 
     dummy_of maps a player to the index of a job only that player can
     finitely process (the column is infinite for everyone else).
@@ -204,29 +207,51 @@ class Instance:
     def to_json_line(self):
         """The one-line request an external mechanism reads: the bytes of
         json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")),
-        written from the columns. Each row's finite cells are collected in
-        job order and the "inf" cells between them written as runs, so a
-        row costs work in its finite cells, not in m; a rendered cost never
-        needs escaping."""
+        written by the row writer json_text uses too."""
+        parts = []
+        self._write_json(parts, "", "", ":")
+        return "".join(parts)
+
+    def _write_json(self, parts, newline, indent, colon):
+        """Append the text of json.dumps(self.to_json_dict(), sort_keys=True)
+        to parts: newline breaks a line at the instance's own depth, indent
+        deepens it one level and colon follows each key, so ("", "", ":")
+        writes the compact request line and ("\n" + depth, " ", ": ") the
+        indent=1 layout. Each row's finite cells are collected in job order
+        and the "inf" cells between them written as runs, so a row costs
+        work in its finite cells, not in m; a rendered cost never needs
+        escaping."""
+        key = newline + indent  # before each key of the instance's dict
+        row = key + indent  # before each row of costs
+        cell = row + indent  # before each cell of a row
+        sep, opening = "," + cell, row + "[" + cell
+        inf_run = sep + '"inf"'
         rows = [[] for _ in range(self.n)]
         for j, col in enumerate(self._cols):
             for i, c in col.items():
                 rows[i - 1].append((j, format_value(c)))
-        lines = []
+        parts.append("{" + key + '"costs"' + colon + "[")
+        start = opening
         for cells in rows:
-            parts, done = [], 0
+            # lead goes before the next cell: the row's opening, then sep
+            lead, done = start, 0
             for j, text in cells:
-                parts.append(_INF_CELL * (j - done) + '"' + text + '",')
-                done = j + 1
-            parts.append(_INF_CELL * (self.m - done))
-            lines.append("".join(parts)[:-1])
-        dummy = ""
+                if j > done:
+                    parts.append(lead + '"inf"' + inf_run * (j - done - 1))
+                    lead = sep
+                parts.append(lead + '"' + text + '"')
+                lead, done = sep, j + 1
+            if self.m > done:
+                parts.append(lead + '"inf"' + inf_run * (self.m - done - 1))
+            parts.append(row + "]")
+            start = "," + opening
+        parts.append(key + "]")
         if self._dummy_of:
             keyed = sorted((str(p), j) for p, j in self._dummy_of.items())
-            dummy = ',"dummy_of":{' + ",".join(f'"{p}":{j}' for p, j in keyed) + "}"
-        return (
-            '{"costs":[[' + "],[".join(lines) + "]]"
-            + dummy + f',"m":{self.m},"n":{self.n}}}'
+            entries = ",".join(f'{row}"{p}"{colon}{j}' for p, j in keyed)
+            parts.append("," + key + '"dummy_of"' + colon + "{" + entries + key + "}")
+        parts.append(
+            f',{key}"m"{colon}{self.m},{key}"n"{colon}{self.n}{newline}}}'
         )
 
     @classmethod
@@ -279,10 +304,6 @@ class Instance:
         return f"Instance({self.n}x{self.m})"
 
 
-# An infinite cell of a request line, with the comma that follows it.
-_INF_CELL = '"inf",'
-
-
 def _negative(c):
     """A finite cost is negative when its leading coefficient is; the
     coefficient tuple is read directly because this runs on every finite
@@ -313,11 +334,12 @@ def _columns(widths, cells):
 
 def json_text(obj):
     """The text of json.dumps(obj, sort_keys=True, indent=1) for a tree
-    whose dict keys are strings: the layout of every stored report,
-    instance and violation file. The stdlib encodes an indented document
-    in Python one value at a time; here a list of plain ints, or of
-    strings that need no escaping, is written with one join, and the
-    parts are joined once at the end."""
+    whose dict keys are strings, with each Instance in it standing for its
+    dense to_json_dict: the layout of every stored report, instance and
+    violation file. The stdlib encodes an indented document in Python one
+    value at a time; here an instance is written from its columns by the
+    row writer to_json_line uses, a list of plain ints with one join, and
+    every piece is appended to one list joined once at the end."""
     parts = []
     _json_parts(obj, "\n", parts)
     return "".join(parts)
@@ -326,7 +348,9 @@ def json_text(obj):
 def _json_parts(obj, newline, parts):
     """Append obj's text to parts; newline breaks a line and indents it to
     obj's own depth."""
-    if isinstance(obj, dict):
+    if isinstance(obj, Instance):
+        obj._write_json(parts, newline, " ", ": ")
+    elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")
             return
@@ -341,9 +365,9 @@ def _json_parts(obj, newline, parts):
             parts.append("[]")
             return
         inner = newline + " "
-        flat = _flat_items(obj, "," + inner)
-        if flat is not None:
-            parts.append("[" + inner + flat + newline + "]")
+        if set(map(type, obj)) == {int}:
+            items = ("," + inner).join(map(str, obj))
+            parts.append("[" + inner + items + newline + "]")
             return
         sep = "["
         for item in obj:
@@ -353,21 +377,6 @@ def _json_parts(obj, newline, parts):
         parts.append(newline + "]")
     else:
         parts.append(json.dumps(obj))
-
-
-def _flat_items(items, sep):
-    """The items' texts joined by sep when they are all plain ints, or all
-    strings that need no escaping (escaping only lengthens a string);
-    otherwise None."""
-    try:
-        joined = "".join(items)
-    except TypeError:
-        if set(map(type, items)) == {int}:
-            return sep.join(map(str, items))
-        return None
-    if len(encode_basestring_ascii(joined)) != len(joined) + 2:
-        return None
-    return '"' + ('"' + sep + '"').join(items) + '"'
 
 
 class Allocation:
@@ -486,18 +495,6 @@ class BuiltinMechanism(MechanismHandle):
         return self._fn(T)
 
 
-def _quoted_reply(line, exc):
-    """A bad reply and its error as the message quotes them: whole for a
-    reply of at most _QUOTE_LIMIT characters; else the reply's first
-    _QUOTE_LIMIT characters and its length, and the error cut as short."""
-    detail = str(exc)
-    if len(line) <= _QUOTE_LIMIT:
-        return f"{line!r}: {detail}"
-    if len(detail) > _QUOTE_LIMIT:
-        detail = detail[:_QUOTE_LIMIT] + "..."
-    return f"{line[:_QUOTE_LIMIT]!r}... ({len(line)} characters): {detail}"
-
-
 class ExternalMechanism(MechanismHandle):
     """Child process speaking one JSON object per line on stdin/stdout.
 
@@ -583,7 +580,9 @@ class ExternalMechanism(MechanismHandle):
             reply = json.loads(line)
             return Allocation.from_json_dict(reply)
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise MechanismError(f"bad mechanism reply {_quoted_reply(line, exc)}")
+            raise MechanismError(
+                f"bad mechanism reply {quoted(line)}: {quoted(str(exc), str)}"
+            )
 
     def close(self):
         proc = getattr(self, "_proc", None)

@@ -298,13 +298,15 @@ class WmonViolation:
 
     kind = "WmonViolation"
 
-    def to_json_dict(self):
+    def to_json_dict(self, dense=True):
+        """The stored form; with dense=False the instances stay Instance
+        objects, which json_text writes from their columns."""
         return {
             "kind": self.kind,
             "player": self.player,
-            "T": self.T.to_json_dict(),
+            "T": self.T.to_json_dict() if dense else self.T,
             "x": self.x.to_json_dict(),
-            "Tprime": self.Tp.to_json_dict(),
+            "Tprime": self.Tp.to_json_dict() if dense else self.Tp,
             "xprime": self.xp.to_json_dict(),
             "value": format_value(self.value),
         }

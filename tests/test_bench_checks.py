@@ -6,14 +6,18 @@ golden digests pin bytes, not claims. bench/checks.py recomputes each claim
 with separate arithmetic (bench/tiered.py) and never imports mechdock, so
 this module runs it over every report and bounds CSV tests/test_golden.py
 pins, and its brute-force optimum over the instances a WMON fuzz run asks
-optmakespan about.
+optmakespan about. The benchmark's traced run wraps mechdock's functions
+and methods by name (bench/spans.py), so a name it can no longer find, or
+one it fails to put back, is caught here rather than in that run.
 """
 
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
+from mechdock import adversary, exactnum, mechlib, schedmodel
 from mechdock.cli import main
 from mechdock.mechlib import optmakespan_allocate
 from mechdock.schedmodel import BuiltinMechanism
@@ -22,6 +26,7 @@ from test_golden import BOUNDS_RUNS, STEP_RUNS, STRATEGIES, _report_json, _selec
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import checks  # noqa: E402
+from spans import Tracer  # noqa: E402
 
 
 def _pinned_reports():
@@ -80,3 +85,51 @@ def test_optmakespan_answers_the_independent_brute_force_optimum():
     for T, x in seen:
         _, owner = checks.brute_force_opt(checks.Inst(T.to_json_dict()))
         assert list(x.owner) == owner, T.to_json_dict()
+
+
+def _bindings():
+    """Every name bound in a mechdock module or in a class the tracer
+    patches, with the object it is bound to."""
+    owners = [m for k, m in sys.modules.items() if k.startswith("mechdock")]
+    owners += [
+        exactnum.TieredValue,
+        schedmodel.Instance,
+        schedmodel.ExternalMechanism,
+        adversary.Report,
+    ]
+    return {(o, key): value for o in owners for key, value in vars(o).items()}
+
+
+def test_the_tracer_finds_every_traced_name_and_puts_it_back():
+    # mechdock.cli has imported every module the tracer patches
+    before = _bindings()
+    tracer = Tracer()
+    patched = {}
+    patch_function = tracer.patch_function
+
+    def counted(fn, name):
+        count = len(tracer._patches)
+        patch_function(fn, name)
+        patched[name] = len(tracer._patches) - count
+
+    tracer.patch_function = counted
+    try:
+        # a traced function or method that no longer exists raises here
+        tracer.install()
+        # and a traced function no mechdock module binds patches nothing
+        assert patched and [name for name, n in patched.items() if not n] == []
+        params = {"a": Fraction(3313, 2048), "r": 1, "kc": 1}
+        mech = mechlib.make_mechanism("minwork")
+        adversary.attack("main", mech, params).to_json()
+        assert {name for _, name in tracer.stats} >= {
+            "adversary.attack",
+            "adversary.report_json",
+            "forge.build_main",
+            "exactnum.format_value",
+            "schedmodel.with_costs",
+        }
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in after.items() if value is not before[key]] == []

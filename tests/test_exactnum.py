@@ -20,6 +20,7 @@ from mechdock.exactnum import (
     format_value,
     leading_ratio,
     parse_value,
+    quoted,
     tv,
     tv_compare,
     tv_sum,
@@ -375,12 +376,12 @@ def _parse_by_tier_sums(text):
     while pos < len(s):
         m = _ORACLE_TERM.match(s, pos)
         if not m or m.end() == pos:
-            raise ParseError(f"malformed value {text!r} at offset {pos}")
+            raise ParseError(f"malformed value {quoted(text)} at offset {pos}")
         sign, numer, denom, tier = m.groups()
         if not first and sign is None:
             raise ParseError(f"missing sign between terms in {text!r}")
         if denom is not None and int(denom) == 0:
-            raise ParseError(f"zero denominator in {text!r}")
+            raise ParseError(f"zero denominator in {quoted(text)}")
         q = Fraction(int(numer), int(denom) if denom else 1)
         if sign == "-":
             q = -q

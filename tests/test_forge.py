@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mechdock import forge
-from mechdock.exactnum import EPS1, EPS2, EPS3, EPS4, INF, tv
+from mechdock.exactnum import EPS1, EPS2, EPS3, EPS4, INF, ParseError, tv
 from mechdock.forge import (
     CONSTRUCTIONS,
     FeasibilityError,
@@ -15,6 +15,7 @@ from mechdock.forge import (
     build_main,
     build_instance,
     certified_bound,
+    chain_shape,
     compute_b,
     compute_b_closed,
     d2x2,
@@ -179,6 +180,24 @@ def test_build_main_structure():
     assert T.dummy_of == {q: p.dummy_job(q) for q in range(1, 8)}
 
 
+@pytest.mark.parametrize(
+    "a, r, k_c",
+    [("17/10", 1, 0), ("9/5", 2, 2), ("18736/10000", 3, 3), ("9/5", 2, 7)],
+)
+def test_chain_shape_is_the_shape_build_main_builds(a, r, k_c):
+    T = build_main(MainParams(Fraction(a), r, k_c))
+    assert chain_shape(r, k_c) == (T.n, T.m)
+
+
+def test_build_main_shares_one_value_per_distinct_price():
+    # each value object is rendered once per report, so one object prices
+    # every cell of its price: 403 prices in 1,201 finite cells at r = 100
+    T = build_main(MainParams(Fraction(199, 100), 100, 100))
+    cells = [c for j in T.jobs() for _, c in T.finite_costs(j)]
+    assert len(cells) == 1201
+    assert len({id(c) for c in cells}) == len(set(cells)) == 403
+
+
 def test_build_main_degenerate_chain():
     # an empty chain needs a <= sqrt(3) for the single block price to clear
     p = MainParams(Fraction(17, 10), 1, 0)
@@ -244,6 +263,13 @@ def test_resolve_params_names_every_missing_and_unknown_parameter():
         "r": 2,
         "kc": 2,
     }
+
+
+@pytest.mark.parametrize("r", [" 3", "3 ", "1_0", "+3", "3.0", "", True, 3.0])
+def test_resolve_params_reads_an_integer_only_as_str_writes_it(r):
+    params = CONSTRUCTIONS["an"].params
+    with pytest.raises(ParseError, match="^(malformed|expected an) integer"):
+        resolve_params(params, {"a": "9/5", "r": r})
 
 
 def test_certified_bound_reference_points():

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mechdock import schedmodel
 from mechdock.exactnum import EPS1, EPS2, INF, ZERO, parse_value, tv
@@ -576,6 +576,10 @@ def _compact_dump(T):
     return json.dumps(T.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def _stored_dump(tree):
+    return json.dumps(tree, sort_keys=True, indent=1)
+
+
 # Request-line cells: the infinite one common, and tiered values whose
 # lower tiers have negative coefficients.
 LINE_CELLS = ["inf"] * 6 + ["0", "7", "1/3", "2-1e1", "3/2-7/3e2+1e3", "1e1-5e4"]
@@ -608,6 +612,43 @@ def test_to_json_line_orders_dummy_players_as_strings():
     line = T.to_json_line()
     assert line == _compact_dump(T)
     assert '"dummy_of":{"1":1,"10":10,"11":11,"12":12,"2":2,' in line
+    assert json_text(T) == _stored_dump(T.to_json_dict())
+
+
+@st.composite
+def trees_holding_an_instance(draw):
+    """A request instance at depth 0-3 of a JSON tree, each level a list or
+    a dict with a sibling beside it; and the same tree with the instance's
+    dense to_json_dict in its place."""
+    T = draw(request_instances())
+    tree, dense = T, T.to_json_dict()
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            tree, dense = [1, tree, "x"], [1, dense, "x"]
+        else:
+            tree, dense = {"instance": tree, "n": [2]}, {"instance": dense, "n": [2]}
+    return tree, dense
+
+
+# all-infinite first and last rows, a finite last column, and a dummy job
+# for ten players
+EXTREMES = [
+    Instance([["inf", "inf"], ["1", "inf"], ["inf", "inf"]]),
+    Instance([["inf", "1/3"], ["2-1e1", "0"]]),
+    Instance(
+        [["1" if i == j else "inf" for j in range(10)] for i in range(10)],
+        {p: p for p in range(1, 11)},
+    ),
+]
+
+
+@given(trees_holding_an_instance())
+@example((EXTREMES[0], EXTREMES[0].to_json_dict()))
+@example(([EXTREMES[1]], [EXTREMES[1].to_json_dict()]))
+@example(({"T": EXTREMES[2]}, {"T": EXTREMES[2].to_json_dict()}))
+def test_json_text_writes_an_instance_as_its_dense_dump(case):
+    tree, dense = case
+    assert json_text(tree) == _stored_dump(dense)
 
 
 def test_to_json_line_of_the_r36_chain():
@@ -620,3 +661,7 @@ def test_to_json_line_of_the_r36_chain():
     edited = T.with_costs([(1, 1, "inf"), (2, 1, "5-1e2")])
     assert edited.to_json_line() == _compact_dump(edited) != line
     assert T.to_json_line() == line
+    # the stored layout comes from the same row writer
+    stored = json_text({"verdict": {"instance": T}})
+    assert stored == _stored_dump({"verdict": {"instance": T.to_json_dict()}})
+    assert json_text(edited) == _stored_dump(edited.to_json_dict())
