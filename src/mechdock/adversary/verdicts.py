@@ -18,7 +18,7 @@ from ..exactnum import (
     format_value,
     leading_ratio,
     parse_rational,
-    quoted,
+    quoted_rational,
 )
 from ..schedmodel import Allocation, Instance, makespan, validate_allocation
 from ..wmon import WmonPreconditionError, WmonViolation, wmon_value
@@ -142,8 +142,8 @@ def verify_verdict(v):
         ratio = leading_ratio(ms_mech, ms_cert)
         if ratio < v.claimed_bound:
             defects.append(
-                f"claimed bound {quoted(str(v.claimed_bound), str)} not met: "
-                f"leading ratio {quoted(str(ratio), str)}"
+                f"claimed bound {quoted_rational(v.claimed_bound)} not met: "
+                f"leading ratio {quoted_rational(ratio)}"
             )
         return defects
     if isinstance(v, WmonViolation):

@@ -14,7 +14,7 @@ and str() go through the numbers.Rational machinery on every call.
 
 The module also reads the numbers a stored report holds, each only in the
 form this program writes it, and gives the one rule by which a message
-quotes outside text.
+quotes outside text, and a rational of any size.
 """
 
 from __future__ import annotations
@@ -150,7 +150,12 @@ def tv_sum(values, minus=()):
     `minus`. Each tier's coefficients are added as one integer numerator
     over the lcm of their denominators and reduced once at the end, so no
     Fraction is made per term; a tier only one term reaches keeps that
-    term's coefficient as it is."""
+    term's coefficient as it is.
+
+    A term whose denominator divides the running one, or is a multiple of
+    it, merges with one divmod and a multiply; only other denominators
+    take a gcd. The block chain's prices have denominators that are powers
+    of one base, so a sum along a chain row takes no gcd until the end."""
     if not minus and len(values) < 2:
         return values[0] if values else ZERO
     acc = {}  # tier -> [numerator, denominator, the coefficient if single]
@@ -163,12 +168,24 @@ def tv_sum(values, minus=()):
                     acc[t] = [num, den, q if sign == 1 else -q]
                     continue
                 part[2] = None
-                if part[1] == den:
+                run = part[1]
+                if run == den:
                     part[0] += num
+                    continue
+                if run > den:
+                    k, r = divmod(run, den)
+                    if not r:
+                        part[0] += num * k
+                        continue
                 else:
-                    g = gcd(part[1], den)
-                    part[0] = part[0] * (den // g) + num * (part[1] // g)
-                    part[1] = part[1] // g * den
+                    k, r = divmod(den, run)
+                    if not r:
+                        part[0] = part[0] * k + num
+                        part[1] = den
+                        continue
+                g = gcd(run, den)
+                part[0] = part[0] * (den // g) + num * (run // g)
+                part[1] = run // g * den
     return TieredValue(
         tuple(
             (t, Fraction(num, den) if q is None else q)
@@ -336,6 +353,32 @@ def quoted(text, show=repr):
     if len(text) <= QUOTE_LIMIT:
         return show(text)
     return f"{show(text[:QUOTE_LIMIT])}... ({len(text)} characters)"
+
+
+def quoted_rational(q):
+    """A rational as quoted(str(q), str) writes it, made from its size
+    without writing it whole: str() of an integer past 4,300 digits raises,
+    and a message shows at most the first QUOTE_LIMIT characters."""
+    text, length = _leading_digits(abs(q.numerator))
+    if q.numerator < 0:
+        text, length = "-" + text, length + 1
+    if q.denominator != 1:
+        tail, digits = _leading_digits(q.denominator)
+        text, length = f"{text}/{tail}", length + 1 + digits
+    if length <= QUOTE_LIMIT:
+        return text
+    return f"{text[:QUOTE_LIMIT]}... ({length} characters)"
+
+
+def _leading_digits(k):
+    """The first QUOTE_LIMIT digits of an integer k >= 0, as text, and its
+    digit count. The count starts from an estimate from k's bit length
+    that is never below it and steps down by comparison with powers of
+    ten."""
+    digits = int(k.bit_length() * 0.3010299956639812) + 2
+    while digits > 1 and k < 10 ** (digits - 1):
+        digits -= 1
+    return str(k // 10 ** max(digits - QUOTE_LIMIT, 0)), digits
 
 
 def format_value(v):

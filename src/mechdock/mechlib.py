@@ -5,6 +5,13 @@ Selector strings: "minwork", "optmakespan", "dictator:<i>",
 arbitrary valid allocations, "activestub:<seed>" restricts itself to
 active players and honors dummy jobs, which drives the strategies deep
 into their case trees).
+
+The "minwork" handle keeps its last instance and answer, and decides
+again only the jobs whose columns that instance does not share: an
+adversary edits a few cells per query, and with_costs shares every column
+it does not write. minwork_allocate without an earlier answer is the
+plain full pass, which the engine's certificates and the extern example
+use.
 """
 
 from __future__ import annotations
@@ -22,22 +29,61 @@ from .schedmodel import (
     active_players,
 )
 
-def minwork_allocate(T):
+def minwork_allocate(T, last=None):
     """Each job to its cheapest player in tiered order; ties to lowest index.
 
-    The first finite cell is taken without a compare, and a cell that is
-    the current best's own value object is skipped: equal is never LT."""
-    owner = []
-    for j in T.jobs():
-        cells = iter(T.finite_costs(j))
-        best, best_cost = next(cells, (None, None))
-        if best is None:
-            raise MechanismError(f"job {j} has no finite-cost player")
-        for i, c in cells:
-            if c is not best_cost and tv_compare(c, best_cost) == LT:
-                best, best_cost = i, c
-        owner.append(best)
+    last is an earlier answer (instance, allocation) or None. With an
+    answer for an instance of T's shape, each job keeps last's owner
+    unless T does not share its column with last's instance, found by
+    unshared_jobs without reading a column; only those jobs are decided
+    again. An owner depends on nothing but its column, and a shared column
+    is never mutated, so this is the answer a full pass gives, the same
+    MechanismError included: every column last kept has a finite player,
+    and the others are decided in job order.
+
+    Sharing, not equality, picks the jobs: a column rewritten to equal
+    values is decided again, which costs about what comparing it would,
+    and a column of an instance built apart is never compared first.
+    """
+    if last is None or (last[0].n, last[0].m) != (T.n, T.m):
+        return Allocation([_cheapest(T, j) for j in T.jobs()])
+    last_T, last_x = last
+    owner = list(last_x.owner)
+    for j in last_T.unshared_jobs(T):
+        owner[j - 1] = _cheapest(T, j)
     return Allocation(owner)
+
+
+def _cheapest(T, j):
+    """Job j's owner under min-work. The first finite cell is taken without
+    a compare, and a cell that is the current best's own value object is
+    skipped: equal is never LT."""
+    cells = iter(T.finite_costs(j))
+    best, best_cost = next(cells, (None, None))
+    if best is None:
+        raise MechanismError(f"job {j} has no finite-cost player")
+    for i, c in cells:
+        if c is not best_cost and tv_compare(c, best_cost) == LT:
+            best, best_cost = i, c
+    return best
+
+
+class MinWork(MechanismHandle):
+    """The min-work mechanism, answering each query from its last answer.
+
+    A query along an edit chain decides again only the jobs whose columns
+    the edits wrote. The handle keeps one instance and its allocation; a
+    query that raises leaves them as they were."""
+
+    name = "minwork"
+
+    def __init__(self):
+        self._last = None
+
+    def query(self, T):
+        x = minwork_allocate(T, self._last)
+        self._last = T, x
+        return x
 
 
 def optmakespan_allocate(T):
@@ -106,7 +152,7 @@ class RecordedAnswers(MechanismHandle):
 def make_mechanism(selector):
     """Build a mechanism handle from a CLI selector string."""
     if selector == "minwork":
-        return BuiltinMechanism("minwork", minwork_allocate)
+        return MinWork()
     if selector == "optmakespan":
         return BuiltinMechanism("optmakespan", optmakespan_allocate)
     kind, colon, arg = selector.partition(":")

@@ -52,6 +52,12 @@ class Instance:
     from_columns takes the finite entries directly. An edit copies only
     the columns it touches and shares the rest with the original.
 
+    A column dict is never mutated once an instance holds it: with_costs
+    writes into copies, and every other constructor builds fresh dicts.
+    So a column two instances share is equal in both: changed_jobs and
+    rows_equal_except skip it unread, and min-work keeps its owner when it
+    answers an edited instance from its last answer.
+
     The dense to_json_dict tree is the form a stored instance is read and
     compared in; the text an instance is written as, the request line and
     the stored layout alike, is written from the columns.
@@ -168,12 +174,19 @@ class Instance:
             self.n, cols, self._dummy_of if dummy_of is None else dummy_of
         )
 
+    def unshared_jobs(self, other):
+        """The jobs, ascending, whose column dicts two instances of the same
+        shape do not share: each job the edits between them wrote, and every
+        job of two instances built apart. No column is read."""
+        for j, (a, b) in enumerate(zip(self._cols, other._cols), start=1):
+            if a is not b:
+                yield j
+
     def changed_jobs(self, other):
         """The jobs, ascending, whose columns differ between two instances of
         the same shape; a column an edit shared is skipped unread."""
-        for j, (a, b) in enumerate(zip(self._cols, other._cols), start=1):
-            if a is not b and a != b:
-                yield j
+        cols, others = self._cols, other._cols
+        return (j for j in self.unshared_jobs(other) if cols[j - 1] != others[j - 1])
 
     def rows_equal_except(self, other, i):
         """True when the two instances agree on every row but possibly i.

@@ -282,6 +282,28 @@ def test_verify_quotes_a_long_stored_text_on_a_short_line(path, text, tmp_path, 
     assert f"... ({len(text)} characters)" in err
 
 
+def test_verify_writes_a_ratio_past_the_integer_text_limit_on_a_short_line(
+    tmp_path, capsys
+):
+    # str() of the 9,003-character leading ratio used to raise: its
+    # numerator has more than 4,300 digits
+    report = tmp_path / "r.json"
+    argv = ["attack", "--strategy", "s2x2", "--mechanism", "minwork"]
+    assert main(argv + ["--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    big = 10**3000
+    doc["verdict"]["instance"]["costs"][0] = [f"1/{big + 1}", f"1/{big + 3}"]
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 512
+    assert err.startswith(
+        "verification failed: claimed bound 2 not met: leading ratio 2000"
+    )
+    assert err.endswith("... (9003 characters)\n")
+
+
 # Deep enough that json's decoder exceeds the interpreter's recursion limit.
 DEEPLY_NESTED = "[" * 100_000
 

@@ -1,6 +1,8 @@
 import random
 import re
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +23,7 @@ from mechdock.exactnum import (
     leading_ratio,
     parse_value,
     quoted,
+    quoted_rational,
     tv,
     tv_compare,
     tv_sum,
@@ -469,3 +472,61 @@ def test_parse_value_reduces_and_cancels():
     assert parse_value("0+0e2")._coeffs == ()
     assert parse_value("1e2+1e0")._coeffs == ((0, 1), (2, 1))
     assert parse_value("1e0+1/2+1e1")._coeffs == ((0, Fraction(3, 2)), (1, 1))
+
+
+# Denominators that are powers of one base divide one another both ways,
+# as the chain's block prices do; the others divide neither way.
+_dividing = st.builds(pow, st.sampled_from([2, 3, 10, 12]), st.integers(0, 6))
+_other = st.sampled_from([7, 35, 99, 2 * 3**5, 10**6 + 3])
+_sum_coeffs = st.builds(
+    Fraction,
+    st.integers(-(10**8), 10**8).filter(bool),
+    st.one_of(_dividing, _other),
+)
+_sum_values = st.dictionaries(st.integers(0, 2), _sum_coeffs, max_size=3).map(tiered)
+
+
+@given(
+    st.lists(_sum_values, max_size=12),
+    st.lists(_sum_values, max_size=4),
+    st.booleans(),
+)
+def test_tv_sum_matches_per_tier_fraction_sums_on_dividing_denominators(
+    values, minus, cancel
+):
+    if cancel:  # every tier sums to zero
+        values, minus = values + minus, minus + values
+    expected = {}
+    for vs, sign in ((values, 1), (minus, -1)):
+        for v in vs:
+            for t, q in v.items():
+                expected[t] = expected.get(t, Fraction(0)) + sign * q
+    got = tv_sum(values, minus)
+    assert dict(got.items()) == {t: q for t, q in expected.items() if q}
+    if cancel:
+        assert got.items() == ()
+    assert _is_canonical(got)
+    assert all(
+        q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
+        for _, q in got.items()
+    )
+
+
+# Integers on both sides of the 4,300-digit text limit, and at powers of ten
+# where the digit count changes.
+_quote_ints = st.one_of(
+    st.integers(0, 10**250),
+    st.builds(lambda e, d: 10**e + d, st.integers(0, 9_000), st.integers(-1, 1)),
+)
+
+
+@given(_quote_ints, _quote_ints.filter(bool), st.booleans())
+def test_quoted_rational_is_quoted_str_without_the_text_limit(num, den, negative):
+    q = Fraction(-num if negative else num, den)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = quoted(str(q), str)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert quoted_rational(q) == expected

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mechdock.exactnum import EPS1, EPS2, GT, LT, ZERO, tv, tv_compare
+from mechdock import mechlib
+from mechdock.adversary import attack
+from mechdock.exactnum import EPS1, EPS2, GT, INF, LT, ZERO, tv, tv_compare
 from mechdock.mechlib import (
     RecordedAnswers,
     SeededStub,
@@ -205,3 +207,89 @@ def test_minwork_matches_dense_reference(case):
         assert str(got.value) == str(exc)
         return
     assert list(minwork_allocate(T).owner) == expected
+
+
+def _minwork_outcome(answer):
+    """The allocation answer() gives, or the message of its MechanismError."""
+    try:
+        return answer()
+    except MechanismError as exc:
+        return str(exc)
+
+
+_plain_cells = st.sampled_from(["0", "1", "2", "1e1", "1/2+1e2", "inf"])
+
+
+@st.composite
+def _edit_chains(draw):
+    """A matrix as _matrix_and_edits draws it, then a chain of instances
+    made by these steps: cell edits to plain texts, to values the instance
+    holds or to equal copies of them; a column written back to equal
+    values, which with_costs puts in a new dict; a column left with no
+    finite player; a fresh instance of the same shape; and one of another
+    shape, whose player count always differs."""
+    rows, edits = draw(_matrix_and_edits())
+    chain = [Instance(rows).with_costs(edits)]
+    steps = ["edit", "rewrite", "no player", "fresh", "reshape"]
+    for step in draw(st.lists(st.sampled_from(steps), max_size=8)):
+        T = chain[-1]
+        j = draw(st.integers(1, T.m))
+        if step == "edit":
+            held = [c for jj in T.jobs() for _, c in T.finite_costs(jj)]
+            cell = _plain_cells
+            if held:
+                pool = st.sampled_from(held)
+                copies = pool.map(lambda v: tiered(dict(v._coeffs)))
+                cell = st.one_of(cell, pool, copies)
+            edit = st.tuples(st.integers(1, T.n), st.integers(1, T.m), cell)
+            T = T.with_costs(draw(st.lists(edit, min_size=1, max_size=4)))
+        elif step == "rewrite":
+            T = T.with_costs([(i, j, T.cost(i, j)) for i in T.players()])
+        elif step == "no player":
+            T = T.with_costs([(i, j, INF) for i in T.players()])
+        else:
+            n, m = T.n, T.m
+            if step == "reshape":
+                n, m = n % 4 + 1, draw(st.integers(1, 5))
+            T = Instance([[draw(_plain_cells) for _ in range(m)] for _ in range(n)])
+        chain.append(T)
+    return chain
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edit_chains())
+def test_minwork_from_its_last_answer_matches_a_full_pass(chain):
+    mech = make_mechanism("minwork")
+    last = None
+    for T in chain:
+        expected = _minwork_outcome(lambda: minwork_allocate(T))
+        assert _minwork_outcome(lambda: minwork_allocate(T, last)) == expected
+        assert _minwork_outcome(lambda: mech.query(T)) == expected
+        if isinstance(expected, Allocation):
+            last = T, expected
+
+
+def test_minwork_decides_again_only_the_columns_an_edit_wrote(monkeypatch):
+    decided = []
+    cheapest = mechlib._cheapest
+    monkeypatch.setattr(
+        mechlib, "_cheapest", lambda T, j: decided.append(j) or cheapest(T, j)
+    )
+    mech = make_mechanism("minwork")
+    per_query = []
+
+    class Counted:
+        name = mech.name
+
+        def query(self, T):
+            decided.clear()
+            x = mech.query(T)
+            per_query.append(list(decided))
+            return x
+
+    report = attack("main", Counted(), {"a": Fraction(1966, 1000), "r": 10})
+    m = len(report.transcript[0]["owner"])
+    assert per_query[0] == list(range(1, m + 1))
+    assert len(per_query) == len(report.transcript) > 1
+    for step, jobs in zip(report.transcript[1:], per_query[1:]):
+        assert jobs == sorted({j for _, j, _ in step["edits"]})
