@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 
 from ..forge import CONSTRUCTIONS, Spec, chain_shape, resolve_params
@@ -80,8 +81,8 @@ def replay_report(report_dict, mechanism_factory):
         params = resolve_params(STRATEGY_SPECS[strategy].params, params)
         if not _has_shape(report_dict, chain_shape(params["r"], params["kc"])):
             return ["stored r and kc do not give the shape of the stored instance"]
-    mech = mechanism_factory(report_dict["mechanism"])
-    fresh = attack(strategy, mech, params)
+    with closing(mechanism_factory(report_dict["mechanism"])) as mech:
+        fresh = attack(strategy, mech, params)
     if not _same_json(fresh.to_json_dict(), report_dict):
         return ["replay produced a different report"]
     return []

@@ -17,12 +17,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..exactnum import tv
-from ..forge import MainParams, build_main, certified_bound, transition_second_cost
+from ..forge import (
+    MainParams,
+    build_main,
+    certified_bound,
+    check_writable,
+    transition_second_cost,
+)
 from ..schedmodel import Allocation
 from ..wmon import _l2
 
 
 def block_chain(s, a, r, kc):
+    check_writable(a, r, kc)
     p = MainParams(a, r, kc)
     s.bootstrap(build_main(p), f"block chain r={p.r} k_c={p.k_c}")
     transitioned = {}

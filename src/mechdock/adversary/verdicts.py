@@ -39,13 +39,8 @@ class RatioWitness:
     def to_json_dict(self, dense=True):
         """The stored form; with dense=False the instance stays an
         Instance, which json_text writes from its columns."""
-        return {
-            "kind": self.kind,
-            "instance": self.instance.to_json_dict() if dense else self.instance,
-            "mech_allocation": self.mech_alloc.to_json_dict(),
-            "certificate": self.certificate.to_json_dict(),
-            "claimed_bound": str(Fraction(self.claimed_bound)),
-        }
+        bound = str(Fraction(self.claimed_bound))
+        return {**_witness_json(self, dense), "claimed_bound": bound}
 
 
 @dataclass(frozen=True)
@@ -60,13 +55,17 @@ class Unbounded:
     def to_json_dict(self, dense=True):
         """The stored form; with dense=False the instance stays an
         Instance, which json_text writes from its columns."""
-        return {
-            "kind": self.kind,
-            "instance": self.instance.to_json_dict() if dense else self.instance,
-            "mech_allocation": self.mech_alloc.to_json_dict(),
-            "certificate": self.certificate.to_json_dict(),
-            "reason": self.reason,
-        }
+        return {**_witness_json(self, dense), "reason": self.reason}
+
+
+def _witness_json(v, dense):
+    """The fields a RatioWitness and an Unbounded share, in stored form."""
+    return {
+        "kind": v.kind,
+        "instance": v.instance.to_json_dict() if dense else v.instance,
+        "mech_allocation": v.mech_alloc.to_json_dict(),
+        "certificate": v.certificate.to_json_dict(),
+    }
 
 
 @dataclass(frozen=True)
@@ -83,20 +82,17 @@ class StrategyIncomplete:
 
 def verdict_from_json_dict(d):
     kind = d.get("kind")
-    if kind == "RatioWitness":
-        return RatioWitness(
-            instance=Instance.from_json_dict(d["instance"]),
-            mech_alloc=Allocation.from_json_dict(d["mech_allocation"]),
-            certificate=Allocation.from_json_dict(d["certificate"]),
-            claimed_bound=parse_rational(d["claimed_bound"]),
-        )
-    if kind == "Unbounded":
-        return Unbounded(
-            instance=Instance.from_json_dict(d["instance"]),
-            mech_alloc=Allocation.from_json_dict(d["mech_allocation"]),
-            certificate=Allocation.from_json_dict(d["certificate"]),
-            reason=d["reason"],
-        )
+    if kind in ("RatioWitness", "Unbounded"):
+        shared = {
+            "instance": Instance.from_json_dict(d["instance"]),
+            "mech_alloc": Allocation.from_json_dict(d["mech_allocation"]),
+            "certificate": Allocation.from_json_dict(d["certificate"]),
+        }
+        if kind == "RatioWitness":
+            return RatioWitness(
+                **shared, claimed_bound=parse_rational(d["claimed_bound"])
+            )
+        return Unbounded(**shared, reason=d["reason"])
     if kind == "WmonViolation":
         return WmonViolation.from_json_dict(d)
     if kind == "StrategyIncomplete":

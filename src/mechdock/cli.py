@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from fractions import Fraction
 from functools import partial
 
@@ -82,7 +83,9 @@ def _set_params(args, specs):
 
 EPILOG = f"""exit codes:
   0 success or a sound verdict, 1 verification failure, 2 usage error,
-  3 incomplete strategy, 4 mechanism failure
+  3 incomplete strategy, 4 mechanism failure; a block chain too large to
+  write, one whose integers pass Python's limit for integer text (4300
+  digits by default), is a usage error (2)
 
 environment:
   {TIMEOUT_ENV_VAR}: per-query timeout of an extern: mechanism in ms;
@@ -160,20 +163,16 @@ def cmd_gen(args):
 
 def cmd_attack(args):
     spec = STRATEGY_SPECS[args.strategy]
-    mech = None
     try:
         params = resolve_params(spec.params, _set_params(args, STRATEGY_SPECS))
-        mech = make_mechanism(args.mechanism)
-        report = attack(args.strategy, mech, params)
+        with closing(make_mechanism(args.mechanism)) as mech:
+            report = attack(args.strategy, mech, params)
     except ForgeError as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return 2
     except MechanismError as exc:
         print(f"mechanism failure: {exc}", file=sys.stderr)
         return 4
-    finally:
-        if mech is not None:
-            mech.close()
     verdict = report.verdict
     summary = f"verdict {verdict.kind}"
     if verdict.kind == "RatioWitness":
@@ -252,25 +251,21 @@ def cmd_wmon(args):
         if value is not None and value < least:
             print(f"bad {flag} {value}: need at least {least}", file=sys.stderr)
             return 2
-    mech = None
+    shape = 2 if args.exhaustive else 3
+    n = shape if args.n is None else args.n
+    m = shape if args.m is None else args.m
     try:
-        mech = make_mechanism(args.mechanism)
-        shape = 2 if args.exhaustive else 3
-        n = shape if args.n is None else args.n
-        m = shape if args.m is None else args.m
-        if args.exhaustive:
-            violations = exhaustive_pairs(mech, n, m, grid)
-            scope = f"exhaustive {n}x{m} grid {args.grid}"
-        else:
-            spec = FuzzSpec(n=n, m=m, values=grid)
-            violations = fuzz(mech, spec, args.trials, args.seed)
-            scope = f"{args.trials} seeded trials"
+        with closing(make_mechanism(args.mechanism)) as mech:
+            if args.exhaustive:
+                violations = exhaustive_pairs(mech, n, m, grid)
+                scope = f"exhaustive {n}x{m} grid {args.grid}"
+            else:
+                spec = FuzzSpec(n=n, m=m, values=grid)
+                violations = fuzz(mech, spec, args.trials, args.seed)
+                scope = f"{args.trials} seeded trials"
     except MechanismError as exc:
         print(f"mechanism failure: {exc}", file=sys.stderr)
         return 4
-    finally:
-        if mech is not None:
-            mech.close()
     print(f"{len(violations)} violation(s) over {scope}")
     if not args.out:
         return 0
@@ -286,6 +281,7 @@ def cmd_verify(args):
         print(f"cannot read report: {exc}", file=sys.stderr)
         return 1
     defects = verify_report(report)
+    # a report that is not a JSON object has a defect, and no .get
     recorded = not defects and str(report.get("mechanism")).startswith("extern:")
 
     def rebuild(selector):

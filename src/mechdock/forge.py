@@ -11,6 +11,7 @@ the resulting approximation ratio bound, and searches for the best a.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -52,10 +53,11 @@ def compute_b(a, r, k_c):
     q^(e+1) p^(R-e) over the one denominator q p^R, and so is the
     geometric sum z = a^-(r+1) + ... + a^-R; the recurrence runs on the
     integer numerators and each b_k is normalised once.
+
+    Takes a rational a in (1, 2); MainParams, the one caller, checks the
+    narrower (sqrt 2, 2).
     """
     a = Fraction(a)
-    if not 1 < a < 2:
-        raise ForgeError(f"scale factor a={a} outside (1, 2)")
     _check_shape(r, k_c)
     p, q = a.numerator, a.denominator
     # num[e + 1] is the numerator of a^-e, from a^1 = p^(R+1) / den down.
@@ -93,7 +95,8 @@ def compute_b_closed(a, r, k_c, k):
 @dataclass(frozen=True)
 class MainParams:
     """Parameters of the block-chain construction, built from (a, r, k_c)
-    alone: b and z are compute_b's block prices and chain weight."""
+    alone: b and z are compute_b's block prices and chain weight. The
+    scale factor a must lie in (sqrt 2, 2)."""
 
     a: Fraction
     r: int
@@ -102,10 +105,10 @@ class MainParams:
     z: Fraction = field(init=False)
 
     def __post_init__(self):
-        b, z = compute_b(self.a, self.r, self.k_c)
         a = Fraction(self.a)
-        if a * a <= 2:
+        if not (a * a > 2 and a < 2):
             raise ForgeError(f"a={a} outside (sqrt 2, 2)")
+        b, z = compute_b(a, self.r, self.k_c)
         for name, value in (("a", a), ("b", b), ("z", z)):
             object.__setattr__(self, name, value)
 
@@ -146,6 +149,38 @@ def check_feasible(p):
     k = feasibility_defect(p)
     if k is not None:
         raise FeasibilityError(k, p.b[k - 1], p.a**-k)
+
+
+def check_writable(a, r, k_c):
+    """Refuse a chain whose integers could pass the interpreter's limit on
+    integer text, sys.get_int_max_str_digits() digits (4,300 by default;
+    0, or an interpreter without the limit, is no limit), so that every
+    report, request line and instance file of the chain can be written
+    and read back. It reads only (a, r, k_c), so a chain builder calls it
+    before MainParams runs the recurrence.
+
+    With a = p/q and R = r + k_c, every rational the chain writes, in a
+    cell, an edit or a claimed bound, has a denominator of at most
+    q p^R and a size below 2^8 (2/a)^r: the b_k, the bound arms and the
+    makespans grow as (2/a)^r. So its integers are below
+    2^(r+8) q^(r+1) p^k_c, whose bit length is compared with that of
+    10^limit.
+    """
+    _check_shape(r, k_c)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    most = (10**limit).bit_length()
+    p, q = Fraction(a).numerator, Fraction(a).denominator
+    # a lower bound first, so that a huge r or k_c never builds its powers
+    bits = (r + 1) * (q.bit_length() - 1) + k_c * (p.bit_length() - 1) + r + 8
+    if bits < most:
+        bits = (q ** (r + 1) * p**k_c).bit_length() + r + 8
+    if bits >= most:
+        raise ForgeError(
+            f"block chain r={r} k_c={k_c} writes integers past {limit} "
+            "digits, the interpreter's limit for integer text"
+        )
 
 
 def build_main(p):
@@ -262,6 +297,7 @@ def resolve_params(params, given):
 
 def build_an(a, r, kc):
     """The block-chain instance for scale factor a, r blocks, kc chain jobs."""
+    check_writable(a, r, kc)
     return build_main(MainParams(a, r, kc))
 
 

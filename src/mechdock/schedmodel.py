@@ -105,17 +105,15 @@ class Instance:
     def from_columns(cls, n, columns, dummy_of=None):
         """Instance with n players from one {player: cost} mapping per job
         holding its finite costs; a player a mapping leaves out costs
-        infinity. Bad cells are reported in row-major order."""
-        cols = [{i: tv(c) for i, c in sorted(col.items())} for col in columns]
-        if n < 1 or not cols:
-            raise ModelError("instance needs at least one player and one job")
-        for i, j in sorted((i, j) for j, col in enumerate(cols, start=1) for i in col):
-            if not 1 <= i <= n:
-                raise ModelError(f"player {i} out of range at job {j}")
-            if _negative(cols[j - 1][i]):
-                raise ModelError(f"negative cost at player {i}, job {j}")
-        cols = [{i: c for i, c in col.items() if c.finite} for col in cols]
-        return cls._of_columns(n, cols, dummy_of)
+        infinity. Only the players are checked here; the columns are turned
+        into rows, whose cells the dense constructor's rule checks."""
+        rows = [[] for _ in range(n)]
+        for j, col in enumerate(columns):
+            for i, c in col.items():
+                if not 1 <= i <= n:
+                    raise ModelError(f"player {i} out of range at job {j + 1}")
+                rows[i - 1].append((j, tv(c)))
+        return cls._of_columns(n, _columns([len(columns)] * n, rows), dummy_of)
 
     def __setattr__(self, name, value):
         raise AttributeError("Instance is immutable")

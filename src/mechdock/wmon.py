@@ -199,10 +199,12 @@ def infer(lemma, T, x, Tp):
             return False
         return tp.infinite or tv_compare(tp, t) == GT
 
-    def changed_outside(declared):
-        """The first job outside `declared` whose player-i cost changed;
-        the rows agree elsewhere, so a column that differs differs there."""
-        return next((jj for jj in T.changed_jobs(Tp) if jj not in declared), None)
+    def unchanged_outside(declared, label):
+        """Require that no job outside `declared` changed its player-i cost,
+        naming the first that did; the rows agree elsewhere, so a column
+        that differs differs there."""
+        jj = next((jj for jj in T.changed_jobs(Tp) if jj not in declared), None)
+        _require(jj is None, f"{v}: job {jj} outside {label} changed")
 
     def moves_as_declared(free=()):
         """L1/L3 premise: keep held and lowered, forbid unheld and raised,
@@ -213,8 +215,7 @@ def infer(lemma, T, x, Tp):
         for j in lemma.forbid:
             _require(not x.assigns(i, j), f"{v}: job {j} in F2 is held")
             _require(raised(j), f"{v}: job {j} in F2 is not strictly raised")
-        jj = changed_outside(lemma.keep | lemma.forbid | set(free))
-        _require(jj is None, f"{v}: job {jj} outside F1/F2 changed")
+        unchanged_outside(lemma.keep | lemma.forbid | set(free), "F1/F2")
 
     if v == "L1":
         moves_as_declared()
@@ -226,8 +227,7 @@ def infer(lemma, T, x, Tp):
         _require(x.assigns(i, j), "L2: job j is not held")
         _require(lowered(j), "L2: job j is not strictly lowered")
         _require(lowered(k), "L2: job k is not strictly lowered")
-        jj = changed_outside({j, k})
-        _require(jj is None, f"L2: job {jj} outside {{j,k}} changed")
+        unchanged_outside({j, k}, "{j,k}")
         d_j = T.cost(i, j) - Tp.cost(i, j)
         d_k = T.cost(i, k) - Tp.cost(i, k)
         if tv_compare(d_k, d_j) == LT:
@@ -250,8 +250,7 @@ def infer(lemma, T, x, Tp):
         _require(x.assigns(i, j1) and x.assigns(i, j2), "L4: jobs not both held")
         _require(lowered(j1), "L4: job j1 is not strictly lowered")
         _require(raised(j2), "L4: job j2 is not strictly raised")
-        jj = changed_outside({j1, j2})
-        _require(jj is None, f"L4: job {jj} outside {{j1,j2}} changed")
+        unchanged_outside({j1, j2}, "{j1,j2}")
         return lemma
 
     # the dominated decrease: with the rows agreeing elsewhere, every job

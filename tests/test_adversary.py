@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,9 +17,9 @@ from mechdock.adversary.verdicts import (
     verify_verdict,
 )
 from mechdock.exactnum import INF, ZERO, leading_ratio, tv
-from mechdock.forge import d2x2
-from mechdock.mechlib import SeededStub, make_mechanism
-from mechdock.schedmodel import Allocation, makespan
+from mechdock.forge import ForgeError, MainParams, certified_bound, check_writable, d2x2
+from mechdock.mechlib import SeededStub, make_mechanism, minwork_allocate
+from mechdock.schedmodel import Allocation, MechanismHandle, makespan
 from mechdock.wmon import _l1, _l4
 
 RHO_B = Fraction(22055, 10000)
@@ -317,6 +318,42 @@ def test_attack_main_params_threading():
     assert report.params["kc"] == 3
     assert verify_report(report.to_json_dict()) == []
     assert replay_report(report.to_json_dict(), make_mechanism) == []
+
+
+class _Concede(MechanismHandle):
+    """Gives player 1 every job it can do but a dummy, the rest by
+    min-work, so the block chain ends in its terminal concession and claims
+    the certified bound, whose arms are its longest numbers."""
+
+    name = "concede"
+
+    def query(self, T):
+        dummies = set(T.dummy_of.values())
+        owner = minwork_allocate(T).owner
+        return Allocation(
+            1 if j not in dummies and T.cost(1, j).finite else o
+            for j, o in zip(T.jobs(), owner)
+        )
+
+
+# At the smallest limit the interpreter accepts, the longest chain the size
+# check lets through at each a (the next one is refused).
+@pytest.mark.parametrize(
+    "a, r", [(Fraction(1999, 1000), 96), (Fraction(143, 100), 142)]
+)
+def test_the_longest_writable_chain_writes_verifies_and_replays(a, r):
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ForgeError, match="past 640 digits"):
+            check_writable(a, r + 1, r + 1)
+        report = attack("main", _Concede(), {"a": a, "r": r})
+        assert report.verdict.claimed_bound == certified_bound(MainParams(a, r, r))
+        stored = json.loads(report.to_json())
+        assert verify_report(stored) == []
+        assert replay_report(stored, lambda selector: _Concede()) == []
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_replay_detects_mechanism_mismatch():

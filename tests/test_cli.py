@@ -14,8 +14,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mechdock import cli
+from mechdock.adversary import replay_report
 from mechdock.cli import main
-from mechdock.schedmodel import Instance
+from mechdock.mechlib import MinWork
+from mechdock.schedmodel import Instance, MechanismError, MechanismHandle
 
 EXTERN = f"extern:{sys.executable} {Path(__file__).parent / 'extern_minwork.py'}"
 
@@ -464,6 +467,118 @@ def test_attack_infeasible_parameters_are_a_usage_error(capsys):
     assert main(argv + ["--mechanism", "minwork"]) == 2
     err = capsys.readouterr().err
     assert "below its floor" in err and "mechanism failure" not in err
+
+
+@pytest.mark.parametrize(
+    "command, r",
+    [("gen", 700), ("attack", 651), ("extern", 660)],
+)
+def test_a_chain_past_the_integer_text_limit_is_one_usage_error_line(
+    command, r, tmp_path, capsys
+):
+    # each used to end in a ValueError traceback, exit 1: gen while writing
+    # the instance, attack after printing its verdict, extern while writing
+    # the request line
+    out = str(tmp_path / "x.json")
+    argv = {
+        "gen": ["gen", "--construction", "an", "--out", out],
+        "attack": ["attack", "--strategy", "main", "--mechanism", "minwork"],
+        "extern": ["attack", "--strategy", "main", "--mechanism", EXTERN],
+    }[command]
+    if command == "attack":
+        argv += ["--report", out]
+    assert main(argv + ["--a", "1999/1000", "--r", str(r)]) == 2
+    captured = capsys.readouterr()
+    prefix = "cannot build instance" if command == "gen" else "bad parameters"
+    assert captured.out == ""
+    assert captured.err == (
+        f"{prefix}: block chain r={r} k_c={r} writes integers past 4300 digits, "
+        "the interpreter's limit for integer text\n"
+    )
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("shape", [["--r", "1000000"], ["--r", "3", "--kc", "1000000"]])
+def test_a_chain_far_past_the_limit_is_refused_before_it_is_computed(
+    shape, tmp_path, capsys
+):
+    # the recurrence at r = 2,000 alone takes seconds, and the powers of
+    # a = p/q at r = 10^6 take seconds more
+    argv = ["gen", "--construction", "an", "--out", str(tmp_path / "x.json")]
+    argv += ["--a", "1999/1000", *shape]
+    start = time.process_time()
+    assert main(argv) == 2
+    assert time.process_time() - start < 0.1
+    assert "writes integers past 4300 digits" in capsys.readouterr().err
+
+
+def test_bounds_never_builds_the_chain_so_no_integer_limit_applies(capsys):
+    assert main(["bounds", "--r-list", "700"]) == 0
+    assert capsys.readouterr().out.startswith("r=700 n=2101 k_c=700 a=1.990000 ")
+
+
+def test_gen_names_the_range_of_the_scale_factor(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    argv = ["gen", "--construction", "an", "--a", "1/2", "--r", "3", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "cannot build instance: a=1/2 outside (sqrt 2, 2)\n"
+    assert not out.exists()
+
+
+class _ClosingMinWork(MechanismHandle):
+    """Min-work that records its close() call and, with fail_at, fails the
+    fail_at-th query with a MechanismError."""
+
+    name = "minwork"
+
+    def __init__(self, fail_at):
+        self.inner = MinWork()
+        self.fail_at = fail_at
+        self.queries = 0
+        self.closed = False
+
+    def query(self, T):
+        self.queries += 1
+        if self.queries == self.fail_at:
+            raise MechanismError("stopped mid-strategy")
+        return self.inner.query(T)
+
+    def close(self):
+        self.closed = True
+
+
+@pytest.mark.parametrize("fail_at", [None, 2])
+@pytest.mark.parametrize("command", ["attack", "wmon", "verify", "replay"])
+def test_every_mechanism_handle_is_closed(command, fail_at, tmp_path, monkeypatch):
+    report = tmp_path / "r.json"
+    argv = ["attack", "--strategy", "s3x3", "--mechanism", "minwork"]
+    assert main(argv + ["--report", str(report)]) == 0
+    handles = []
+
+    def factory(selector):
+        handles.append(_ClosingMinWork(fail_at))
+        return handles[-1]
+
+    monkeypatch.setattr(cli, "make_mechanism", factory)
+    if command == "replay":
+        stored = json.loads(report.read_text())
+        if fail_at is None:
+            assert replay_report(stored, factory) == []
+        else:
+            with pytest.raises(MechanismError):
+                replay_report(stored, factory)
+    else:
+        argv = {
+            "attack": argv,
+            "wmon": ["wmon", "--mechanism", "minwork", "--trials", "3"],
+            "verify": ["verify", "--report", str(report)],
+        }[command]
+        failed = 1 if command == "verify" else 4
+        assert main(argv) == (0 if fail_at is None else failed)
+    (handle,) = handles
+    assert handle.closed
+    assert handle.queries == (fail_at or handle.queries) > 1
 
 
 def test_attack_optmakespan_budget_is_a_mechanism_failure(capsys):
@@ -1020,6 +1135,17 @@ def test_verify_ends_a_mutated_report_in_one_line(tmp_path_factory, run, value, 
         rc = main(["verify", "--report", str(report)])
     assert rc in (0, 1)
     assert len((out.getvalue() + err.getvalue()).splitlines()) == 1
+
+
+@pytest.mark.parametrize("root", [[], None, "x", 1])
+def test_verify_ends_a_report_that_is_not_an_object_in_one_line(root, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(root))
+    assert main(["verify", "--report", str(report)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("verification failed: malformed report: ")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("text", ["1e99999", "1e2000000"])

@@ -1,8 +1,9 @@
+import sys
 from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mechdock import forge
 from mechdock.exactnum import EPS1, EPS2, EPS3, EPS4, INF, ParseError, tv
@@ -213,6 +214,71 @@ def test_build_main_checks_feasibility():
     assert feasibility_defect(p) == 3
     with pytest.raises(FeasibilityError):
         build_main(p)
+
+
+@pytest.mark.parametrize("a", ["1/2", "1", "7/5", "2", "3"])
+def test_main_params_checks_the_scale_factor_once_before_the_recurrence(a):
+    # at a = 1 the recurrence itself would divide by zero
+    with pytest.raises(ForgeError, match=rf"^a={a} outside \(sqrt 2, 2\)$"):
+        MainParams(Fraction(a), 3, 3)
+
+
+@pytest.mark.parametrize("r, writable", [(367, True), (650, True), (651, False)])
+def test_the_chain_is_refused_past_the_integer_text_limit(r, writable):
+    # at a = 1999/1000 the common denominator q p^(r+k_c) has 4,295 digits
+    # at r = 650 and 4,301 at r = 651; r = 367 is the chain of 3 - 10^-3
+    a = Fraction(1999, 1000)
+    if writable:
+        forge.check_writable(a, r, r)
+        return
+    message = (
+        f"block chain r={r} k_c={r} writes integers past 4300 digits, "
+        "the interpreter's limit for integer text"
+    )
+    with pytest.raises(ForgeError, match=f"^{message}$"):
+        forge.build_an(a, r, r)
+
+
+# The smallest limit the interpreter accepts puts the boundary near r = 100.
+SMALL_LIMIT = 640
+
+
+def _writable(a, r, k_c):
+    try:
+        forge.check_writable(a, r, k_c)
+    except ForgeError as exc:
+        assert f"past {SMALL_LIMIT} digits" in str(exc)
+        return False
+    return True
+
+
+@settings(max_examples=50, deadline=None)
+@given(_scale_factors, st.integers(0, 160), st.integers(0, 20))
+def test_every_integer_of_a_writable_chain_fits_the_limit(a, k_c, back):
+    # the chains the check accepts, counted back from the longest, where
+    # the numbers are largest
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(SMALL_LIMIT)
+    try:
+        assume(_writable(a, 1, k_c))
+        lo, hi = 1, 2  # the longest writable r lies in [lo, hi)
+        while _writable(a, hi, k_c):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _writable(a, mid, k_c) else (lo, mid)
+        assume(lo - back >= 1)
+        p = MainParams(a, lo - back, k_c)
+        v0, vks = bound_arms(p)
+        values = [*p.b, p.z, v0, *vks]
+        if feasibility_defect(p) is None:
+            values.append(certified_bound(p))
+    finally:
+        sys.set_int_max_str_digits(default)
+    # below 2^most, so at most SMALL_LIMIT digits
+    most = (10**SMALL_LIMIT).bit_length() - 1
+    for v in values:
+        assert max(abs(v.numerator), v.denominator).bit_length() <= most
 
 
 def test_transition_second_cost_branches():

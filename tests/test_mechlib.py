@@ -109,6 +109,18 @@ def test_stub_respects_active_players_when_asked():
         assert x.owner_of(2) == 1 and x.owner_of(3) == 2
 
 
+def test_active_stub_draws_a_job_no_player_can_do_from_every_player():
+    # job 2 has no active player, so its pool is every player
+    T = Instance([[1, "inf", 2], [3, "inf", "inf"], ["inf", "inf", 4]])
+    for seed in range(8):
+        x = make_mechanism(f"activestub:{seed}").query(T)
+        assert validate_allocation(T, x) == []
+        assert x == SeededStub(seed, active_only=True).query(T)
+        assert x.owner_of(1) in (1, 2) and x.owner_of(3) in (1, 3)
+    drawn = {make_mechanism(f"activestub:{s}").query(T).owner_of(2) for s in range(8)}
+    assert drawn == {1, 2, 3}
+
+
 def test_make_mechanism_rejects_unknown():
     with pytest.raises(MechanismError):
         make_mechanism("nope")

@@ -450,11 +450,20 @@ def _first_negative(rows):
 def test_negative_cost_names_first_cell_in_row_major_order(dense, edited):
     rows, _ = dense
     expected = _first_negative(rows)
+    # from_columns gets every cell by job, infinite ones too, each job's
+    # players descending, and checks them as the dense constructor does
+    players = list(enumerate(rows, start=1))[::-1]
+    by_job = [{i: row[j] for i, row in players} for j in range(len(rows[0]))]
     if expected is None:
         Instance(rows)
+        built = Instance.from_columns(len(rows), by_job)
+        assert built == Instance(rows)
+        assert built.to_json_dict() == Instance(rows).to_json_dict()
     else:
         with pytest.raises(ModelError, match=f"^{expected}$"):
             Instance(rows)
+        with pytest.raises(ModelError, match=f"^{expected}$"):
+            Instance.from_columns(len(rows), by_job)
     # an edit is checked as the dense rebuild of its result would be
     rows, edits = edited
     expected = _first_negative(_applied(rows, edits))
@@ -463,6 +472,32 @@ def test_negative_cost_names_first_cell_in_row_major_order(dense, edited):
     else:
         with pytest.raises(ModelError, match=f"^{expected}$"):
             Instance(rows).with_costs(edits)
+
+
+@pytest.mark.parametrize(
+    "n, columns, rows", [(0, [], []), (0, [{}], []), (2, [], [[], []])]
+)
+def test_from_columns_refuses_an_empty_instance_as_the_dense_constructor_does(
+    n, columns, rows
+):
+    message = "^instance needs at least one player and one job$"
+    with pytest.raises(ModelError, match=message):
+        Instance.from_columns(n, columns)
+    with pytest.raises(ModelError, match=message):
+        Instance(rows)
+
+
+@pytest.mark.parametrize("player", [0, -1, 3])
+def test_from_columns_names_a_player_out_of_range(player):
+    with pytest.raises(ModelError, match=f"^player {player} out of range at job 2$"):
+        Instance.from_columns(2, [{1: 1}, {2: -1, player: 1}])
+
+
+def test_from_columns_drops_an_infinite_cell():
+    T = Instance.from_columns(2, [{1: INF, 2: 3}, {2: "inf", 1: 0}])
+    assert T == Instance([[INF, 0], [3, "inf"]])
+    assert list(T.finite_costs(1)) == [(2, tv(3))]
+    assert list(T.finite_costs(2)) == [(1, ZERO)]
 
 
 # Cells a stored matrix may hold: repeated texts, an infinity not spelled
