@@ -6,7 +6,7 @@ from contextlib import closing
 from dataclasses import dataclass
 
 from ..forge import CONSTRUCTIONS, Spec, chain_shape, resolve_params
-from ..schedmodel import json_text
+from ..schedmodel import Instance, json_text
 from .blocks import block_chain
 from .engine import run
 from .small import square2, square3, square4
@@ -74,7 +74,9 @@ def replay_report(report_dict, mechanism_factory):
     report byte for byte (deterministic mechanisms only). A block-chain
     report whose stored r and kc do not give the shape of its stored data
     is refused before anything is built, so a report cannot make replay
-    build a chain larger than the report itself.
+    build a chain larger than the report itself. The fresh report's
+    instances stay Instance objects, checked against the stored dense
+    matrices from their columns, so no dense tree is built.
     """
     strategy, params = report_dict["strategy"], report_dict.get("params", {})
     if strategy == "main":
@@ -83,7 +85,7 @@ def replay_report(report_dict, mechanism_factory):
             return ["stored r and kc do not give the shape of the stored instance"]
     with closing(mechanism_factory(report_dict["mechanism"])) as mech:
         fresh = attack(strategy, mech, params)
-    if not _same_json(fresh.to_json_dict(), report_dict):
+    if not _same_json(fresh.to_json_dict(dense=False), report_dict):
         return ["replay produced a different report"]
     return []
 
@@ -106,8 +108,13 @@ def _same_json(fresh, stored):
     to_json_dict tree: the same type at every node (so 1, true and 1.0
     differ) and dict keys compared as sets. A list of strings is compared
     with one ==, as a string equals only a string; so is a list of plain
-    ints once the stored one is checked to hold plain ints only."""
+    ints once the stored one is checked to hold plain ints only. An
+    Instance in the fresh tree (to_json_dict(dense=False)) stands for its
+    dense to_json_dict, and is checked against the stored tree from its
+    columns by Instance.matches_json."""
     kind = type(fresh)
+    if kind is Instance:
+        return fresh.matches_json(stored)
     if kind is not type(stored):
         return False
     if kind is dict:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exactnum import tv
 from ..forge import (
     MainParams,
     build_main,
@@ -125,7 +124,7 @@ def _semi_dummy_defection(s, p, i1, q, jm, transitioned):
     s.raise_dummy(
         1,
         _held_nontrivial(s, p) + [p.dummy_job(1)],
-        tv(p.a**-i1),
+        p.power[i1],
         "raise player 1's dummy to the certificate makespan",
     )
     cert = _reference_cert(s, p, transitioned, overrides={j1: q, jm: q})
@@ -137,13 +136,13 @@ def _transition(s, p, i1, q, jm, variant, transitioned):
     other = p.block_coplayers(i1)[1] if variant == "E1" else p.block_coplayers(i1)[0]
     s.branch(f"block {i1}: {variant} against player {q}")
     # step 1: the co-player's trivial job is raised to his first-job price
-    s.trade(q, jm, tv(p.a ** -(i1 - 1)), j1, f"transition step 1 on block {i1}")
+    s.trade(q, jm, p.power[i1 - 1], j1, f"transition step 1 on block {i1}")
     if s.x.assigns(q, jm):
         s.branch("co-player kept the raised pair")
         s.raise_dummy(
             q,
             [p.dummy_job(q), j1, jm],
-            tv(2 * p.a**-i1),
+            p.companion[i1],
             "raise the co-player's dummy to the certificate makespan",
         )
         cert = _reference_cert(
@@ -152,10 +151,10 @@ def _transition(s, p, i1, q, jm, variant, transitioned):
         s.finish_ratio(cert, 1 + p.a)
     s.branch("player 1 took the raised job")
     # step 2: player 1's prices for the pair drop
-    c_cost = transition_second_cost(p.a, i1, p.b[i1 - 1])
-    first_arm = c_cost != tv(p.a**-i1)
+    c_cost = transition_second_cost(p.power[i1], p.b[i1 - 1])
+    first_arm = c_cost != p.power[i1]
     s.apply(
-        [(1, j1, tv(p.a**-i1)), (1, jm, c_cost)],
+        [(1, j1, p.power[i1]), (1, jm, c_cost)],
         f"transition step 2 on block {i1}",
         _l2(1, j=jm, k=j1),
     )
@@ -189,7 +188,7 @@ def _single_keeper(s, p, i1, kept, missing, transitioned):
     s.raise_dummy(
         w,
         [p.dummy_job(w), missing],
-        tv(p.a**-i1),
+        p.power[i1],
         "raise that co-player's dummy to the certificate makespan",
     )
     cert = _reference_cert(
@@ -212,7 +211,7 @@ def _chain_defection(s, p, t, transitioned):
     s.raise_dummy(
         co,
         [p.dummy_job(co), cj],
-        tv(p.a ** -(p.r + t)),
+        p.power[p.r + t],
         "raise the chain co-player's dummy",
     )
     cert = _reference_cert(s, p, transitioned, overrides={cj: 1})
@@ -223,7 +222,7 @@ def _terminal_concession(s, p, transitioned):
     """Player 1 holds every non-trivial job: raise his dummy and claim the
     certified parameter bound."""
     k = max(transitioned) if transitioned else 0
-    gamma = tv(p.a ** -(k - 1)) if k else tv(1)
+    gamma = p.power[k - 1] if k else p.power[0]
     s.branch("player 1 holds all non-trivial jobs")
     s.raise_dummy(
         1,

@@ -252,7 +252,11 @@ def leading_ratio(num, den):
     return UNBOUNDED if t < tau else q / d
 
 
-_TERM = re.compile(r"([+-])?(\d+)(?:/(\d+))?(?:e(\d+))?")
+# Digits are ASCII only, here and in _RATIONAL and _INTEGER: \d, and int(),
+# also read every other Unicode decimal digit, such as the Arabic-Indic
+# "٣", which this program never writes. [0-9] is also about three times as
+# fast to match as \d.
+_TERM = re.compile(r"([+-])?([0-9]+)(?:/([0-9]+))?(?:e([0-9]+))?")
 
 
 def parse_value(text):
@@ -284,7 +288,7 @@ def parse_value(text):
         m = _TERM.match(s, pos)
         if m is None:
             raise ParseError(f"malformed value {quoted(text)} at offset {pos}")
-        # A term ends in digits that \d+ took greedily, so a later one can
+        # A term ends in digits that [0-9]+ took greedily, so a later one can
         # only begin with its sign: an unsigned "12" is one term.
         sign, numer, denom, tier = m.groups()
         if denom is not None:
@@ -306,7 +310,7 @@ def parse_value(text):
     return tv_sum([TieredValue((term,)) for term in terms])
 
 
-_RATIONAL = re.compile(r"-?\d+(?:/\d+)?")
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(x):
@@ -323,7 +327,7 @@ def parse_rational(x):
     return Fraction(x)
 
 
-_INTEGER = re.compile(r"-?\d+")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def parse_int(x):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .exactnum import EPS1, EPS2, EPS3, EPS4, INF, ZERO, parse_int, parse_rational, tv
@@ -44,36 +45,50 @@ def _check_shape(r, k_c):
         raise ForgeError("negative chain length")
 
 
-def compute_b(a, r, k_c):
-    """Backward recurrence for the block prices, returning (b, z).
+def _recurrence(a, r, k_c):
+    """Backward recurrence for the block prices, on integer numerators:
+    (num, b_num, z_num).
 
     s(r) = 0 and s(k-1) = 2 s(k) - a^-(k-2) + 4 a^-k + z, with
     b_k = s(k-1) - s(k), so s(k) = sum(b[k:]). With a = p/q and
     R = r + k_c, each a^-e the recurrence reads (e = -1 .. r) is
     q^(e+1) p^(R-e) over the one denominator q p^R, and so is the
-    geometric sum z = a^-(r+1) + ... + a^-R; the recurrence runs on the
-    integer numerators and each b_k is normalised once.
+    geometric sum z = a^-(r+1) + ... + a^-R. num[e + 1] is a^-e's
+    numerator, so num[1] is the denominator; b_num[k - 1] is b_k's and
+    z_num is z's.
 
-    Takes a rational a in (1, 2); MainParams, the one caller, checks the
-    narrower (sqrt 2, 2).
+    Takes a rational a in (1, 2); MainParams checks the narrower
+    (sqrt 2, 2).
     """
     a = Fraction(a)
     _check_shape(r, k_c)
     p, q = a.numerator, a.denominator
-    # num[e + 1] is the numerator of a^-e, from a^1 = p^(R+1) / den down.
+    # from a^1 = p^(R+1) / den down
     num = [p ** (r + k_c + 1)]
     for _ in range(r + 1):
         num.append(num[-1] // p * q)
-    den = num[1]
     # z's numerator, q^(r+2) (q^0 p^(k_c-1) + ... + q^(k_c-1) p^0).
     z_num = q ** (r + 2) * (p**k_c - q**k_c) // (p - q)
     s_num = 0
-    b = [None] * r
+    b_num = [None] * r
     for k in range(r, 0, -1):
-        b_num = s_num - num[k - 1] + 4 * num[k + 1] + z_num
-        b[k - 1] = Fraction(b_num, den)
-        s_num += b_num
-    return tuple(b), Fraction(z_num, den)
+        b_num[k - 1] = s_num - num[k - 1] + 4 * num[k + 1] + z_num
+        s_num += b_num[k - 1]
+    return num, b_num, z_num
+
+
+def _block_prices(num, b_num):
+    """The block prices b_1 .. b_r as Fractions from _recurrence's
+    numerators, each normalised once."""
+    return tuple(Fraction(x, num[1]) for x in b_num)
+
+
+def compute_b(a, r, k_c):
+    """The recurrence's block prices and chain weight as Fractions, (b, z):
+    the form the tests check against compute_b_closed and z_sum.
+    MainParams runs _recurrence itself and keeps its numerators."""
+    num, b_num, z_num = _recurrence(a, r, k_c)
+    return _block_prices(num, b_num), Fraction(z_num, num[1])
 
 
 def chain_shape(r, k_c):
@@ -95,22 +110,52 @@ def compute_b_closed(a, r, k_c, k):
 @dataclass(frozen=True)
 class MainParams:
     """Parameters of the block-chain construction, built from (a, r, k_c)
-    alone: b and z are compute_b's block prices and chain weight. The
-    scale factor a must lie in (sqrt 2, 2)."""
+    alone. The scale factor a must lie in (sqrt 2, 2).
+
+    The backward recurrence runs once, and its integer numerators over the
+    shared denominator q p^(r+k_c) (a = p/q) are kept: the feasibility
+    check and the bound arms compare them as integers, and the chain
+    weight z is read there only. What only a chain that is built reads is
+    made once, on first use: the block prices b as Fractions, and the
+    price table power and companion, whose values every cell, edit and
+    certificate makespan of the chain pricing a^-k or 2 a^-i shares, so a
+    report renders each price once. So bounds, which only certifies,
+    normalises no Fraction per block.
+    """
 
     a: Fraction
     r: int
     k_c: int
-    b: tuple = field(init=False)
-    z: Fraction = field(init=False)
+    _ints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = Fraction(self.a)
         if not (a * a > 2 and a < 2):
             raise ForgeError(f"a={a} outside (sqrt 2, 2)")
-        b, z = compute_b(a, self.r, self.k_c)
-        for name, value in (("a", a), ("b", b), ("z", z)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_ints", _recurrence(a, self.r, self.k_c))
+
+    @cached_property
+    def b(self):
+        """The block prices b_1 .. b_r (b[k - 1] is b_k)."""
+        return _block_prices(*self._ints[:2])
+
+    @cached_property
+    def power(self):
+        """power[k] = a^-k for k = 0 .. r + k_c, one value each. Each is
+        the one before times 1/a, so every step's gcd is against p or q."""
+        step, x = 1 / self.a, Fraction(1)
+        power = [tv(x)]
+        for _ in range(self.r + self.k_c):
+            x *= step
+            power.append(tv(x))
+        return tuple(power)
+
+    @cached_property
+    def companion(self):
+        """companion[i] = 2 a^-i for i = 0 .. r: player 1's price for the
+        two trivial jobs of block i (i >= 1)."""
+        return tuple(2 * x for x in self.power[: self.r + 1])
 
     @property
     def n(self):
@@ -138,9 +183,12 @@ class MainParams:
 
 
 def feasibility_defect(p):
-    """Index k with b_k below a^-k, or None when all block prices are fine."""
+    """Index k with b_k below a^-k, or None when all block prices are fine.
+    Over the shared denominator, b_k < a^-k exactly when b_k's numerator
+    is below a^-k's."""
+    num, b_num, _ = p._ints
     for k in range(1, p.r + 1):
-        if p.b[k - 1] < p.a**-k:
+        if b_num[k - 1] < num[k + 1]:
             return k
     return None
 
@@ -148,7 +196,8 @@ def feasibility_defect(p):
 def check_feasible(p):
     k = feasibility_defect(p)
     if k is not None:
-        raise FeasibilityError(k, p.b[k - 1], p.a**-k)
+        num, b_num, _ = p._ints
+        raise FeasibilityError(k, Fraction(b_num[k - 1], num[1]), p.a**-k)
 
 
 def check_writable(a, r, k_c):
@@ -187,9 +236,9 @@ def build_main(p):
     """The full n-player block-chain instance with a dummy job per player.
 
     Each distinct price is one value object, shared by every cell it
-    prices: a^-k comes from one table for k = 0 .. r + k_c, each companion
-    price 2 a^-i and each b_i is made once per block, and every dummy job
-    costs ZERO. format_value keeps a value's text on it, so writing the
+    prices: a^-k and each companion price 2 a^-i come from the parameters'
+    table, each b_i is made once per block, and every dummy job costs
+    ZERO. format_value keeps a value's text on it, so writing the
     instance renders each distinct price once; at r = 100 that is 403
     values for 1,201 finite cells, the longest of hundreds of digits. The
     sharing is by construction, not through a dict keyed by Fraction:
@@ -197,12 +246,12 @@ def build_main(p):
     made the build slower than the copies it saved.
     """
     check_feasible(p)
-    power = [tv(p.a**-k) for k in range(p.r + p.k_c + 1)]  # power[k] = a^-k
+    power = p.power
     cols = [{} for _ in range(p.m)]
     for i in range(1, p.r + 1):
         j1, j2, j3 = p.block_jobs(i)
         lo, hi = p.block_coplayers(i)
-        first, companion = power[i - 1], 2 * power[i]
+        first, companion = power[i - 1], p.companion[i]
         cols[j1 - 1] = {1: tv(p.b[i - 1]), lo: first, hi: first}
         cols[j2 - 1] = {1: companion, lo: EPS1}
         cols[j3 - 1] = {1: companion, hi: EPS1}
@@ -218,11 +267,13 @@ def build_main(p):
     return Instance.from_columns(p.n, cols, dummy_of)
 
 
-def transition_second_cost(a, i, b_i):
-    """Player 1's reduced price for a block's companion job (tiered max)."""
-    a, b_i = Fraction(a), Fraction(b_i)
-    lowered = tv(2 * a**-i) - (tv(b_i - a**-i) + EPS1)
-    return max(lowered, tv(a**-i))
+def transition_second_cost(a_i, b_i):
+    """Player 1's reduced price for block i's companion job, from the
+    table's value a_i = a^-i and the block price b_i: the tiered max of
+    2 a^-i - (b_i - a^-i) - EPS1 and a^-i, the table's own value when
+    that is the larger."""
+    lowered = tv(3 * a_i.standard_part() - Fraction(b_i)) - EPS1
+    return max(lowered, a_i)
 
 
 def d2x2():
@@ -338,29 +389,38 @@ def build_instance(which, given=None):
     return spec.fn(**resolve_params(spec.params, given or {}))
 
 
-def bound_arms(p):
+def bound_arms(p, ratio=Fraction):
     """Standard-part bound per terminal: the all-blocks arm V_0 and each
-    transitioned-at-k arm V_k (infinitesimal corrections dropped).
+    transitioned-at-k arm V_k (infinitesimal corrections dropped), each
+    made by ratio(numerator, denominator) from integers.
 
     V_k = (a^-(k-1) + a^-k + max(3 a^-k - b_k, a^-k) + sum(b[k:]) + z)
-    / a^-(k-1); one backward pass carries the suffix sum plus z.
+    / a^-(k-1). Over the shared denominator the bracket is an integer
+    numerator and a^-(k-1) is num[k], so V_k is their ratio; V_0 is
+    1 + sum(b) + z. One backward pass carries the suffix sum plus z.
     """
-    base, rest = 1 + 1 / p.a, p.z
+    num, b_num, rest = p._ints
     vks = [None] * p.r
     for k in range(p.r, 0, -1):
-        ak = p.a**-k
-        second = max(3 * ak - p.b[k - 1], ak)
-        vks[k - 1] = base + (second + rest) * p.a ** (k - 1)
-        rest += p.b[k - 1]
-    return 1 + rest, vks
+        ak = num[k + 1]
+        second = max(3 * ak - b_num[k - 1], ak)
+        vks[k - 1] = ratio(num[k] + ak + second + rest, num[k])
+        rest += b_num[k - 1]
+    return ratio(num[1] + rest, num[1]), vks
 
 
 def certified_bound(p):
     """min(1 + a, V_0, min_k V_k): the ratio every branch of the adversary
-    is guaranteed to reach with these parameters."""
+    is guaranteed to reach with these parameters. The arms stay integer
+    pairs, compared by cross-multiplying (all denominators are positive),
+    and only the least is reduced."""
     check_feasible(p)
-    v0, vks = bound_arms(p)
-    return min([1 + p.a, v0] + vks)
+    v0, vks = bound_arms(p, ratio=lambda n, d: (n, d))
+    least, over = p.a.numerator + p.a.denominator, p.a.denominator  # 1 + a
+    for n, d in [v0] + vks:
+        if n * over < least * d:
+            least, over = n, d
+    return Fraction(least, over)
 
 
 def _certified_one_plus_a(a, r, k_c):

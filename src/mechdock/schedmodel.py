@@ -5,9 +5,10 @@ immutable; edits produce new instances. An instance stores only its finite
 cells, column by column, with infinity implicit (the block-chain instances
 are under 1% finite), and an edit shares every column it does not write.
 The JSON form of an instance is the dense matrix. to_json_dict builds it
-as a plain tree, the form that is read and compared; the text of both
-written layouts comes from one row writer working on the columns, each run
-of infinite cells written at once: the one-line request sent to an
+as a plain tree; a stored tree is read back by from_json_dict and compared
+with an instance's columns by matches_json, and the text of both written
+layouts comes from one row writer working on the columns, each run of
+infinite cells written at once: the one-line request sent to an
 external mechanism (to_json_line), and the indented layout of every stored
 file (json_text). A mechanism is a deterministic black box mapping an
 instance to an allocation, either built in or an external subprocess
@@ -58,9 +59,10 @@ class Instance:
     rows_equal_except skip it unread, and min-work keeps its owner when it
     answers an edited instance from its last answer.
 
-    The dense to_json_dict tree is the form a stored instance is read and
-    compared in; the text an instance is written as, the request line and
-    the stored layout alike, is written from the columns.
+    The dense to_json_dict tree is the form a stored instance is read in;
+    the text an instance is written as, the request line and the stored
+    layout alike, and the check of a stored tree against it (matches_json)
+    work from the columns.
 
     dummy_of maps a player to the index of a job only that player can
     finitely process (the column is infinite for everyone else).
@@ -215,6 +217,46 @@ class Instance:
             d["dummy_of"] = {str(p): j for p, j in self._dummy_of.items()}
         return d
 
+    def matches_json(self, d):
+        """Whether a stored JSON tree d is this instance's to_json_dict()
+        with the same type at every node (so 1, true and 1.0 differ), read
+        from the columns without building the dense tree: the same keys;
+        n, m and each dummy_of entry plain ints; costs a list of n lists of
+        m entries, where each finite cell's position holds its format_value
+        text and the others, counted at once, hold "inf"."""
+        dummy = {str(p): j for p, j in self._dummy_of.items()}
+        keys = {"costs", "m", "n", "dummy_of"} if dummy else {"costs", "m", "n"}
+        if type(d) is not dict or d.keys() != keys:
+            return False
+        stored_dummy = d.get("dummy_of", {})
+        if type(stored_dummy) is not dict or stored_dummy.keys() != dummy.keys():
+            return False
+        plain = [(d["n"], self.n), (d["m"], self.m)]
+        plain += [(stored_dummy[p], j) for p, j in dummy.items()]
+        if any(type(x) is not int or x != y for x, y in plain):
+            return False
+        costs, m = d["costs"], self.m
+        if type(costs) is not list or len(costs) != self.n:
+            return False
+        for row, cells in zip(costs, self._finite_rows()):
+            if type(row) is not list or len(row) != m:
+                return False
+            if row.count("inf") != m - len(cells):
+                return False
+            for j, text in cells:
+                if row[j] != text:
+                    return False
+        return True
+
+    def _finite_rows(self):
+        """Each row's finite cells as (0-based job, format_value text), in
+        job order."""
+        rows = [[] for _ in range(self.n)]
+        for j, col in enumerate(self._cols):
+            for i, c in col.items():
+                rows[i - 1].append((j, format_value(c)))
+        return rows
+
     def to_json_line(self):
         """The one-line request an external mechanism reads: the bytes of
         json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")),
@@ -237,13 +279,9 @@ class Instance:
         cell = row + indent  # before each cell of a row
         sep, opening = "," + cell, row + "[" + cell
         inf_run = sep + '"inf"'
-        rows = [[] for _ in range(self.n)]
-        for j, col in enumerate(self._cols):
-            for i, c in col.items():
-                rows[i - 1].append((j, format_value(c)))
         parts.append("{" + key + '"costs"' + colon + "[")
         start = opening
-        for cells in rows:
+        for cells in self._finite_rows():
             # lead goes before the next cell: the row's opening, then sep
             lead, done = start, 0
             for j, text in cells:

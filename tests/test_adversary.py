@@ -2,10 +2,12 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mechdock.adversary import attack, replay_report, verify_report
+from mechdock.adversary import _same_json, attack, replay_report, verify_report
 from mechdock.adversary.blocks import block_chain
 from mechdock.adversary.engine import run
 from mechdock.adversary.small import square2, square3, square4
@@ -379,9 +381,21 @@ def _tampers(stored):
     del dropped["claimed_bound"]
     yield "dropped key", ("verdict",), dropped
     yield "added key", ("verdict",), {**stored["verdict"], "extra": 0}
-    costs = [list(row) for row in stored["verdict"]["instance"]["costs"]]
+    instance = stored["verdict"]["instance"]
+    costs = [list(row) for row in instance["costs"]]
     costs[0][0] = " " + costs[0][0]
     yield "cell text", ("verdict", "instance", "costs"), costs
+    # the instance is [["1-1e4", "1"], ["1+1e4", "inf"]] with dummy_of {"1": 2}
+    for label, row in (("inf as null", ["1+1e4", None]), ("inf moved", ["inf", "1+1e4"])):
+        yield label, ("verdict", "instance", "costs", 1), row
+    yield "extra row", ("verdict", "instance", "costs"), instance["costs"] + [["1", "1"]]
+    yield "ragged row", ("verdict", "instance", "costs", 0), ["1-1e4"]
+    yield "n as float", ("verdict", "instance", "n"), 2.0
+    yield "dummy job as float", ("verdict", "instance", "dummy_of"), {"1": 2.0}
+    yield "extra dummy", ("verdict", "instance", "dummy_of"), {"1": 2, "2": 1}
+    yield "instance key added", ("verdict", "instance"), {**instance, "extra": 0}
+    undummied = {k: v for k, v in instance.items() if k != "dummy_of"}
+    yield "instance key dropped", ("verdict", "instance"), undummied
     yield "queries as text", ("queries",), str(stored["queries"])
 
 
@@ -423,3 +437,119 @@ def test_unsound_claim_ends_incomplete_with_the_verdict_check_text():
     defects = verify_verdict(claimed)
     assert defects == ["claimed bound 3 not met: leading ratio 1"]
     assert defects[0] in verdict.diagnostic
+
+
+def _same_json_dense(fresh, stored):
+    """The comparison replay made on the dense to_json_dict tree, kept as
+    the oracle of the one that reads a fresh instance from its columns."""
+    kind = type(fresh)
+    if kind is not type(stored):
+        return False
+    if kind is dict:
+        return fresh.keys() == stored.keys() and all(
+            _same_json_dense(value, stored[key]) for key, value in fresh.items()
+        )
+    if kind is list:
+        if len(fresh) != len(stored):
+            return False
+        try:
+            "".join(fresh)
+        except TypeError:
+            if set(map(type, fresh)) == {int}:
+                return fresh == stored and set(map(type, stored)) == {int}
+            return all(map(_same_json_dense, fresh, stored))
+        return fresh == stored
+    return fresh == stored
+
+
+# The stored reports mutated below: a 2x2 witness, a 2x2 violation pair
+# (stub:1) and a chain at two sizes.
+_REPLAYED = {
+    "s2x2": ("s2x2", {}, "minwork"),
+    "s2x2 violation": ("s2x2", {}, "stub:1"),
+    "main r=3": ("main", {"a": A_R3, "r": 3}, "minwork"),
+    "main r=10": ("main", {"a": Fraction(1966, 1000), "r": 10}, "minwork"),
+}
+
+
+@cache
+def _replayed_report(label):
+    strategy, params, selector = _REPLAYED[label]
+    report = attack(strategy, make_mechanism(selector), params)
+    return report, json.loads(report.to_json())
+
+
+# What a stored int, a cell or a row may be swapped for.
+_NOT_INTS = st.sampled_from([str, bool, float])
+_CELL_SWAPS = st.sampled_from(["0", "1", "1e1", " 0", "inf", 0, 1, True, 1.0, None])
+
+
+def _cell(draw, costs):
+    """A drawn (row, position) of a stored matrix as it stands."""
+    i = draw(st.integers(0, len(costs) - 1))
+    return i, draw(st.integers(0, max(len(costs[i]) - 1, 0)))
+
+
+@st.composite
+def _instance_mutations(draw, inst):
+    """Edits of a stored instance dict, in place, from its cells, "inf"
+    runs, plain ints, rows and keys."""
+    costs, m = inst["costs"], inst["m"]
+    finite = [t for row in costs for t in row if t != "inf"]
+    kinds = ["cell", "swap", "int", "cell type", "extra row", "ragged", "key"]
+    kinds += ["dummy key"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
+        i, j = _cell(draw, costs)
+        if not costs[i]:
+            costs[i].append("inf")
+        if kind == "cell":
+            text = draw(st.sampled_from(finite + ["inf"]))
+            costs[i][j] = draw(st.sampled_from([text, " " + text, text + "0"]))
+        elif kind == "swap":  # an "inf" and a finite cell, maybe in two rows
+            k, l = _cell(draw, costs)
+            if costs[k]:
+                costs[i][j], costs[k][l] = costs[k][l], costs[i][j]
+        elif kind == "int":
+            dummy_of = inst.get("dummy_of")
+            holders = [(inst, "n"), (inst, "m")]
+            if type(dummy_of) is dict:
+                holders += [(dummy_of, p) for p in dummy_of]
+            holder, key = draw(st.sampled_from(holders))
+            if key in holder:
+                holder[key] = draw(_NOT_INTS)(holder[key])
+        elif kind == "cell type":
+            costs[i][j] = draw(_CELL_SWAPS)
+        elif kind == "dummy key":  # one added, renamed or dropped
+            dummy_of = inst.get("dummy_of")
+            if type(dummy_of) is dict and dummy_of:
+                p = draw(st.sampled_from(sorted(dummy_of)))
+                change = draw(st.sampled_from(["add", "rename", "drop"]))
+                value = dummy_of[p] if change == "add" else dummy_of.pop(p)
+                if change != "drop":
+                    dummy_of[str(len(costs) + 1) if change == "add" else "0" + p] = value
+        elif kind == "extra row":
+            costs.append(list(costs[i]))
+        elif kind == "ragged":
+            if draw(st.booleans()):
+                costs[i].append("inf")
+            else:
+                del costs[i][j]
+        else:
+            key = draw(st.sampled_from(["extra", "dummy_of", "n"]))
+            if key in inst and draw(st.booleans()):
+                del inst[key]
+            else:
+                inst[key] = draw(st.sampled_from([{}, {"1": m}, 0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_REPLAYED)), st.data())
+def test_replay_reads_instances_as_the_dense_comparison_does(label, data):
+    report, stored = _replayed_report(label)
+    mutated = json.loads(json.dumps(stored))
+    verdict = mutated["verdict"]
+    keys = [k for k in ("instance", "T", "Tprime") if k in verdict]
+    data.draw(_instance_mutations(verdict[data.draw(st.sampled_from(keys))]))
+    expected = _same_json_dense(report.to_json_dict(), mutated)
+    assert _same_json(report.to_json_dict(dense=False), mutated) == expected
+    assert (replay_report(mutated, make_mechanism) == []) == expected

@@ -263,6 +263,37 @@ def test_verify_reads_a_stored_integer_only_as_it_is_written(text, tmp_path, cap
 
 
 @pytest.mark.parametrize(
+    "where, message",
+    [
+        (("verdict", "instance", "costs", 0, 0), "malformed report: malformed value"),
+        (("verdict", "claimed_bound"), "malformed report: malformed rational"),
+        (("params", "r"), "replay failed: malformed integer"),
+    ],
+    ids=["cell", "bound", "param"],
+)
+@pytest.mark.parametrize("digit", ["٣", "۳", "३", "３"])
+def test_verify_reads_stored_numbers_in_ascii_digits_only(
+    where, message, digit, tmp_path, capsys
+):
+    # int() reads each of these digits as 3
+    report = tmp_path / "r.json"
+    argv = ["attack", "--strategy", "main", "--mechanism", "minwork"]
+    assert main(argv + ["--r", "3", "--a", "1873/1000", "--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    *parents, last = where
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = digit
+    report.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"verification failed: {message} {digit!r}")
+
+
+@pytest.mark.parametrize(
     "path, text",
     [
         (["instance", "costs", 0, 0], "x" + "1" * 100_000),

@@ -21,6 +21,8 @@ from mechdock.exactnum import (
     TieredValue,
     format_value,
     leading_ratio,
+    parse_int,
+    parse_rational,
     parse_value,
     quoted,
     quoted_rational,
@@ -360,7 +362,7 @@ def test_tv_sum_matches_repeated_addition(values, minus):
     assert tv_sum(values) == sum(values, ZERO)
 
 
-_ORACLE_TERM = re.compile(r"([+-])?(\d+)(?:/(\d+))?(?:e(\d+))?")
+_ORACLE_TERM = re.compile(r"([+-])?([0-9]+)(?:/([0-9]+))?(?:e([0-9]+))?")
 
 
 def _parse_by_tier_sums(text):
@@ -448,8 +450,8 @@ def _value_texts(draw):
 
 
 # Well-formed texts, fixed odd ones, random texts over the grammar's
-# characters with an Arabic-Indic digit (which \d matches) among them, and
-# values that are not strings.
+# characters with an Arabic-Indic digit (which int() reads, and both
+# parsers refuse) among them, and values that are not strings.
 _PARSE_TEXTS = st.one_of(
     _value_texts(),
     st.sampled_from(["inf", " inf\n", "−inf", "", "  ", "1 2", "1.5", "e3"]),
@@ -464,6 +466,26 @@ def test_parse_value_matches_the_tier_sum_oracle(text):
     assert got == _parse_outcome(_parse_by_tier_sums, text)
     if got[0] is False:
         assert _is_canonical(got[2])
+
+
+# Decimal digits of other scripts, such as the Arabic-Indic "٣" or the
+# fullwidth "３", which int() and the regex \d read like ASCII ones.
+_foreign_digits = st.characters(categories=["Nd"], min_codepoint=128)
+
+
+@given(st.integers(0, 10**30), st.integers(1, 10**6), st.data())
+def test_the_readers_take_ascii_digits_only(numer, denom, data):
+    # each reader's own form, which it reads, with one digit made foreign
+    for reader, kind, text in (
+        (parse_value, "value", f"{numer}/{denom}+{denom}e{numer % 9}"),
+        (parse_rational, "rational", f"-{numer}/{denom}"),
+        (parse_int, "integer", f"-{numer}"),
+    ):
+        reader(text)
+        at = data.draw(st.sampled_from([i for i, c in enumerate(text) if c.isdigit()]))
+        foreign = text[:at] + data.draw(_foreign_digits) + text[at + 1 :]
+        with pytest.raises(ParseError, match=f"^malformed {kind} "):
+            reader(foreign)
 
 
 def test_parse_value_reduces_and_cancels():

@@ -1,12 +1,14 @@
 import sys
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mechdock import forge
-from mechdock.exactnum import EPS1, EPS2, EPS3, EPS4, INF, ParseError, tv
+from mechdock.adversary import attack, blocks
+from mechdock.exactnum import EPS1, EPS2, EPS3, EPS4, INF, ParseError, format_value, tv
 from mechdock.forge import (
     CONSTRUCTIONS,
     FeasibilityError,
@@ -28,7 +30,11 @@ from mechdock.forge import (
     transition_second_cost,
     z_sum,
 )
-from mechdock.schedmodel import active_players
+from mechdock.mechlib import make_mechanism, minwork_allocate
+from mechdock.schedmodel import Allocation, MechanismHandle, active_players
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import checks  # noqa: E402
 
 
 def z_sum_reference(a, r, k_c):
@@ -38,15 +44,17 @@ def z_sum_reference(a, r, k_c):
 
 
 def bound_arms_reference(p):
-    """The terminal arms with every suffix sum of b taken afresh (O(r^2))."""
+    """The terminal arms with every suffix sum of b taken afresh (O(r^2))
+    and the chain weight summed term by term."""
     a = Fraction(p.a)
-    v0 = 1 + sum(p.b) + p.z
+    z = z_sum_reference(a, p.r, p.k_c)
+    v0 = 1 + sum(p.b) + z
     vks = []
     for k in range(1, p.r + 1):
         ak = a**-k
         second = max(3 * ak - p.b[k - 1], ak)
         tail = sum(p.b[k:], Fraction(0))
-        vks.append((a ** -(k - 1) + ak + second + tail + p.z) / a ** -(k - 1))
+        vks.append((a ** -(k - 1) + ak + second + tail + z) / a ** -(k - 1))
     return v0, vks
 
 
@@ -130,10 +138,10 @@ def test_main_params_validation():
         MainParams(Fraction(14, 10), 3, 3)  # below sqrt 2
     with pytest.raises(ForgeError):
         MainParams(Fraction(2), 3, 3)
-    # b and z are derived from (a, r, k_c) alone
+    # b is derived from (a, r, k_c) alone
     p = MainParams("18/10", 2, 1)
     assert p.a == Fraction(18, 10) and isinstance(p.a, Fraction)
-    assert (p.b, p.z) == compute_b(Fraction(18, 10), 2, 1)
+    assert p.b == compute_b(Fraction(18, 10), 2, 1)[0]
 
 
 def test_build_main_example_row():
@@ -190,13 +198,64 @@ def test_chain_shape_is_the_shape_build_main_builds(a, r, k_c):
     assert chain_shape(r, k_c) == (T.n, T.m)
 
 
-def test_build_main_shares_one_value_per_distinct_price():
+def test_build_main_shares_one_value_per_distinct_price(monkeypatch):
     # each value object is rendered once per report, so one object prices
     # every cell of its price: 403 prices in 1,201 finite cells at r = 100
     T = build_main(MainParams(Fraction(199, 100), 100, 100))
     cells = [c for j in T.jobs() for _, c in T.finite_costs(j)]
     assert len(cells) == 1201
     assert len({id(c) for c in cells}) == len(set(cells)) == 403
+    # and so does every price an attack writes: each a^-k and 2 a^-i in
+    # its verdict instance is the table's object, and each in its edits is
+    # that object's text. The stubs split a pair and reach a transition's
+    # second step; the concessions end in the chain and at its end.
+    made, cells, edits = [], [], []
+
+    def recorded(*args):
+        made.append(MainParams(*args))
+        return made[-1]
+
+    monkeypatch.setattr(blocks, "MainParams", recorded)
+    mechs = [*map(make_mechanism, ["minwork", "activestub:2", "activestub:51"])]
+    # job 31 is the first chain job at r = 10
+    for mech in mechs + [_Concede(), _Concede(withheld=31)]:
+        report = attack("main", mech, {"a": "1966/1000", "r": 10})
+        p = made[-1]
+        table = {v: v for v in p.power + p.companion}
+        verdict = report.verdict
+        if verdict.kind == "WmonViolation":
+            instances = [verdict.T, verdict.Tp]
+        else:
+            instances = [verdict.instance]
+        for T in instances:
+            found = [c for j in T.jobs() for _, c in T.finite_costs(j) if c in table]
+            cells += [c is table[c] for c in found]
+        texts = {format_value(v): v for v in table}
+        written = [t for step in report.transcript for _, _, t in step["edits"]]
+        edits += [t is format_value(texts[t]) for t in written if t in texts]
+    assert len(cells) == 282 and all(cells)
+    assert len(edits) == 9 and all(edits)
+
+
+class _Concede(MechanismHandle):
+    """Gives player 1 every job it prices finitely but its dummy, the
+    withheld job to the last player pricing it finitely, and the rest by
+    min-work."""
+
+    name = "concede"
+
+    def __init__(self, withheld=None):
+        self.withheld = withheld
+
+    def query(self, T):
+        dummies = set(T.dummy_of.values())
+        owner = list(minwork_allocate(T).owner)
+        for j in T.jobs():
+            if j == self.withheld:
+                owner[j - 1] = max(i for i, _ in T.finite_costs(j))
+            elif j not in dummies and T.cost(1, j).finite:
+                owner[j - 1] = 1
+        return Allocation(owner)
 
 
 def test_build_main_degenerate_chain():
@@ -270,7 +329,8 @@ def test_every_integer_of_a_writable_chain_fits_the_limit(a, k_c, back):
         assume(lo - back >= 1)
         p = MainParams(a, lo - back, k_c)
         v0, vks = bound_arms(p)
-        values = [*p.b, p.z, v0, *vks]
+        z = compute_b(a, lo - back, k_c)[1]
+        values = [*p.b, z, v0, *vks]
         if feasibility_defect(p) is None:
             values.append(certified_bound(p))
     finally:
@@ -284,9 +344,9 @@ def test_every_integer_of_a_writable_chain_fits_the_limit(a, k_c, back):
 def test_transition_second_cost_branches():
     a = Fraction(18019, 10000)
     # b_1 = 2/a: the subtracted branch dips just below a^-1, max picks a^-1
-    assert transition_second_cost(a, 1, 2 / a) == tv(1 / a)
+    assert transition_second_cost(tv(1 / a), 2 / a) == tv(1 / a)
     # boundary b_1 = 1/a: cost is 2/a - eps
-    assert transition_second_cost(a, 1, 1 / a) == tv(2 / a) - EPS1
+    assert transition_second_cost(tv(1 / a), 1 / a) == tv(2 / a) - EPS1
 
 
 def test_small_builders():
@@ -336,6 +396,19 @@ def test_resolve_params_reads_an_integer_only_as_str_writes_it(r):
     params = CONSTRUCTIONS["an"].params
     with pytest.raises(ParseError, match="^(malformed|expected an) integer"):
         resolve_params(params, {"a": "9/5", "r": r})
+
+
+@settings(deadline=None)
+@given(_scale_factors, st.integers(1, 40), st.integers(0, 40))
+def test_certified_bound_matches_the_benchmark_check(a, r, k_c):
+    # bench/checks.py sums the arms as Fractions with its own recurrence;
+    # certified_bound compares integer numerators and reduces only the least
+    p = MainParams(a, r, k_c)
+    expected = checks.chain_bound(a, r, k_c)
+    if feasibility_defect(p) is None:
+        assert certified_bound(p) == expected
+    else:
+        assert expected is None
 
 
 def test_certified_bound_reference_points():
