@@ -32,7 +32,8 @@ class FeasibilityError(ForgeError):
 def z_sum(a, r, k_c):
     """Chain weight on player 1's row: sum of a^-j for j = r+1 .. r+k_c,
     in the closed geometric form a^-r (1 - a^-k_c) / (a - 1). Only the
-    compute_b_closed oracle and the tests use it; compute_b sums z itself."""
+    compute_b_closed oracle and the tests use it; _recurrence sums z
+    itself."""
     a = Fraction(a)
     return a**-r * (1 - a**-k_c) / (a - 1)
 
@@ -83,14 +84,6 @@ def _block_prices(num, b_num):
     return tuple(Fraction(x, num[1]) for x in b_num)
 
 
-def compute_b(a, r, k_c):
-    """The recurrence's block prices and chain weight as Fractions, (b, z):
-    the form the tests check against compute_b_closed and z_sum.
-    MainParams runs _recurrence itself and keeps its numerators."""
-    num, b_num, z_num = _recurrence(a, r, k_c)
-    return _block_prices(num, b_num), Fraction(z_num, num[1])
-
-
 def chain_shape(r, k_c):
     """The block chain's (players, jobs): player 1, two co-players per
     block and one per chain job; three jobs per block, the chain jobs and
@@ -101,7 +94,8 @@ def chain_shape(r, k_c):
 
 
 def compute_b_closed(a, r, k_c, k):
-    """Closed form of the recurrence: must agree with compute_b exactly."""
+    """Closed form of the recurrence: b_k, which must agree exactly with
+    the block prices _recurrence gives."""
     a = Fraction(a)
     z = z_sum(a, r, k_c)
     return 2 ** (r - k) * (a**-r * (a + 2) + z) - a**-k * (a * a + a - 2)
@@ -196,8 +190,7 @@ def feasibility_defect(p):
 def check_feasible(p):
     k = feasibility_defect(p)
     if k is not None:
-        num, b_num, _ = p._ints
-        raise FeasibilityError(k, Fraction(b_num[k - 1], num[1]), p.a**-k)
+        raise FeasibilityError(k, p.b[k - 1], p.a**-k)
 
 
 def check_writable(a, r, k_c):
@@ -389,10 +382,11 @@ def build_instance(which, given=None):
     return spec.fn(**resolve_params(spec.params, given or {}))
 
 
-def bound_arms(p, ratio=Fraction):
+def bound_arms(p):
     """Standard-part bound per terminal: the all-blocks arm V_0 and each
     transitioned-at-k arm V_k (infinitesimal corrections dropped), each
-    made by ratio(numerator, denominator) from integers.
+    as an unreduced (numerator, denominator) pair of integers, the
+    denominator positive.
 
     V_k = (a^-(k-1) + a^-k + max(3 a^-k - b_k, a^-k) + sum(b[k:]) + z)
     / a^-(k-1). Over the shared denominator the bracket is an integer
@@ -404,18 +398,18 @@ def bound_arms(p, ratio=Fraction):
     for k in range(p.r, 0, -1):
         ak = num[k + 1]
         second = max(3 * ak - b_num[k - 1], ak)
-        vks[k - 1] = ratio(num[k] + ak + second + rest, num[k])
+        vks[k - 1] = (num[k] + ak + second + rest, num[k])
         rest += b_num[k - 1]
-    return ratio(num[1] + rest, num[1]), vks
+    return (num[1] + rest, num[1]), vks
 
 
 def certified_bound(p):
     """min(1 + a, V_0, min_k V_k): the ratio every branch of the adversary
-    is guaranteed to reach with these parameters. The arms stay integer
-    pairs, compared by cross-multiplying (all denominators are positive),
-    and only the least is reduced."""
+    is guaranteed to reach with these parameters. The arms are compared
+    as integer pairs by cross-multiplying, and only the least is
+    reduced."""
     check_feasible(p)
-    v0, vks = bound_arms(p, ratio=lambda n, d: (n, d))
+    v0, vks = bound_arms(p)
     least, over = p.a.numerator + p.a.denominator, p.a.denominator  # 1 + a
     for n, d in [v0] + vks:
         if n * over < least * d:

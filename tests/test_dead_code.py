@@ -27,7 +27,6 @@ REEXPORTS = SRC / "__init__.py"
 
 ALLOWED = {
     "compute_b_closed": "closed form the tests check the b_k recurrence against",
-    "compute_b": "the b_k recurrence as Fractions, checked against the closed form",
     "__version__": "package metadata read by tools, not by the package",
 }
 

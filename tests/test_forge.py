@@ -14,12 +14,10 @@ from mechdock.forge import (
     FeasibilityError,
     ForgeError,
     MainParams,
-    bound_arms,
     build_main,
     build_instance,
     certified_bound,
     chain_shape,
-    compute_b,
     compute_b_closed,
     d2x2,
     e3x3,
@@ -41,6 +39,19 @@ def z_sum_reference(a, r, k_c):
     """The chain weight summed term by term."""
     a = Fraction(a)
     return sum((a ** -(r + t) for t in range(1, k_c + 1)), Fraction(0))
+
+
+def compute_b(a, r, k_c):
+    """The recurrence's block prices and chain weight as Fractions, (b, z),
+    from the integer numerators MainParams keeps."""
+    num, b_num, z_num = forge._recurrence(a, r, k_c)
+    return forge._block_prices(num, b_num), Fraction(z_num, num[1])
+
+
+def bound_arms(p):
+    """forge.bound_arms with each (numerator, denominator) arm a Fraction."""
+    v0, vks = forge.bound_arms(p)
+    return Fraction(*v0), [Fraction(*vk) for vk in vks]
 
 
 def bound_arms_reference(p):
