@@ -16,21 +16,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..forge import (
-    MainParams,
-    build_main,
-    certified_bound,
-    check_writable,
-    transition_second_cost,
-)
+from ..forge import certified_bound, main_chain, transition_second_cost
 from ..schedmodel import Allocation
 from ..wmon import _l2
 
 
 def block_chain(s, a, r, kc):
-    check_writable(a, r, kc)
-    p = MainParams(a, r, kc)
-    s.bootstrap(build_main(p), f"block chain r={p.r} k_c={p.k_c}")
+    """The block-chain strategy, started from the chain forge.main_chain
+    keeps: repeated attacks of one (a, r, kc), and the replay of one,
+    bootstrap from the same instance."""
+    p, T = main_chain(a, r, kc)
+    s.bootstrap(T, f"block chain r={p.r} k_c={p.k_c}")
     transitioned = {}
     i_prev = 0
     for _ in range(p.r + 1):

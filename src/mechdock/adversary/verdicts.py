@@ -16,6 +16,7 @@ from ..exactnum import (
     UNBOUNDED,
     ZERO,
     format_value,
+    json_int,
     leading_ratio,
     parse_rational,
     quoted_rational,
@@ -96,7 +97,7 @@ def verdict_from_json_dict(d):
     if kind == "WmonViolation":
         return WmonViolation.from_json_dict(d)
     if kind == "StrategyIncomplete":
-        return StrategyIncomplete(step=int(d["step"]), diagnostic=d["diagnostic"])
+        return StrategyIncomplete(step=json_int(d["step"]), diagnostic=d["diagnostic"])
     raise ValueError(f"unknown verdict kind {kind!r}")
 
 

@@ -330,15 +330,22 @@ def parse_rational(x):
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-def parse_int(x):
-    """A stored integer, parse_rational's twin: an int as it is, and text
-    only in the form str(int) writes, -?digits. int(text) also reads
-    surrounding spaces and digit-group underscores, such as " 3" and
-    "1_0"."""
-    if type(x) is int:
-        return x
-    if not isinstance(x, str):
+def json_int(x):
+    """A stored integer where the writer writes a JSON int: an int and
+    nothing else. int() would also read a boolean, a float (2.7 as 2) or
+    digit text of any script ("\u0663" as 3)."""
+    if type(x) is not int:
         raise ParseError(f"expected an integer, got {type(x).__name__}")
+    return x
+
+
+def parse_int(x):
+    """A stored integer, parse_rational's twin: an int as it is (json_int),
+    and text only in the form str(int) writes, -?digits. int(text) also
+    reads surrounding spaces and digit-group underscores, such as " 3" and
+    "1_0"."""
+    if not isinstance(x, str):
+        return json_int(x)
     if not _INTEGER.fullmatch(x):
         raise ParseError(f"malformed integer {quoted(x)}")
     return int(x)

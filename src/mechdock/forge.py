@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 from .exactnum import EPS1, EPS2, EPS3, EPS4, INF, ZERO, parse_int, parse_rational, tv
@@ -115,6 +115,11 @@ class MainParams:
     certificate makespan of the chain pricing a^-k or 2 a^-i shares, so a
     report renders each price once. So bounds, which only certifies,
     normalises no Fraction per block.
+
+    A chain that is built comes from main_chain, which keeps its
+    MainParams with its instance, so every attack of that chain shares
+    one table and its rendered texts; bounds and solve_best_a construct
+    MainParams directly and keep nothing.
     """
 
     a: Fraction
@@ -198,8 +203,9 @@ def check_writable(a, r, k_c):
     integer text, sys.get_int_max_str_digits() digits (4,300 by default;
     0, or an interpreter without the limit, is no limit), so that every
     report, request line and instance file of the chain can be written
-    and read back. It reads only (a, r, k_c), so a chain builder calls it
-    before MainParams runs the recurrence.
+    and read back. It reads only (a, r, k_c), so main_chain calls it on
+    every call, before it looks in its cache or MainParams runs the
+    recurrence.
 
     With a = p/q and R = r + k_c, every rational the chain writes, in a
     cell, an edit or a claimed bound, has a denominator of at most
@@ -233,7 +239,9 @@ def build_main(p):
     table, each b_i is made once per block, and every dummy job costs
     ZERO. format_value keeps a value's text on it, so writing the
     instance renders each distinct price once; at r = 100 that is 403
-    values for 1,201 finite cells, the longest of hundreds of digits. The
+    values for 1,201 finite cells, the longest of hundreds of digits. As
+    main_chain keeps the instance it builds here, that is once per process
+    for every attack, report and replay of the chain. The
     sharing is by construction, not through a dict keyed by Fraction:
     hashing a Fraction takes a modular inverse of its denominator, which
     made the build slower than the copies it saved.
@@ -258,6 +266,39 @@ def build_main(p):
         cols[p.dummy_job(q) - 1] = {q: ZERO}
         dummy_of[q] = p.dummy_job(q)
     return Instance.from_columns(p.n, cols, dummy_of)
+
+
+# How many built chains _built_chain keeps, the least recently used dropped
+# first. A kept chain with every price rendered holds about 1 MB at r = 100,
+# 7.6 MB at r = 367 (3 - 10^-3) and 22 MB at r = 650, the longest chain
+# check_writable accepts at a = 1999/1000, so the cache holds at most about
+# 90 MB.
+CHAIN_CACHE_SIZE = 4
+
+
+def main_chain(a, r, k_c):
+    """The block chain's (MainParams, base Instance) for (a, r, k_c), the
+    one chain builder of gen (build_an) and of attack main and its replay
+    (block_chain).
+
+    A chain is a pure function of (a, r, k_c), and its parameters, its
+    instance and the prices in it are immutable, so the built chain is
+    kept and shared: a later attack of the same chain, its report and the
+    replay's check of it reuse the instance and the text each price
+    keeps once rendered. check_writable runs on every call, outside the
+    cache, so a chain kept under one integer text limit is still refused
+    under a lower one; a chain that fails to build raises and is not
+    kept. The optimizer (bounds, solve_best_a) builds MainParams itself
+    and never evicts a chain.
+    """
+    check_writable(a, r, k_c)
+    return _built_chain(a, r, k_c)
+
+
+@lru_cache(maxsize=CHAIN_CACHE_SIZE)
+def _built_chain(a, r, k_c):
+    p = MainParams(a, r, k_c)
+    return p, build_main(p)
 
 
 def transition_second_cost(a_i, b_i):
@@ -340,9 +381,10 @@ def resolve_params(params, given):
 
 
 def build_an(a, r, kc):
-    """The block-chain instance for scale factor a, r blocks, kc chain jobs."""
-    check_writable(a, r, kc)
-    return build_main(MainParams(a, r, kc))
+    """The block-chain instance for scale factor a, r blocks, kc chain jobs:
+    the cached chain's instance, shared with any attack of the same
+    chain."""
+    return main_chain(a, r, kc)[1]
 
 
 # Each construction is the instance of one strategy: "an" of main, "d2x2"

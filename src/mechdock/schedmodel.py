@@ -25,7 +25,16 @@ import subprocess
 import time
 from json.encoder import encode_basestring_ascii
 
-from .exactnum import INF, format_value, parse_value, quoted, tv, tv_sum
+from .exactnum import (
+    INF,
+    format_value,
+    json_int,
+    parse_int,
+    parse_value,
+    quoted,
+    tv,
+    tv_sum,
+)
 
 DEFAULT_TIMEOUT_MS = 10000
 TIMEOUT_ENV_VAR = "MECHDOCK_TIMEOUT_MS"
@@ -57,7 +66,11 @@ class Instance:
     writes into copies, and every other constructor builds fresh dicts.
     So a column two instances share is equal in both: changed_jobs and
     rows_equal_except skip it unread, and min-work keeps its owner when it
-    answers an edited instance from its last answer.
+    answers an edited instance from its last answer. Columns are shared
+    across edits of one instance, and across attacks too: every attack of
+    one block chain starts from the one instance forge.main_chain keeps, so
+    a min-work handle that answered one attack answers the next from its
+    last answer just as soundly.
 
     The dense to_json_dict tree is the form a stored instance is read in;
     the text an instance is written as, the request line and the stored
@@ -334,7 +347,7 @@ class Instance:
                 written.append((j, c))
             widths.append(len(row))
             cells.append(written)
-        dummy = {int(p): int(j) for p, j in d.get("dummy_of", {}).items()}
+        dummy = {parse_int(p): json_int(j) for p, j in d.get("dummy_of", {}).items()}
         inst = cls._of_columns(len(widths), _columns(widths, cells), dummy)
         if inst.n != d.get("n", inst.n) or inst.m != d.get("m", inst.m):
             raise ModelError("instance dimensions disagree with matrix")

@@ -31,6 +31,7 @@ from .exactnum import (
     ZERO,
     TieredValue,
     format_value,
+    json_int,
     tv,
     tv_compare,
     tv_sum,
@@ -316,7 +317,7 @@ class WmonViolation:
         parsed cell texts."""
         parsed = {}
         return cls(
-            player=int(d["player"]),
+            player=json_int(d["player"]),
             T=Instance.from_json_dict(d["T"], parsed),
             x=Allocation.from_json_dict(d["x"]),
             Tp=Instance.from_json_dict(d["Tprime"], parsed),

@@ -17,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from mechdock import adversary, exactnum, mechlib, schedmodel
+from mechdock import adversary, exactnum, forge, mechlib, schedmodel
 from mechdock.cli import main
 from mechdock.mechlib import optmakespan_allocate
 from mechdock.schedmodel import BuiltinMechanism
@@ -120,6 +120,8 @@ def test_the_tracer_finds_every_traced_name_and_puts_it_back():
         assert patched and [name for name, n in patched.items() if not n] == []
         params = {"a": Fraction(3313, 2048), "r": 1, "kc": 1}
         mech = mechlib.make_mechanism("minwork")
+        # an earlier test may have built this chain; this attack builds it
+        forge._built_chain.cache_clear()
         adversary.attack("main", mech, params).to_json()
         assert {name for _, name in tracer.stats} >= {
             "adversary.attack",

@@ -995,6 +995,16 @@ def _add_a_row_to_tprime(verdict):
     tp["n"] += 1
 
 
+def _incomplete(step):
+    """An edit making the verdict a StrategyIncomplete stored at `step`."""
+
+    def edit(verdict):
+        verdict.clear()
+        verdict.update(kind="StrategyIncomplete", step=step, diagnostic="stopped")
+
+    return edit
+
+
 # One JSON edit of a genuine s2x2 report per defect `verify` names. The
 # minwork report is a RatioWitness on [[1-1e4, 1], [1+1e4, inf]] with
 # certificate [2, 1]; dictator:2 gives a tier-gap Unbounded on
@@ -1090,6 +1100,55 @@ VERIFY_DEFECTS = {
         _set(["instance", "dummy_of"], {"1": 10**400}),
         "malformed report: dummy_of entry out of range: 1 -> "
         "10000000000000000000... (401 digits)",
+    ),
+    # A stored integer is a JSON int where the writer writes one (a step, a
+    # player, a dummy job) and -?digits text in a dummy_of key. int() reads
+    # the digits of any script ("\u0663" as 3), truncates a float (2.7 as
+    # 2), and reads True as 1, " 2" as 2 and "1_0" as 10.
+    "step-digit-of-another-script": (
+        "minwork",
+        _incomplete("\u0663"),
+        "malformed report: expected an integer, got str",
+    ),
+    "step-float": (
+        "minwork",
+        _incomplete(2.7),
+        "malformed report: expected an integer, got float",
+    ),
+    "player-true": (
+        "stub:1",
+        _set(["player"], True),
+        "malformed report: expected an integer, got bool",
+    ),
+    "player-float": (
+        "stub:1",
+        _set(["player"], 2.0),
+        "malformed report: expected an integer, got float",
+    ),
+    "player-spaced-text": (
+        "stub:1",
+        _set(["player"], " 2"),
+        "malformed report: expected an integer, got str",
+    ),
+    "player-grouped-text": (
+        "stub:1",
+        _set(["player"], "1_0"),
+        "malformed report: expected an integer, got str",
+    ),
+    "dummy-of-key-digit-of-another-script": (
+        "minwork",
+        _set(["instance", "dummy_of"], {"\u0661": 1.9}),
+        "malformed report: malformed integer '\u0661'",
+    ),
+    "dummy-of-float-job": (
+        "minwork",
+        _set(["instance", "dummy_of"], {"1": 2.0}),
+        "malformed report: expected an integer, got float",
+    ),
+    "dummy-of-true-job": (
+        "minwork",
+        _set(["instance", "dummy_of"], {"1": True}),
+        "malformed report: expected an integer, got bool",
     ),
 }
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mechdock import forge
-from mechdock.adversary import attack, blocks
+from mechdock.adversary import attack
 from mechdock.exactnum import EPS1, EPS2, EPS3, EPS4, INF, ParseError, format_value, tv
 from mechdock.forge import (
     CONSTRUCTIONS,
@@ -226,7 +226,9 @@ def test_build_main_shares_one_value_per_distinct_price(monkeypatch):
         made.append(MainParams(*args))
         return made[-1]
 
-    monkeypatch.setattr(blocks, "MainParams", recorded)
+    # the attacks share one chain, built here from a cleared cache
+    monkeypatch.setattr(forge, "MainParams", recorded)
+    forge._built_chain.cache_clear()
     mechs = [*map(make_mechanism, ["minwork", "activestub:2", "activestub:51"])]
     # job 31 is the first chain job at r = 10
     for mech in mechs + [_Concede(), _Concede(withheld=31)]:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mechdock import schedmodel
-from mechdock.exactnum import EPS1, EPS2, INF, ZERO, parse_value, tv
+from mechdock.exactnum import EPS1, EPS2, INF, ZERO, json_int, parse_int, parse_value, tv
 from mechdock.forge import MainParams, build_main, d2x2
 from mechdock.schedmodel import (
     Allocation,
@@ -525,7 +525,11 @@ def stored_matrices(draw):
     if rows and draw(st.booleans()):
         rows[draw(st.integers(0, n - 1))] = draw(st.sampled_from(ODD_ROWS))
     d = {"costs": rows}
-    dummy = draw(st.sampled_from([None, {"1": 1}, {"2": "3"}, {"x": 1}]))
+    dummy = draw(
+        st.sampled_from(
+            [None, {"1": 1}, {"2": "3"}, {"x": 1}, {"\u0661": 1}, {"1": 1.0}, {"1": True}]
+        )
+    )
     if dummy is not None:
         d["dummy_of"] = dummy
     return d
@@ -539,7 +543,8 @@ def _dense_reference(d):
         if not isinstance(row, list):
             raise ModelError(f"row {r} of the cost matrix is not a list")
         rows.append([parse_value(text) for text in row])
-    return Instance(rows, {int(p): int(j) for p, j in d.get("dummy_of", {}).items()})
+    dummy = {parse_int(p): json_int(j) for p, j in d.get("dummy_of", {}).items()}
+    return Instance(rows, dummy)
 
 
 def _outcome(build, d):
