@@ -90,9 +90,10 @@ def verdict_from_json_dict(d):
             "certificate": Allocation.from_json_dict(d["certificate"]),
         }
         if kind == "RatioWitness":
-            return RatioWitness(
-                **shared, claimed_bound=parse_rational(d["claimed_bound"])
-            )
+            bound = d["claimed_bound"]
+            if type(bound) is not str:  # parse_rational passes a number through
+                raise ValueError(f"expected string, got {type(bound).__name__}")
+            return RatioWitness(**shared, claimed_bound=parse_rational(bound))
         return Unbounded(**shared, reason=d["reason"])
     if kind == "WmonViolation":
         return WmonViolation.from_json_dict(d)

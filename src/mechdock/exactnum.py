@@ -13,7 +13,7 @@ numerators and denominators directly, since Fraction's own comparisons
 and str() go through the numbers.Rational machinery on every call.
 
 The module also reads the numbers a stored report holds, each only in the
-form this program writes it, and gives the one rule by which a message
+one form this program writes it, and gives the one rule by which a message
 quotes outside text, and a rational of any size.
 """
 
@@ -252,82 +252,78 @@ def leading_ratio(num, den):
     return UNBOUNDED if t < tau else q / d
 
 
-# Digits are ASCII only, here and in _RATIONAL and _INTEGER: \d, and int(),
-# also read every other Unicode decimal digit, such as the Arabic-Indic
-# "٣", which this program never writes. [0-9] is also about three times as
-# fast to match as \d.
-_TERM = re.compile(r"([+-])?([0-9]+)(?:/([0-9]+))?(?:e([0-9]+))?")
+# A term as the writers write it: a numerator or a tier has no leading zero,
+# and a denominator takes any digits, so that a zero one has its own message.
+# Digits are ASCII only: \d, and int(), also read every other Unicode digit,
+# such as the Arabic-Indic "٣". [0-9] is also about three times as fast as \d.
+_TERM = re.compile(r"([+-]?)([1-9][0-9]*)(?:/([0-9]+))?(?:e([1-9][0-9]*))?")
+
+
+def _coefficient(m, text):
+    """The coefficient of a term _TERM matched in text, or None where no
+    writer writes it so: a first term signed "+", or a fraction over 1, over
+    a leading zero or not in lowest terms (Fraction() reduces that one)."""
+    sign, numer, denom, _ = m.groups()
+    if sign == "+" and not m.start():
+        return None
+    num = -int(numer) if sign == "-" else int(numer)
+    if denom is None:
+        return Fraction(num)
+    den = int(denom)
+    if not den:
+        raise ParseError(f"zero denominator in {quoted(text)}")
+    q = Fraction(num, den)
+    return None if den == 1 or q.denominator != den or denom[0] == "0" else q
 
 
 def parse_value(text):
-    """Parse the value grammar: "inf" | signed-term { (+|-) term }.
-
-    A term is  rational [ "e" tier ]  with a bare rational meaning tier 0,
-    e.g. "1-2e1" is 1 - 2*eps_1 and "1873/1000" is a plain rational.
-
-    The text is read in one pass, and each term's coefficient is made once
-    from its integers, reduced by their gcd (so "2/4" reads as 1/2; the
-    reader never trusts the writer to have reduced it). When the tiers come
-    strictly ascending, as in every text format_value writes, each tier has
-    one term, so the terms less the zero ones are already the canonical
-    coefficients. Otherwise the terms are summed as one-term values with
-    tv_sum.
-    """
+    """Parse a value in the one form format_value writes: "inf", "0", or
+    terms  rational [ "e" tier ]  in strictly ascending tiers, a bare
+    rational meaning tier 0; e.g. "1-2e1" is 1 - 2*eps_1. Any other text,
+    such as "2/4", "1e0", "1e1+1" or " 1", is a ParseError. Read in one
+    pass, the terms are the value's canonical coefficients as they stand."""
     if not isinstance(text, str):
         raise ParseError(f"expected string, got {type(text).__name__}")
-    s = text.replace("−", "-").strip()
-    if not s:
+    if not text:
         raise ParseError("empty value")
-    if s == "inf":
-        return INF
-    terms = []
-    ascending = True
-    last = -1
-    pos, end = 0, len(s)
-    while pos < end:
-        m = _TERM.match(s, pos)
-        if m is None:
-            raise ParseError(f"malformed value {quoted(text)} at offset {pos}")
-        # A term ends in digits that [0-9]+ took greedily, so a later one can
-        # only begin with its sign: an unsigned "12" is one term.
-        sign, numer, denom, tier = m.groups()
-        if denom is not None:
-            den = int(denom)
-            if not den:
-                raise ParseError(f"zero denominator in {quoted(text)}")
-        t = int(tier) if tier is not None else 0
-        if t <= last:
-            ascending = False
-        last = t
-        num = int(numer)
-        if num:
-            if sign == "-":
-                num = -num
-            terms.append((t, Fraction(num) if denom is None else Fraction(num, den)))
-        pos = m.end()
-    if ascending:
-        return TieredValue(tuple(terms))
-    return tv_sum([TieredValue((term,)) for term in terms])
+    if text in ("inf", "0"):
+        return INF if text == "inf" else ZERO
+    terms, last, pos = [], -1, 0
+    # A term ends in digits that [0-9] took greedily, so a later one can
+    # only begin with its sign: an unsigned "12" is one term.
+    while pos < len(text) and (m := _TERM.match(text, pos)):
+        t = int(m[4] or 0)
+        q = _coefficient(m, text)
+        if q is None or t <= last:
+            break
+        terms.append((t, q))
+        last, pos = t, m.end()
+    if pos < len(text):
+        raise ParseError(f"malformed value {quoted(text)} at offset {pos}")
+    return TieredValue(tuple(terms))
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+def _tier_zero_term(text):
+    """The rational of a text in the form str(Fraction) writes, which is
+    format_value's form for a value with no tier; else None."""
+    if text == "0":
+        return Fraction(0)
+    m = _TERM.fullmatch(text)
+    return None if m is None or m[4] else _coefficient(m, text)
 
 
 def parse_rational(x):
     """A stored rational: a Fraction or int as it is, and text only in the
-    form str(Fraction) writes, -?digits[/digits]. Fraction(text) also reads
-    decimal exponents and computes 10**exp: "1e2000000" takes about a
-    second to read that way."""
+    form str(Fraction) writes. Fraction(text) also reads exponents, and
+    takes about a second to read "1e2000000"."""
     if type(x) in (Fraction, int):
         return Fraction(x)
     if not isinstance(x, str):
         raise ParseError(f"expected a rational, got {type(x).__name__}")
-    if not _RATIONAL.fullmatch(x):
+    q = _tier_zero_term(x)
+    if q is None:
         raise ParseError(f"malformed rational {quoted(x)}")
-    return Fraction(x)
-
-
-_INTEGER = re.compile(r"-?[0-9]+")
+    return q
 
 
 def json_int(x):
@@ -341,14 +337,14 @@ def json_int(x):
 
 def parse_int(x):
     """A stored integer, parse_rational's twin: an int as it is (json_int),
-    and text only in the form str(int) writes, -?digits. int(text) also
-    reads surrounding spaces and digit-group underscores, such as " 3" and
-    "1_0"."""
+    and text only in the form str(int) writes. int(text) also reads spaces,
+    a "+" and digit-group underscores, such as " 3", "+3" and "1_0"."""
     if not isinstance(x, str):
         return json_int(x)
-    if not _INTEGER.fullmatch(x):
+    q = None if "/" in x else _tier_zero_term(x)
+    if q is None:
         raise ParseError(f"malformed integer {quoted(x)}")
-    return int(x)
+    return q.numerator
 
 
 # The most characters of outside text that a message quotes.

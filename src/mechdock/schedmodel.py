@@ -96,7 +96,7 @@ class Instance:
 
     def _init(self, n, cols, dummy_of):
         """Set the fields from checked columns and check the dummy jobs."""
-        dummy = dict(sorted((int(p), int(j)) for p, j in (dummy_of or {}).items()))
+        dummy = dict(sorted((dummy_of or {}).items()))
         for p, j in dummy.items():
             if not (1 <= p <= n and 1 <= j <= len(cols)):
                 raise ModelError(
@@ -349,8 +349,9 @@ class Instance:
             cells.append(written)
         dummy = {parse_int(p): json_int(j) for p, j in d.get("dummy_of", {}).items()}
         inst = cls._of_columns(len(widths), _columns(widths, cells), dummy)
-        if inst.n != d.get("n", inst.n) or inst.m != d.get("m", inst.m):
-            raise ModelError("instance dimensions disagree with matrix")
+        for key, size in (("n", inst.n), ("m", inst.m)):
+            if key in d and json_int(d[key]) != size:
+                raise ModelError("instance dimensions disagree with matrix")
         return inst
 
     def __eq__(self, other):
@@ -447,7 +448,7 @@ class Allocation:
     __slots__ = ("owner",)
 
     def __init__(self, owner):
-        object.__setattr__(self, "owner", tuple(int(p) for p in owner))
+        object.__setattr__(self, "owner", tuple(owner))
 
     def __setattr__(self, name, value):
         raise AttributeError("Allocation is immutable")

@@ -32,6 +32,7 @@ from .exactnum import (
     TieredValue,
     format_value,
     json_int,
+    parse_value,
     tv,
     tv_compare,
     tv_sum,
@@ -322,7 +323,7 @@ class WmonViolation:
             x=Allocation.from_json_dict(d["x"]),
             Tp=Instance.from_json_dict(d["Tprime"], parsed),
             xp=Allocation.from_json_dict(d["xprime"]),
-            value=tv(d["value"]),
+            value=parse_value(d["value"]),
         )
 
 

@@ -1073,6 +1073,11 @@ VERIFY_DEFECTS = {
         _set(["instance", "n"], 3),
         "malformed report: instance dimensions disagree with matrix",
     ),
+    "instance-float-dimension": (
+        "minwork",
+        _set(["instance", "n"], 2.0),
+        "malformed report: expected an integer, got float",
+    ),
     "dummy-of-out-of-range": (
         "minwork",
         _set(["instance", "dummy_of"], {"1": 9}),
@@ -1094,6 +1099,22 @@ VERIFY_DEFECTS = {
         "minwork",
         _set(["claimed_bound"], "1e2000000"),
         "malformed report: malformed rational '1e2000000'",
+    ),
+    # a stored bound and a stored monotonicity sum are text, as written
+    "bound-int": (
+        "minwork",
+        _set(["claimed_bound"], 2),
+        "malformed report: expected string, got int",
+    ),
+    "wmon-value-true": (
+        "stub:1",
+        _set(["value"], True),
+        "malformed report: expected string, got bool",
+    ),
+    "wmon-value-float": (
+        "stub:1",
+        _set(["value"], 2.5),
+        "malformed report: expected string, got float",
     ),
     "dummy-of-huge-job": (
         "minwork",
@@ -1169,6 +1190,8 @@ def test_verify_names_each_defect_of_an_edited_report(case, tmp_path, capsys):
     assert capsys.readouterr().err == f"verification failed: {message}\n"
 
 
+S3X3_MINWORK = ["--strategy", "s3x3", "--mechanism", "minwork"]
+
 # Genuine reports, one run each: every verdict kind and both unbounded
 # reasons on s2x2, the stored parameters of s3x3 and main, and the recorded
 # answers of an extern report.
@@ -1177,7 +1200,7 @@ MUTATED_RUNS = [
     ["--strategy", "s2x2", "--mechanism", "dictator:2"],
     ["--strategy", "s2x2", "--mechanism", "stub:9"],
     ["--strategy", "s2x2", "--mechanism", "stub:1"],
-    ["--strategy", "s3x3", "--mechanism", "minwork"],
+    S3X3_MINWORK,
     ["--strategy", "main", "--mechanism", "minwork", "--r", "1", "--a", "3313/2048"],
     ["--strategy", "s2x2", "--mechanism", EXTERN],
 ]
@@ -1253,3 +1276,34 @@ def test_verify_reads_a_stored_parameter_only_as_it_is_written(text, tmp_path, c
     assert capsys.readouterr().err == (
         f"verification failed: replay failed: malformed rational {text!r}\n"
     )
+
+
+# The s3x3 report against minwork stores the cell "1-1e4" at costs[2][0],
+# the parameter a as "1" and the claimed bound as "19548/8863". Each text
+# here denotes the stored number in a form the writer never writes, and
+# each is refused where it is read, by a line that names it.
+_CELL = ["verdict", "instance", "costs", 2, 0]
+NOT_AS_WRITTEN = [
+    (_CELL, cell)
+    for cell in [
+        "2/2-1e4", "+1-1e4", " 1-1e4", "-1e4+1", "1-1e4+0e5", "1e0-1e4",
+        "01-1e4", "1−1e4", "1-2e4+1e4",
+    ]
+] + [(["params", "a"], "01"), (["verdict", "claimed_bound"], "39096/17726")]
+
+
+@pytest.mark.parametrize(
+    "path, text", NOT_AS_WRITTEN, ids=[text for _, text in NOT_AS_WRITTEN]
+)
+def test_verify_reads_a_stored_number_only_in_the_form_it_is_written(
+    path, text, tmp_path, capsys
+):
+    doc = json.loads(_genuine_report(MUTATED_RUNS.index(S3X3_MINWORK)))
+    written = functools.reduce(lambda node, key: node[key], path, doc)
+    assert written in ("1-1e4", "1", "19548/8863")
+    _set(path, text)(doc)
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(doc))
+    assert main(["verify", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "malformed " in err and repr(text) in err

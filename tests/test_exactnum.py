@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mechdock.exactnum import (
     EPS1,
@@ -130,12 +130,11 @@ def test_parse_examples():
     assert parse_value("-1/2e2+1e3") == tiered({2: Fraction(-1, 2), 3: 1})
 
 
-def test_parse_unicode_minus():
-    assert parse_value("1−2e1") == parse_value("1-2e1")
-
-
 def test_parse_errors():
-    for bad in ["", "abc", "1//2", "1/0", "1+", "e3", "1 2", "1.5"]:
+    malformed = ["", "abc", "1//2", "1/0", "1+", "e3", "1 2", "1.5", "1−2e1", " 1"]
+    # each of these denotes a value, but format_value writes no value so
+    unwritten = ["2/4", "1e1-1e1", "0+0e2", "1e2+1e0", "1e0+1/2+1e1", "3/1", "-0"]
+    for bad in malformed + unwritten:
         with pytest.raises(ParseError):
             parse_value(bad)
 
@@ -366,8 +365,8 @@ _ORACLE_TERM = re.compile(r"([+-])?([0-9]+)(?:/([0-9]+))?(?:e([0-9]+))?")
 
 
 def _parse_by_tier_sums(text):
-    """parse_value as first written: every term added into its tier's sum
-    from Fraction(0), then the normalising constructor."""
+    """What a text denotes, read leniently: parse_value as first written,
+    with every term added into its tier's sum from Fraction(0)."""
     if not isinstance(text, str):
         raise ParseError(f"expected string, got {type(text).__name__}")
     s = text.replace("−", "-").strip()
@@ -397,14 +396,24 @@ def _parse_by_tier_sums(text):
     return tiered(coeffs)
 
 
-def _parse_outcome(parse, text):
-    """The value with each coefficient's exact integers, or the error."""
+def _reads_exactly_the_writers_texts(reader, denote, write, text, kind):
+    """reader returns exactly when denote reads text and write gives the
+    text back from its value, and then it returns that value; any other
+    text is one ParseError, and a message that quotes it names the kind."""
     try:
-        v = parse(text)
-    except ParseError as exc:
-        return "error", str(exc)
-    coeffs = tuple((t, type(q), q.numerator, q.denominator) for t, q in v._coeffs)
-    return v.infinite, coeffs, v
+        denoted = denote(text)
+    except (ValueError, ZeroDivisionError):  # a ParseError is a ValueError
+        denoted = None
+    if denoted is not None and write(denoted) == text:
+        got = reader(text)
+        assert got == denoted and type(got) is type(denoted)
+        return got
+    with pytest.raises(ParseError) as exc:
+        reader(text)
+    message = str(exc.value)
+    if not message.startswith(("empty value", "expected", "zero denominator in")):
+        assert message.startswith(f"malformed {kind} {quoted(text)}")
+    return None
 
 
 # Terms over few tiers and small integers, so duplicate and out-of-order
@@ -449,23 +458,90 @@ def _value_texts(draw):
     return draw(pad) + text + draw(pad)
 
 
-# Well-formed texts, fixed odd ones, random texts over the grammar's
-# characters with an Arabic-Indic digit (which int() reads, and both
-# parsers refuse) among them, and values that are not strings.
+@st.composite
+def _edited(draw, texts, pieces):
+    """A writer's text, as it is or with one piece put in at, or in place of
+    the character at, its start, its end or anywhere. Each piece makes a
+    form the writer never writes somewhere: a first "+", a leading zero, a
+    space, "/1", "e0", a repeated or descending tier, an unreduced
+    fraction ("1/2" to "10/2"), a foreign minus or digit."""
+    text = draw(texts)
+    if not draw(st.integers(0, 3)):
+        return text
+    at = draw(st.one_of(st.sampled_from([0, len(text)]), st.integers(0, len(text))))
+    cut = draw(st.integers(0, 1))
+    return text[:at] + draw(st.sampled_from(pieces)) + text[at + cut :]
+
+
+_PIECES = ["+", "-", " ", "0", "1", "/", "/1", "−", "٣"]
+_VALUE_PIECES = _PIECES + ["e", "e0", "e1", "+1e1", "-1", "+0e2"]
+_VALUE_CHARS = "0123456789/+-−e inf.x٣"
+
+# Texts the writer wrote and edits of them, texts over the grammar's parts,
+# fixed odd ones, random texts over the grammar's characters with an
+# Arabic-Indic digit (which int() reads, and the readers refuse) among them,
+# and values that are not strings.
+_written_values = st.one_of(_rendered_values, st.just(ZERO)).map(format_value)
 _PARSE_TEXTS = st.one_of(
+    _edited(_written_values, _VALUE_PIECES),
     _value_texts(),
     st.sampled_from(["inf", " inf\n", "−inf", "", "  ", "1 2", "1.5", "e3"]),
-    st.text(alphabet="0123456789/+-−e inf.x٣", max_size=10),
+    st.text(alphabet=_VALUE_CHARS, max_size=10),
     st.one_of(st.integers(), st.none(), st.lists(st.just("1"), max_size=1)),
 )
 
 
+@settings(max_examples=400)
 @given(_PARSE_TEXTS)
-def test_parse_value_matches_the_tier_sum_oracle(text):
-    got = _parse_outcome(parse_value, text)
-    assert got == _parse_outcome(_parse_by_tier_sums, text)
-    if got[0] is False:
-        assert _is_canonical(got[2])
+def test_parse_value_reads_exactly_what_format_value_writes(text):
+    got = _reads_exactly_the_writers_texts(
+        parse_value, _parse_by_tier_sums, format_value, text, "value"
+    )
+    assert got is None or _is_canonical(got)
+
+
+# Rationals as Fraction() reads them, with signs, leading zeros, spaces,
+# underscores, decimal points, "/1" and unreduced ones; no exponent comes
+# from an edit, as Fraction("1e99999999") computes 10**99999999.
+_RATIONAL_CHARS = "0123456789/+-. _٣"
+_rational_texts = st.one_of(
+    _edited(st.one_of(_fractions, _big_fractions).map(str), _PIECES + [".", "_"]),
+    st.tuples(
+        st.sampled_from(["", "+", "-", " "]),
+        st.sampled_from(["0", "1", "2", "4", "007", str(3**200)]),
+        st.sampled_from(["", "/1", "/2", "/4", "/0", "/03", ".5", "e2"]),
+    ).map("".join),
+    st.text(alphabet=_RATIONAL_CHARS, max_size=10),
+)
+
+
+@settings(max_examples=400)
+@given(_rational_texts)
+def test_parse_rational_reads_exactly_what_str_of_a_fraction_writes(text):
+    _reads_exactly_the_writers_texts(parse_rational, Fraction, str, text, "rational")
+
+
+_INTEGER_CHARS = "0123456789+- _٣/"
+_integer_texts = st.one_of(
+    _edited(st.integers(-(10**100), 10**100).map(str), _PIECES + ["_", "e0"]),
+    st.tuples(
+        st.sampled_from(["", "+", "-", " "]),
+        st.sampled_from(["0", "1", "10", "007", "1_0", str(3**200)]),
+        st.sampled_from(["", " ", "/1", "/2", "e0"]),
+    ).map("".join),
+    st.text(alphabet=_INTEGER_CHARS, max_size=10),
+)
+
+
+@settings(max_examples=400)
+@given(_integer_texts)
+def test_parse_int_reads_exactly_what_str_of_an_int_writes(text):
+    _reads_exactly_the_writers_texts(parse_int, int, str, text, "integer")
+
+
+@given(st.one_of(_fractions, _big_fractions, st.integers(-(10**100), 10**100)))
+def test_format_value_writes_a_tierless_value_as_str_of_its_rational(q):
+    assert format_value(tv(q)) == str(q)
 
 
 # Decimal digits of other scripts, such as the Arabic-Indic "٣" or the
@@ -477,23 +553,19 @@ _foreign_digits = st.characters(categories=["Nd"], min_codepoint=128)
 def test_the_readers_take_ascii_digits_only(numer, denom, data):
     # each reader's own form, which it reads, with one digit made foreign
     for reader, kind, text in (
-        (parse_value, "value", f"{numer}/{denom}+{denom}e{numer % 9}"),
-        (parse_rational, "rational", f"-{numer}/{denom}"),
-        (parse_int, "integer", f"-{numer}"),
+        (
+            parse_value,
+            "value",
+            format_value(tiered({0: Fraction(numer, denom), numer % 9 + 1: denom})),
+        ),
+        (parse_rational, "rational", str(Fraction(-numer, denom))),
+        (parse_int, "integer", str(-numer)),
     ):
         reader(text)
         at = data.draw(st.sampled_from([i for i, c in enumerate(text) if c.isdigit()]))
         foreign = text[:at] + data.draw(_foreign_digits) + text[at + 1 :]
         with pytest.raises(ParseError, match=f"^malformed {kind} "):
             reader(foreign)
-
-
-def test_parse_value_reduces_and_cancels():
-    assert parse_value("2/4")._coeffs == ((0, Fraction(1, 2)),)
-    assert parse_value("1e1-1e1")._coeffs == ()
-    assert parse_value("0+0e2")._coeffs == ()
-    assert parse_value("1e2+1e0")._coeffs == ((0, 1), (2, 1))
-    assert parse_value("1e0+1/2+1e1")._coeffs == ((0, Fraction(3, 2)), (1, 1))
 
 
 # Denominators that are powers of one base divide one another both ways,

@@ -232,7 +232,7 @@ def test_build_main_shares_one_value_per_distinct_price(monkeypatch):
     mechs = [*map(make_mechanism, ["minwork", "activestub:2", "activestub:51"])]
     # job 31 is the first chain job at r = 10
     for mech in mechs + [_Concede(), _Concede(withheld=31)]:
-        report = attack("main", mech, {"a": "1966/1000", "r": 10})
+        report = attack("main", mech, {"a": "983/500", "r": 10})
         p = made[-1]
         table = {v: v for v in p.power + p.companion}
         verdict = report.verdict

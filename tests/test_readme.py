@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from mechdock.cli import main
+from mechdock.exactnum import EPS1, format_value, parse_value, tv
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 SECTION = README.split("## The paper's bounds\n", 1)[1].split("\n## ", 1)[0]
@@ -33,3 +34,10 @@ def test_the_section_lists_every_bound():
 def test_a_readme_command_prints_its_lines(args, printed, capsys):
     assert main(shlex.split(args)) == 0
     assert capsys.readouterr().out.splitlines() == printed
+
+
+def test_the_grammar_example_reads_and_writes_back_as_itself():
+    example = re.search(r"\(`([^`]*)` is 1 − 2ε₁\)", README)[1]
+    assert example == "1-2e1"
+    assert parse_value(example) == tv(1) - 2 * EPS1
+    assert format_value(parse_value(example)) == example
