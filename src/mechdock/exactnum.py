@@ -20,6 +20,7 @@ quotes outside text, and a rational of any size.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, inf
 
@@ -259,13 +260,33 @@ def leading_ratio(num, den):
 _TERM = re.compile(r"([+-]?)([1-9][0-9]*)(?:/([0-9]+))?(?:e([1-9][0-9]*))?")
 
 
+# The least limit sys.set_int_max_str_digits() takes, other than 0 (none):
+# a text no longer than this holds no digit run int() refuses, and is read
+# without asking for the limit (which costs parse_value about a sixth).
+_LEAST_DIGIT_LIMIT = 640
+
+
+def int_digit_limit():
+    """The interpreter's limit on the digits of integer text that int() reads
+    and str() writes: sys.get_int_max_str_digits(), 4,300 by default; 0, or
+    an interpreter without the limit, is no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _coefficient(m, text):
     """The coefficient of a term _TERM matched in text, or None where no
-    writer writes it so: a first term signed "+", or a fraction over 1, over
-    a leading zero or not in lowest terms (Fraction() reduces that one)."""
+    writer writes it so: a first term signed "+", a fraction over 1, over a
+    leading zero or not in lowest terms (Fraction() reduces that one), or a
+    numerator, a denominator or a tier of more digits than int() reads
+    (check_writable refuses every chain that would write one)."""
     sign, numer, denom, _ = m.groups()
     if sign == "+" and not m.start():
         return None
+    # a digit run is no longer than its text
+    limit = len(text) > _LEAST_DIGIT_LIMIT and int_digit_limit()
+    if limit and len(text) > limit:
+        if any(len(run or "") > limit for run in m.groups()):
+            return None
     num = -int(numer) if sign == "-" else int(numer)
     if denom is None:
         return Fraction(num)
@@ -292,9 +313,8 @@ def parse_value(text):
     # A term ends in digits that [0-9] took greedily, so a later one can
     # only begin with its sign: an unsigned "12" is one term.
     while pos < len(text) and (m := _TERM.match(text, pos)):
-        t = int(m[4] or 0)
-        q = _coefficient(m, text)
-        if q is None or t <= last:
+        q = _coefficient(m, text)  # first: it refuses a tier too long for int()
+        if q is None or (t := int(m[4] or 0)) <= last:
             break
         terms.append((t, q))
         last, pos = t, m.end()

@@ -11,12 +11,22 @@ the resulting approximation ratio bound, and searches for the best a.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
 
-from .exactnum import EPS1, EPS2, EPS3, EPS4, INF, ZERO, parse_int, parse_rational, tv
+from .exactnum import (
+    EPS1,
+    EPS2,
+    EPS3,
+    EPS4,
+    INF,
+    ZERO,
+    int_digit_limit,
+    parse_int,
+    parse_rational,
+    tv,
+)
 from .schedmodel import Instance
 
 
@@ -200,12 +210,11 @@ def check_feasible(p):
 
 def check_writable(a, r, k_c):
     """Refuse a chain whose integers could pass the interpreter's limit on
-    integer text, sys.get_int_max_str_digits() digits (4,300 by default;
-    0, or an interpreter without the limit, is no limit), so that every
-    report, request line and instance file of the chain can be written
-    and read back. It reads only (a, r, k_c), so main_chain calls it on
-    every call, before it looks in its cache or MainParams runs the
-    recurrence.
+    integer text, exactnum.int_digit_limit() digits, so that every report,
+    request line and instance file of the chain can be written and read
+    back; the readers refuse a longer digit run as a form no writer writes.
+    It reads only (a, r, k_c), so main_chain calls it on every call, before
+    it looks in its cache or MainParams runs the recurrence.
 
     With a = p/q and R = r + k_c, every rational the chain writes, in a
     cell, an edit or a claimed bound, has a denominator of at most
@@ -215,7 +224,7 @@ def check_writable(a, r, k_c):
     10^limit.
     """
     _check_shape(r, k_c)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = int_digit_limit()
     if not limit:
         return
     most = (10**limit).bit_length()

@@ -5,14 +5,14 @@ immutable; edits produce new instances. An instance stores only its finite
 cells, column by column, with infinity implicit (the block-chain instances
 are under 1% finite), and an edit shares every column it does not write.
 The JSON form of an instance is the dense matrix. to_json_dict builds it
-as a plain tree; a stored tree is read back by from_json_dict and compared
-with an instance's columns by matches_json, and the text of both written
-layouts comes from one row writer working on the columns, each run of
-infinite cells written at once: the one-line request sent to an
-external mechanism (to_json_line), and the indented layout of every stored
-file (json_text). A mechanism is a deterministic black box mapping an
-instance to an allocation, either built in or an external subprocess
-speaking line-delimited JSON.
+as a plain tree, which replay compares with a stored tree; a stored tree
+is read back by from_json_dict, and the text of both written layouts
+comes from one row writer working on the columns, each run of infinite
+cells written at once: the one-line request sent to an external mechanism
+(to_json_line), and the indented layout of every stored file (json_text).
+A mechanism is a deterministic black box mapping an instance to an
+allocation, either built in or an external subprocess speaking
+line-delimited JSON.
 """
 
 from __future__ import annotations
@@ -72,10 +72,9 @@ class Instance:
     a min-work handle that answered one attack answers the next from its
     last answer just as soundly.
 
-    The dense to_json_dict tree is the form a stored instance is read in;
-    the text an instance is written as, the request line and the stored
-    layout alike, and the check of a stored tree against it (matches_json)
-    work from the columns.
+    The dense to_json_dict tree is the form a stored instance is read in
+    and replayed against; the text an instance is written as, the request
+    line and the stored layout alike, is written from the columns.
 
     dummy_of maps a player to the index of a job only that player can
     finitely process (the column is infinite for everyone else).
@@ -229,37 +228,6 @@ class Instance:
         if self._dummy_of:
             d["dummy_of"] = {str(p): j for p, j in self._dummy_of.items()}
         return d
-
-    def matches_json(self, d):
-        """Whether a stored JSON tree d is this instance's to_json_dict()
-        with the same type at every node (so 1, true and 1.0 differ), read
-        from the columns without building the dense tree: the same keys;
-        n, m and each dummy_of entry plain ints; costs a list of n lists of
-        m entries, where each finite cell's position holds its format_value
-        text and the others, counted at once, hold "inf"."""
-        dummy = {str(p): j for p, j in self._dummy_of.items()}
-        keys = {"costs", "m", "n", "dummy_of"} if dummy else {"costs", "m", "n"}
-        if type(d) is not dict or d.keys() != keys:
-            return False
-        stored_dummy = d.get("dummy_of", {})
-        if type(stored_dummy) is not dict or stored_dummy.keys() != dummy.keys():
-            return False
-        plain = [(d["n"], self.n), (d["m"], self.m)]
-        plain += [(stored_dummy[p], j) for p, j in dummy.items()]
-        if any(type(x) is not int or x != y for x, y in plain):
-            return False
-        costs, m = d["costs"], self.m
-        if type(costs) is not list or len(costs) != self.n:
-            return False
-        for row, cells in zip(costs, self._finite_rows()):
-            if type(row) is not list or len(row) != m:
-                return False
-            if row.count("inf") != m - len(cells):
-                return False
-            for j, text in cells:
-                if row[j] != text:
-                    return False
-        return True
 
     def _finite_rows(self):
         """Each row's finite cells as (0-based job, format_value text), in

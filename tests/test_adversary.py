@@ -7,7 +7,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mechdock.adversary import _same_json, attack, replay_report, verify_report
+from mechdock.adversary import attack, replay_report, verify_report
 from mechdock.adversary.blocks import block_chain
 from mechdock.adversary.engine import run
 from mechdock.adversary.small import square2, square3, square4
@@ -397,6 +397,14 @@ def _tampers(stored):
     undummied = {k: v for k, v in instance.items() if k != "dummy_of"}
     yield "instance key dropped", ("verdict", "instance"), undummied
     yield "queries as text", ("queries",), str(stored["queries"])
+    # a bool or a float equal to the int the fresh report writes
+    yield "queries as float", ("queries",), float(stored["queries"])
+    edits = [list(edit) for edit in stored["transcript"][2]["edits"]]
+    edits[0][0] = float(edits[0][0])  # player 1
+    yield "edit player as float", ("transcript", 2, "edits"), edits
+    for label, value in (("float", 2.0), ("true", True)):
+        dummy_of = {"1": value}
+        yield f"step dummy job as {label}", ("transcript", 1, "dummy_of"), dummy_of
 
 
 def _edited(tree, path, value):
@@ -416,6 +424,32 @@ def test_replay_fails_exactly_when_the_sorted_text_differs():
         differs = json.dumps(tampered, sort_keys=True) != text
         assert differs == (label not in ("params key order", "keys in reverse"))
         assert bool(replay_report(tampered, make_mechanism)) == differs, label
+
+
+def test_replay_fails_on_a_violation_player_stored_as_a_bool_or_float():
+    stored = json.loads(attack("s2x2", make_mechanism("stub:1")).to_json())
+    assert stored["verdict"]["kind"] == "WmonViolation"
+    assert replay_report(stored, make_mechanism) == []
+    text = json.dumps(stored, sort_keys=True)
+    for value in (True, 2.0, 2):
+        tampered = _edited(stored, ("verdict", "player"), value)
+        differs = json.dumps(tampered, sort_keys=True) != text
+        assert differs == (type(value) is not int)
+        assert bool(replay_report(tampered, make_mechanism)) == differs, value
+
+
+@pytest.mark.parametrize("key", ["note", "owner"])
+def test_replay_of_a_step_nested_past_the_recursion_limit_is_a_defect(key):
+    # == against the shallow fresh tree ends at the first nested level
+    stored = json.loads(attack("s2x2", make_mechanism("minwork")).to_json())
+    nested = []
+    for _ in range(10 * sys.getrecursionlimit()):
+        nested = [nested]
+    step = {**stored["transcript"][0], key: [nested, 1] if key == "owner" else nested}
+    tampered = {**stored, "transcript": [step, *stored["transcript"][1:]]}
+    assert replay_report(tampered, make_mechanism) == [
+        "replay produced a different report"
+    ]
 
 
 def test_unsound_claim_ends_incomplete_with_the_verdict_check_text():
@@ -440,8 +474,8 @@ def test_unsound_claim_ends_incomplete_with_the_verdict_check_text():
 
 
 def _same_json_dense(fresh, stored):
-    """The comparison replay made on the dense to_json_dict tree, kept as
-    the oracle of the one that reads a fresh instance from its columns."""
+    """The comparison replay once made by walking the dense to_json_dict
+    tree, node type by node type, kept as the oracle of replay's compare."""
     kind = type(fresh)
     if kind is not type(stored):
         return False
@@ -551,5 +585,4 @@ def test_replay_reads_instances_as_the_dense_comparison_does(label, data):
     keys = [k for k in ("instance", "T", "Tprime") if k in verdict]
     data.draw(_instance_mutations(verdict[data.draw(st.sampled_from(keys))]))
     expected = _same_json_dense(report.to_json_dict(), mutated)
-    assert _same_json(report.to_json_dict(dense=False), mutated) == expected
     assert (replay_report(mutated, make_mechanism) == []) == expected

@@ -88,16 +88,16 @@ def test_attacks_and_a_replay_of_one_chain_share_its_instance_and_texts(monkeypa
     base = firsts[0][1]
     prices = {id(c) for j in base.jobs() for _, c in base.finite_costs(j)}
     found = []
-    matches_json = Instance.matches_json
+    to_json_dict = Instance.to_json_dict
 
-    def checked(T, d):
-        # the replay's verdict instance, before it is compared: every cell it
+    def checked(T):
+        # the replay's verdict instance, before it is rendered: every cell it
         # shares with the chain was rendered by the attack's report
         cells = [c for j in T.jobs() for _, c in T.finite_costs(j) if id(c) in prices]
         found.append([hasattr(c, "_text") for c in cells])
-        return matches_json(T, d)
+        return to_json_dict(T)
 
-    monkeypatch.setattr(Instance, "matches_json", checked)
+    monkeypatch.setattr(Instance, "to_json_dict", checked)
     assert replay_report(stored, lambda selector: _Recorded(firsts)) == []
     assert len(firsts) == 3
     assert all(T is base for _, T in firsts)

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from mechdock import cli
 from mechdock.adversary import replay_report
 from mechdock.cli import main
+from mechdock.exactnum import quoted
 from mechdock.mechlib import MinWork
 from mechdock.schedmodel import Instance, MechanismError, MechanismHandle
 
@@ -1307,3 +1308,60 @@ def test_verify_reads_a_stored_number_only_in_the_form_it_is_written(
     assert main(["verify", "--report", str(report)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "malformed " in err and repr(text) in err
+
+
+# The same three stored numbers, each as a run of digits longer than int()
+# reads; no writer writes one, as check_writable refuses the chain first.
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (_CELL, "malformed report: malformed value"),
+        (["params", "a"], "replay failed: malformed rational"),
+        (["verdict", "claimed_bound"], "malformed report: malformed rational"),
+    ],
+    ids=["cell", "param", "bound"],
+)
+def test_verify_refuses_a_digit_run_past_the_integer_text_limit(
+    path, message, tmp_path, capsys
+):
+    doc = json.loads(_genuine_report(MUTATED_RUNS.index(S3X3_MINWORK)))
+    text = "1" * 5000
+    _set(path, text)(doc)
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(doc))
+    assert main(["verify", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"verification failed: {message} {quoted(text)}")
+    assert err.count("\n") == 1 and len(err.encode()) < 512
+
+
+def _deepest_loadable_nesting():
+    """Roughly the deepest list nesting json reads from here: the decoder
+    counts against the recursion limit (its own C limit on 3.12 and later),
+    so the depth is found by trying."""
+    low, high = 1, 100_000
+    while low < high:
+        mid = (low + high + 1) // 2
+        try:
+            json.loads("[" * mid + "]" * mid)
+            low = mid
+        except RecursionError:
+            high = mid - 1
+    return low
+
+
+@pytest.mark.parametrize(
+    "path", [["params", "b"], ["transcript", 0, "note"]], ids=["param", "step"]
+)
+def test_verify_ends_a_deeply_nested_stored_value_in_one_line(path, tmp_path, capsys):
+    # nested as deep as json reads, less some frames for verify's own calls
+    depth = _deepest_loadable_nesting() - 50
+    doc = json.loads(_genuine_report(MUTATED_RUNS.index(S3X3_MINWORK)))
+    _set(path, "@")(doc)
+    report = tmp_path / "r.json"
+    nested = "[" * depth + "]" * depth
+    report.write_text(json.dumps(doc).replace('"@"', nested))
+    assert main(["verify", "--report", str(report)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("verification failed: ")

@@ -568,6 +568,33 @@ def test_the_readers_take_ascii_digits_only(numer, denom, data):
             reader(foreign)
 
 
+@pytest.mark.parametrize(
+    "reader, kind, form",
+    [
+        (parse_value, "value", "{}"),
+        (parse_value, "value", "1/{}"),
+        (parse_value, "value", "1-1e{}"),
+        (parse_rational, "rational", "-{}"),
+        (parse_rational, "rational", "1/{}"),
+        (parse_int, "integer", "{}"),
+    ],
+)
+def test_the_readers_refuse_a_digit_run_past_the_integer_text_limit(
+    reader, kind, form
+):
+    # int() would raise its own ValueError, naming neither text nor reader
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        reader(form.format("7" * 640))
+        text = form.format("7" * 641)
+        with pytest.raises(ParseError, match=f"^malformed {kind} ") as info:
+            reader(text)
+        assert quoted(text) in str(info.value)
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
 # Denominators that are powers of one base divide one another both ways,
 # as the chain's block prices do; the others divide neither way.
 _dividing = st.builds(pow, st.sampled_from([2, 3, 10, 12]), st.integers(0, 6))
