@@ -67,6 +67,21 @@ def attack(strategy, mech, params=None):
     )
 
 
+# The type of each top-level field replay reads, as the writer writes it.
+_STORED_TYPES = {"strategy": str, "mechanism": str, "params": dict, "transcript": list}
+
+# Each type json.load makes, as a defect names it.
+_JSON_TYPE_NAMES = {
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
+
+
 def replay_report(report_dict, mechanism_factory):
     """Re-run a report's strategy against a rebuilt mechanism and compare.
 
@@ -74,11 +89,16 @@ def replay_report(report_dict, mechanism_factory):
     report byte for byte (deterministic mechanisms only). A block-chain
     report whose stored r and kc do not give the shape of its stored data
     is refused before anything is built, so a report cannot make replay
-    build a chain larger than the report itself. The stored tree passes
-    when it has the sort_keys text of the fresh report's to_json_dict
-    tree, which is decided by == on the two trees and then
-    _holds_no_bool_or_float on the stored one.
+    build a chain larger than the report itself; so is a report whose
+    strategy, mechanism, params or transcript is not of the JSON type the
+    writer writes. The stored tree passes when it has the sort_keys text
+    of the fresh report's to_json_dict tree, which is decided by == on the
+    two trees and then _holds_no_bool_or_float on the stored one.
     """
+    for key, kind in _STORED_TYPES.items():
+        if key in report_dict and not isinstance(report_dict[key], kind):
+            found = _JSON_TYPE_NAMES[type(report_dict[key])]
+            return [f"stored {key} is {found}, not {_JSON_TYPE_NAMES[kind]}"]
     strategy, params = report_dict["strategy"], report_dict.get("params", {})
     if strategy == "main":
         params = resolve_params(STRATEGY_SPECS[strategy].params, params)
@@ -123,7 +143,8 @@ def _has_shape(report_dict, shape):
     n, m = shape
     verdict = report_dict["verdict"]
     if verdict["kind"] == "StrategyIncomplete":
-        return len(report_dict["transcript"][0]["owner"]) == m
+        transcript = report_dict["transcript"]
+        return bool(transcript) and len(transcript[0]["owner"]) == m
     costs = verdict["T" if verdict["kind"] == "WmonViolation" else "instance"]["costs"]
     return (len(costs), len(costs[0])) == (n, m)
 

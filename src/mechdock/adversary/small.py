@@ -125,9 +125,7 @@ def square4(s, w):
     if s.x.assigns(2, 1) and s.x.assigns(2, 2):
         s.branch("player 2 holds jobs 1 and 2")
         s.price_out(3, [2, 1], "price player 3 out of the first two jobs")
-        if s.x.assigns(1, 2):
-            s.branch("the priced job moved to player 1")
-            _boost_player1(s, w, Allocation([3, 2, 2, 1]))
+        _boost_if_player1_took_job2(s, w, Allocation([3, 2, 2, 1]))
         s.branch("player 2 still holds jobs 1 and 2")
         s.trade(2, 2, tv(1), 1, "raise player 2's cheap job to one")
         if s.x.assigns(1, 2):
@@ -152,9 +150,7 @@ def square4(s, w):
             s.price_out(
                 3, [3, 1], "price player 3 out; job 3 becomes player 2's dummy"
             )
-            if s.x.assigns(1, 2):
-                s.branch("the priced job moved to player 1")
-                _boost_player1(s, w, Allocation([3, 2, 2, 1]))
+            _boost_if_player1_took_job2(s, w, Allocation([3, 2, 2, 1]))
             s.branch("player 2 kept the first three jobs")
             s.raise_dummy(
                 2,
@@ -174,9 +170,7 @@ def square4(s, w):
     if s.x.assigns(3, 1) and s.x.assigns(2, 2):
         s.branch("player 3 on job 1, player 2 on job 2")
         s.undercut(3, 1, 2, "undercut player 3 on the first two jobs")
-        if s.x.assigns(1, 2):
-            s.branch("the priced job moved to player 1")
-            _boost_player1(s, w, Allocation([3, 2, 2, 1]))
+        _boost_if_player1_took_job2(s, w, Allocation([3, 2, 2, 1]))
         if s.x.assigns(2, 2):
             s.branch("player 2 kept job 2")
             s.squeeze(3, [1], [2, 3], "zero player 3's held job, raise what he lacks")
@@ -192,9 +186,7 @@ def square4(s, w):
         s.price_out(
             2, [1, 2, 3], "price player 2 out; job 3 becomes player 3's dummy"
         )
-        if s.x.assigns(1, 2):
-            s.branch("the priced job moved to player 1")
-            _boost_player1(s, w, Allocation([2, 3, 3, 1]))
+        _boost_if_player1_took_job2(s, w, Allocation([2, 3, 3, 1]))
         s.branch("player 3 kept job 2")
         s.trade(3, 2, tv(1), 1, "raise player 3's cheap job to one")
         if s.x.assigns(3, 2):
@@ -219,3 +211,10 @@ def _boost_player1(s, w, certificate):
     """Player 1 holds the priced job: boost his dummy and claim 1 + w."""
     s.raise_dummy(1, [4, 2], tv(1), "raise player 1's dummy to one")
     s.finish_ratio(certificate, 1 + w)
+
+
+def _boost_if_player1_took_job2(s, w, certificate):
+    """After an edit: if player 1 now holds the priced job, claim 1 + w."""
+    if s.x.assigns(1, 2):
+        s.branch("the priced job moved to player 1")
+        _boost_player1(s, w, certificate)

@@ -26,7 +26,7 @@ from .adversary import (
     verify_report,
 )
 from .adversary.verdicts import StrategyIncomplete
-from .exactnum import parse_rational
+from .exactnum import int_digit_limit, parse_rational
 from .forge import (
     CONSTRUCTIONS,
     ForgeError,
@@ -39,7 +39,7 @@ from .forge import (
 )
 from .mechlib import RecordedAnswers, make_mechanism
 from .schedmodel import DEFAULT_TIMEOUT_MS, TIMEOUT_ENV_VAR, MechanismError, json_text
-from .wmon import FuzzSpec, exhaustive_pairs, fuzz
+from .wmon import FuzzSpec, exhaustive_pairs, fuzz, grid_is_writable
 
 # Certified reference points: block count -> published ratio (a = ratio - 1).
 REFERENCE_RATIOS = {
@@ -60,7 +60,13 @@ def _fraction(text):
 
 
 def _decimal(x):
-    return f"{float(x):.6f}"
+    """x to six decimals, for display; exactly when it is past the range of
+    a float, as a 3x4 claim 1 + x can be."""
+    try:
+        return f"{float(x):.6f}"
+    except OverflowError:
+        whole, part = divmod(round(x * 10**6), 10**6)
+        return f"{whole}.{part:06d}"
 
 
 def _param_types(specs):
@@ -83,9 +89,9 @@ def _set_params(args, specs):
 
 EPILOG = f"""exit codes:
   0 success or a sound verdict, 1 verification failure, 2 usage error,
-  3 incomplete strategy, 4 mechanism failure; a block chain too large to
-  write, one whose integers pass Python's limit for integer text (4300
-  digits by default), is a usage error (2)
+  3 incomplete strategy, 4 mechanism failure; a construction, strategy
+  parameter or --grid whose numbers could pass Python's limit for integer
+  text (4300 digits by default) is a usage error (2)
 
 environment:
   {TIMEOUT_ENV_VAR}: per-query timeout of an extern: mechanism in ms;
@@ -254,6 +260,13 @@ def cmd_wmon(args):
     shape = 2 if args.exhaustive else 3
     n = shape if args.n is None else args.n
     m = shape if args.m is None else args.m
+    if not grid_is_writable(grid, m):
+        print(
+            f"bad --grid {args.grid!r}: writes integers past {int_digit_limit()} "
+            "digits, the interpreter's limit for integer text",
+            file=sys.stderr,
+        )
+        return 2
     try:
         with closing(make_mechanism(args.mechanism)) as mech:
             if args.exhaustive:

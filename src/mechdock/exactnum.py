@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, inf
 
 LT, EQ, GT = -1, 0, 1
@@ -271,6 +272,28 @@ def int_digit_limit():
     and str() writes: sys.get_int_max_str_digits(), 4,300 by default; 0, or
     an interpreter without the limit, is no limit."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def fits_digit_limit(bits):
+    """Whether every integer below 2^bits has at most int_digit_limit()
+    digits, so that its text can be written and read back: with no limit,
+    or when bits is below the bit length of 10^limit, as an integer below
+    2^(that length - 1) <= 10^limit has at most limit digits."""
+    limit = int_digit_limit()
+    return not limit or bits < _power_of_ten_bits(limit)
+
+
+@lru_cache(maxsize=4)
+def _power_of_ten_bits(limit):
+    """The bit length of 10^limit, kept: at the default limit the power
+    takes about 30 us, and every attack of a construction asks for it."""
+    return (10**limit).bit_length()
+
+
+def height_bits(values):
+    """The sum over rationals of the bit length of max(|numerator|,
+    denominator); the product of those maxima is below 2 to this power."""
+    return sum(max(abs(v.numerator), v.denominator).bit_length() for v in values)
 
 
 def _coefficient(m, text):

@@ -22,6 +22,8 @@ from .exactnum import (
     EPS4,
     INF,
     ZERO,
+    fits_digit_limit,
+    height_bits,
     int_digit_limit,
     parse_int,
     parse_rational,
@@ -88,12 +90,6 @@ def _recurrence(a, r, k_c):
     return num, b_num, z_num
 
 
-def _block_prices(num, b_num):
-    """The block prices b_1 .. b_r as Fractions from _recurrence's
-    numerators, each normalised once."""
-    return tuple(Fraction(x, num[1]) for x in b_num)
-
-
 def chain_shape(r, k_c):
     """The block chain's (players, jobs): player 1, two co-players per
     block and one per chain job; three jobs per block, the chain jobs and
@@ -146,8 +142,10 @@ class MainParams:
 
     @cached_property
     def b(self):
-        """The block prices b_1 .. b_r (b[k - 1] is b_k)."""
-        return _block_prices(*self._ints[:2])
+        """The block prices b_1 .. b_r (b[k - 1] is b_k) as Fractions from
+        the recurrence's numerators, each normalised once."""
+        num, b_num, _ = self._ints
+        return tuple(Fraction(x, num[1]) for x in b_num)
 
     @cached_property
     def power(self):
@@ -224,20 +222,43 @@ def check_writable(a, r, k_c):
     10^limit.
     """
     _check_shape(r, k_c)
-    limit = int_digit_limit()
-    if not limit:
-        return
-    most = (10**limit).bit_length()
     p, q = Fraction(a).numerator, Fraction(a).denominator
     # a lower bound first, so that a huge r or k_c never builds its powers
     bits = (r + 1) * (q.bit_length() - 1) + k_c * (p.bit_length() - 1) + r + 8
-    if bits < most:
+    if fits_digit_limit(bits):
         bits = (q ** (r + 1) * p**k_c).bit_length() + r + 8
-    if bits >= most:
-        raise ForgeError(
-            f"block chain r={r} k_c={k_c} writes integers past {limit} "
-            "digits, the interpreter's limit for integer text"
-        )
+    if not fits_digit_limit(bits):
+        raise _unwritable(f"block chain r={r} k_c={k_c}")
+
+
+def _unwritable(what):
+    return ForgeError(
+        f"{what} writes integers past {int_digit_limit()} digits, the "
+        "interpreter's limit for integer text"
+    )
+
+
+def _check_small_writable(what, params):
+    """Refuse a 3x3 or 3x4 construction whose strategy could write an
+    integer past int_digit_limit() digits. It reads only the rational
+    parameters' integers, before anything is built, as check_writable
+    does for the chain.
+
+    Let H be the product over the parameters of max(|numerator|,
+    denominator), below 2^height_bits(params), and Q that of their
+    denominators. A cell, edit or certificate instance of the strategy
+    has a standard part of 0, 1, a parameter or one of these halved: a
+    squeeze halves a held cell, and no run squeezes one player twice. Over
+    the common denominator 2Q that part is an integer of at most 2H; the
+    infinitesimal tiers hold coefficients of a few units. A WMON sum adds
+    at most two such parts per job over four jobs, at most 16H over 2Q.
+    A claimed bound (b/a, (a+b+c)/c, (b+c)/b, 1 + x or (2+x)/x) is a
+    ratio of two sums of at most three parameters and 1, each at most 4H
+    over Q. So every integer written, in a cell, an edit, a claim or a
+    WMON value, is below 2^5 H, and the check keeps 8 bits to spare.
+    """
+    if not fits_digit_limit(height_bits(params) + 8):
+        raise _unwritable(what)
 
 
 def build_main(p):
@@ -329,6 +350,7 @@ def e3x3(a, b, c):
         raise ForgeError("3x3 construction needs a > 0")
     if not a < b < c:
         raise ForgeError("3x3 construction needs a < b < c")
+    _check_small_writable("3x3 construction", (a, b, c))
     return Instance([[INF, c, EPS1], [b, INF, INF], [a, b, EPS2]])
 
 
@@ -336,6 +358,7 @@ def f3x4(x):
     x = Fraction(x)
     if x <= 1:
         raise ForgeError("3x4 construction needs x > 1")
+    _check_small_writable("3x4 construction", (x,))
     return Instance(
         [
             [INF, x, INF, EPS4],

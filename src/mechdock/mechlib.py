@@ -100,10 +100,6 @@ def optmakespan_allocate(T):
         raise MechanismError(f"optmakespan: {exc}")
 
 
-def dictator_allocate(T, d):
-    return Allocation([d] * T.m)
-
-
 class SeededStub(MechanismHandle):
     """Deterministic pseudo-arbitrary allocator, valid but otherwise lawless."""
 
@@ -164,6 +160,6 @@ def make_mechanism(selector):
         except ValueError:
             raise MechanismError(f"mechanism selector {selector!r} needs an integer")
         if kind == "dictator":
-            return BuiltinMechanism(selector, lambda T: dictator_allocate(T, number))
+            return BuiltinMechanism(selector, lambda T: Allocation([number] * T.m))
         return SeededStub(number, active_only=kind == "activestub")
     raise MechanismError(f"unknown mechanism selector {selector!r}")

@@ -508,8 +508,6 @@ def checked_query(mech, T):
 class MechanismHandle:
     """Deterministic black box: same instance, same allocation."""
 
-    name = "mechanism"
-
     def query(self, T):
         raise NotImplementedError
 

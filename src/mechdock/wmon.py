@@ -30,7 +30,9 @@ from .exactnum import (
     LT,
     ZERO,
     TieredValue,
+    fits_digit_limit,
     format_value,
+    height_bits,
     json_int,
     parse_value,
     tv,
@@ -280,9 +282,9 @@ def infer(lemma, T, x, Tp):
 class FuzzSpec:
     """Random finite instances on a value grid, one perturbed row per trial."""
 
-    n: int = 3
-    m: int = 3
-    values: tuple = (0, 1, 2, 3, 4)
+    n: int
+    m: int
+    values: tuple
 
 
 @dataclass(frozen=True)
@@ -370,6 +372,23 @@ def fuzz(M, spec, trials, seed):
         if found is not None:
             violations.append(found)
     return violations
+
+
+def grid_is_writable(values, m):
+    """Whether fuzz and exhaustive_pairs on m jobs over the grid values
+    write only integers of at most int_digit_limit() digits, decided from
+    the grid values' integers alone.
+
+    Let H be the product over the distinct grid values of max(|numerator|,
+    denominator), below 2^height_bits, and L the lcm of their denominators,
+    at most H. A fuzz cell p/q moved by s/t (|s| <= 8, t <= 4) is
+    (p t + s q)/(q t), whose integers are at most 12H. A WMON sum adds the
+    drops of at most m cells of one row: a grid value or s/t in fuzz, the
+    difference of two grid values in exhaustive_pairs. Each drop is a
+    multiple of 1/(12L), at most 96H over 12L, so every integer written is
+    below 2^7 m H.
+    """
+    return fits_digit_limit(height_bits(set(values)) + 7 + m.bit_length())
 
 
 def exhaustive_pairs(M, n, m, values):

@@ -358,6 +358,41 @@ def test_the_longest_writable_chain_writes_verifies_and_replays(a, r):
         sys.set_int_max_str_digits(default)
 
 
+# At the limit 640, 10^640 has 2,127 bits, so the small constructions take
+# parameters whose max(|numerator|, denominator) have 2,118 bits in all and
+# refuse 2,119. The claims b/a = 2^1410 and 1 + x are the largest numbers.
+SMALL_AT_THE_LIMIT = [
+    ("s3x3", "3x3", {"a": Fraction(1, 2**705), "b": 2**705, "c": 2**705 + 1}, "c"),
+    ("s3x4", "3x4", {"x": 2**2117 + 1}, "x"),
+]
+EVERY_BUILTIN = ["minwork", "optmakespan", "dictator:1", "dictator:2", "dictator:3"]
+EVERY_BUILTIN += [f"stub:{seed}" for seed in range(8)]
+EVERY_BUILTIN += [f"activestub:{seed}" for seed in range(8)]
+
+
+@pytest.mark.parametrize("strategy, name, params, grown", SMALL_AT_THE_LIMIT)
+def test_a_small_construction_just_inside_the_limit_writes_verifies_and_replays(
+    strategy, name, params, grown
+):
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        kinds = set()
+        for selector in EVERY_BUILTIN:
+            report = attack(strategy, make_mechanism(selector), params)
+            kinds.add(report.verdict.kind)
+            stored = json.loads(report.to_json())
+            assert verify_report(stored) == []
+            assert replay_report(stored, make_mechanism) == []
+        assert {"RatioWitness", "Unbounded", "WmonViolation"} <= kinds
+        past = {**params, grown: 2 * params[grown]}
+        message = f"^{name} construction writes integers past 640 digits"
+        with pytest.raises(ForgeError, match=message):
+            attack(strategy, make_mechanism("minwork"), past)
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
 def test_replay_detects_mechanism_mismatch():
     report = attack("s2x2", make_mechanism("minwork")).to_json_dict()
     report["mechanism"] = "dictator:2"

@@ -80,7 +80,7 @@ def test_optmakespan_answers_the_independent_brute_force_optimum():
 
     mech = BuiltinMechanism("optmakespan", recorded)
     for n, m, seed in ((3, 3, 1), (4, 6, 2)):
-        fuzz(mech, FuzzSpec(n, m), 200, seed)
+        fuzz(mech, FuzzSpec(n, m, (0, 1, 2, 3, 4)), 200, seed)
     assert len(seen) == 800
     for T, x in seen:
         _, owner = checks.brute_force_opt(checks.Inst(T.to_json_dict()))

@@ -549,6 +549,134 @@ def test_bounds_never_builds_the_chain_so_no_integer_limit_applies(capsys):
     assert capsys.readouterr().out.startswith("r=700 n=2101 k_c=700 a=1.990000 ")
 
 
+UNWRITABLE = (
+    "writes integers past 4300 digits, the interpreter's limit for integer text"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["attack", "--strategy", "s3x3", "--b", "1e5000", "--c", "1e5001"],
+            f"bad parameters: 3x3 construction {UNWRITABLE}",
+        ),
+        (
+            ["gen", "--construction", "e3x3", "--b", "1e5000", "--c", "1e5001"],
+            f"cannot build instance: 3x3 construction {UNWRITABLE}",
+        ),
+        (
+            ["attack", "--strategy", "s3x4", "--x", "1e5000"],
+            f"bad parameters: 3x4 construction {UNWRITABLE}",
+        ),
+        (
+            ["gen", "--construction", "f3x4", "--x", "1e5000"],
+            f"cannot build instance: 3x4 construction {UNWRITABLE}",
+        ),
+        # each parameter is under the limit, but the claim b/a has 4,401 digits
+        (
+            ["attack", "--strategy", "s3x3", "--a=1e-2200", "--b=1e2200", "--c=1e2201"],
+            f"bad parameters: 3x3 construction {UNWRITABLE}",
+        ),
+        (
+            ["wmon", "--mechanism", "stub:1", "--grid", "1e5000", "--trials", "1"],
+            f"bad --grid '1e5000': {UNWRITABLE}",
+        ),
+    ],
+)
+def test_a_small_construction_or_grid_past_the_limit_is_one_usage_error_line(
+    argv, message, tmp_path, capsys
+):
+    # each used to end in a ValueError traceback, exit 1, while writing
+    out = tmp_path / "x.json"
+    if argv[0] == "attack":
+        argv = [*argv, "--mechanism", "minwork", "--report", str(out)]
+    elif argv[0] == "gen":
+        argv = [*argv, "--out", str(out)]
+    start = time.process_time()
+    assert main(argv) == 2
+    assert time.process_time() - start < 1
+    assert capsys.readouterr() == ("", message + "\n")
+    assert not out.exists()
+
+
+def _digit_run(n):
+    return "9" * n
+
+
+# Digit counts near the boundaries: small, about half the 4,300-digit limit
+# (where a product of two numbers passes it), and just under it.
+_DIGITS = st.one_of(
+    st.integers(1, 30), st.integers(2100, 2300), st.integers(4200, 4299)
+)
+
+# Texts Fraction() reads, as a number flag takes them: plain small values,
+# exponent decimals, long digit runs, and tiny and huge fractions.
+_NUMBER_TEXTS = st.one_of(
+    st.sampled_from(["0", "1", "2", "5/2", "-3", "1/3", "1.5"]),
+    st.builds(
+        "{}e{}{}".format,
+        st.integers(1, 99),
+        st.sampled_from(["", "-"]),
+        st.one_of(_DIGITS, st.integers(4300, 6000)),
+    ),
+    _DIGITS.map(_digit_run),
+    st.builds(
+        "{}/{}".format,
+        _DIGITS.map(lambda n: 10**n + 1),
+        _DIGITS.map(lambda n: 10**n + 3),
+    ),
+)
+
+# The number flags of the small constructions, in attack and in gen.
+NUMBER_FLAGS = {
+    ("attack", "s3x3"): ["--a", "--b", "--c"],
+    ("attack", "s3x4"): ["--x"],
+    ("gen", "e3x3"): ["--a", "--b", "--c"],
+    ("gen", "f3x4"): ["--x"],
+}
+ATTACKED = ["minwork", "dictator:1", "dictator:3", "stub:1", "activestub:2"]
+
+
+@st.composite
+def _number_commands(draw):
+    """An attack or gen command setting some number flags of a small
+    construction, or a wmon fuzz run on a drawn --grid, which also takes
+    digit runs Fraction() refuses."""
+    command = draw(st.sampled_from([*NUMBER_FLAGS, "wmon"]))
+    if command == "wmon":
+        texts = st.one_of(_NUMBER_TEXTS, st.integers(4301, 6000).map(_digit_run))
+        grid = ",".join(draw(st.lists(texts, min_size=1, max_size=3)))
+        return ["wmon", "--mechanism", "stub:1", "--trials", "1", f"--grid={grid}"]
+    flags = sorted(draw(st.sets(st.sampled_from(NUMBER_FLAGS[command]), min_size=1)))
+    numbers = [f"{flag}={draw(_NUMBER_TEXTS)}" for flag in flags]
+    kind, which = command
+    if kind == "gen":
+        return ["gen", "--construction", which, *numbers]
+    mech = draw(st.sampled_from(ATTACKED))
+    return ["attack", "--strategy", which, "--mechanism", mech, *numbers]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_number_commands())
+@example(["attack", "--strategy", "s3x4", "--mechanism", "minwork", "--x=1e5000"])
+@example(["wmon", "--mechanism", "stub:1", "--trials", "1", "--grid=1e5000"])
+# its claim 1 + x is past the range of a float
+@example(["attack", "--strategy", "s3x4", "--mechanism", "activestub:1", "--x=1e4000"])
+def test_no_number_flag_ends_in_a_traceback(tmp_path_factory, argv):
+    path = str(tmp_path_factory.mktemp("numbers") / "x.json")
+    if argv[0] == "gen":
+        argv = [*argv, "--out", path]
+    elif argv[0] == "attack":
+        argv = [*argv, "--report", path]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 4)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert "Traceback" not in err.getvalue()
+
+
 def test_gen_names_the_range_of_the_scale_factor(tmp_path, capsys):
     out = tmp_path / "x.json"
     argv = ["gen", "--construction", "an", "--a", "1/2", "--r", "3", "--out", str(out)]
@@ -979,34 +1107,45 @@ def test_removed_constructions_and_flags_are_usage_errors(flags, tmp_path):
 
 
 def _set(path, value):
-    """An edit setting the verdict entry at `path` (keys and indices)."""
+    """An edit setting the entry at `path` (keys and indices)."""
 
-    def edit(verdict):
+    def edit(node):
         *parents, last = path
         for key in parents:
-            verdict = verdict[key]
-        verdict[last] = value
+            node = node[key]
+        node[last] = value
 
     return edit
 
 
-def _add_a_row_to_tprime(verdict):
-    tp = verdict["Tprime"]
+def _add_a_row_to_tprime(doc):
+    tp = doc["verdict"]["Tprime"]
     tp["costs"].append(["1", "1"])
     tp["n"] += 1
 
 
-def _incomplete(step):
-    """An edit making the verdict a StrategyIncomplete stored at `step`."""
+def _incomplete(step, transcript=None):
+    """An edit making the verdict a StrategyIncomplete stored at `step`,
+    and with a transcript, storing that one."""
 
-    def edit(verdict):
-        verdict.clear()
-        verdict.update(kind="StrategyIncomplete", step=step, diagnostic="stopped")
+    def edit(doc):
+        doc["verdict"] = {
+            "kind": "StrategyIncomplete",
+            "step": step,
+            "diagnostic": "stopped",
+        }
+        if transcript is not None:
+            doc["transcript"] = transcript
 
     return edit
 
 
-# One JSON edit of a genuine s2x2 report per defect `verify` names. The
+MAIN_R1 = ["--strategy", "main", "--mechanism", "minwork"]
+MAIN_R1 += ["--r", "1", "--a", "3313/2048"]
+
+
+# One JSON edit of a genuine report per defect `verify` names: of an s2x2
+# report against the selector given, or of the run the flags give. The
 # minwork report is a RatioWitness on [[1-1e4, 1], [1+1e4, inf]] with
 # certificate [2, 1]; dictator:2 gives a tier-gap Unbounded on
 # [[1, 1e2], [0, 1/2e1]] with certificate [2, 1]; stub:9 gives an
@@ -1015,73 +1154,73 @@ def _incomplete(step):
 VERIFY_DEFECTS = {
     "certificate-infinite": (
         "minwork",
-        _set(["certificate", "owner"], [1, 2]),
+        _set(["verdict", "certificate", "owner"], [1, 2]),
         "certificate has infinite makespan",
     ),
     "certificate-zero": (
         "minwork",
-        _set(["instance", "costs"], [["1-1e4", "0"], ["0", "inf"]]),
+        _set(["verdict", "instance", "costs"], [["1-1e4", "0"], ["0", "inf"]]),
         "certificate has zero makespan",
     ),
     "infinite-reason-finite-makespan": (
         "stub:9",
-        _set(["mech_allocation", "owner"], [1, 1]),
+        _set(["verdict", "mech_allocation", "owner"], [1, 1]),
         "reason says infinite assignment but mechanism makespan is finite",
     ),
     "tier-gap-certificate-zero": (
         "dictator:2",
-        _set(["instance", "costs", 0, 1], "0"),
+        _set(["verdict", "instance", "costs", 0, 1], "0"),
         "tier-gap certificate has zero makespan",
     ),
     "no-tier-gap": (
         "dictator:2",
-        _set(["mech_allocation", "owner"], [2, 1]),
+        _set(["verdict", "mech_allocation", "owner"], [2, 1]),
         "no tier gap between makespans",
     ),
     "unknown-reason": (
         "dictator:2",
-        _set(["reason"], "bogus"),
+        _set(["verdict", "reason"], "bogus"),
         "unknown unboundedness reason 'bogus'",
     ),
     "first-allocation-invalid": (
         "stub:1",
-        _set(["x", "owner"], [2, 7]),
+        _set(["verdict", "x", "owner"], [2, 7]),
         "first allocation invalid: job 2 assigned to out-of-range player 7",
     ),
     "second-allocation-invalid": (
         "stub:1",
-        _set(["xprime", "owner"], [1]),
+        _set(["verdict", "xprime", "owner"], [1]),
         "second allocation invalid: owner vector has length 1, expected 2",
     ),
     "pair-preconditions": (
         "stub:1",
-        _set(["T", "costs", 1, 0], "inf"),
+        _set(["verdict", "T", "costs", 1, 0], "inf"),
         "stored pair violates preconditions: job 1 assigned to player 2 at "
         "infinite cost in T",
     ),
     "sum-not-positive": (
         "stub:1",
-        _set(["xprime", "owner"], [2, 1]),
+        _set(["verdict", "xprime", "owner"], [2, 1]),
         "recomputed monotonicity sum is not positive",
     ),
     "unknown-kind": (
         "minwork",
-        _set(["kind"], "Bogus"),
+        _set(["verdict", "kind"], "Bogus"),
         "malformed report: unknown verdict kind 'Bogus'",
     ),
     "instance-dimensions": (
         "minwork",
-        _set(["instance", "n"], 3),
+        _set(["verdict", "instance", "n"], 3),
         "malformed report: instance dimensions disagree with matrix",
     ),
     "instance-float-dimension": (
         "minwork",
-        _set(["instance", "n"], 2.0),
+        _set(["verdict", "instance", "n"], 2.0),
         "malformed report: expected an integer, got float",
     ),
     "dummy-of-out-of-range": (
         "minwork",
-        _set(["instance", "dummy_of"], {"1": 9}),
+        _set(["verdict", "instance", "dummy_of"], {"1": 9}),
         "malformed report: dummy_of entry out of range: 1 -> 9",
     ),
     "pair-shapes-differ": (
@@ -1093,33 +1232,33 @@ VERIFY_DEFECTS = {
     # met" defect, and "1e2000000" took about a second to parse
     "bound-exponent": (
         "minwork",
-        _set(["claimed_bound"], "1e99999"),
+        _set(["verdict", "claimed_bound"], "1e99999"),
         "malformed report: malformed rational '1e99999'",
     ),
     "bound-large-exponent": (
         "minwork",
-        _set(["claimed_bound"], "1e2000000"),
+        _set(["verdict", "claimed_bound"], "1e2000000"),
         "malformed report: malformed rational '1e2000000'",
     ),
     # a stored bound and a stored monotonicity sum are text, as written
     "bound-int": (
         "minwork",
-        _set(["claimed_bound"], 2),
+        _set(["verdict", "claimed_bound"], 2),
         "malformed report: expected string, got int",
     ),
     "wmon-value-true": (
         "stub:1",
-        _set(["value"], True),
+        _set(["verdict", "value"], True),
         "malformed report: expected string, got bool",
     ),
     "wmon-value-float": (
         "stub:1",
-        _set(["value"], 2.5),
+        _set(["verdict", "value"], 2.5),
         "malformed report: expected string, got float",
     ),
     "dummy-of-huge-job": (
         "minwork",
-        _set(["instance", "dummy_of"], {"1": 10**400}),
+        _set(["verdict", "instance", "dummy_of"], {"1": 10**400}),
         "malformed report: dummy_of entry out of range: 1 -> "
         "10000000000000000000... (401 digits)",
     ),
@@ -1139,53 +1278,95 @@ VERIFY_DEFECTS = {
     ),
     "player-true": (
         "stub:1",
-        _set(["player"], True),
+        _set(["verdict", "player"], True),
         "malformed report: expected an integer, got bool",
     ),
     "player-float": (
         "stub:1",
-        _set(["player"], 2.0),
+        _set(["verdict", "player"], 2.0),
         "malformed report: expected an integer, got float",
     ),
     "player-spaced-text": (
         "stub:1",
-        _set(["player"], " 2"),
+        _set(["verdict", "player"], " 2"),
         "malformed report: expected an integer, got str",
     ),
     "player-grouped-text": (
         "stub:1",
-        _set(["player"], "1_0"),
+        _set(["verdict", "player"], "1_0"),
         "malformed report: expected an integer, got str",
     ),
     "dummy-of-key-digit-of-another-script": (
         "minwork",
-        _set(["instance", "dummy_of"], {"\u0661": 1.9}),
+        _set(["verdict", "instance", "dummy_of"], {"\u0661": 1.9}),
         "malformed report: malformed integer '\u0661'",
     ),
     "dummy-of-float-job": (
         "minwork",
-        _set(["instance", "dummy_of"], {"1": 2.0}),
+        _set(["verdict", "instance", "dummy_of"], {"1": 2.0}),
         "malformed report: expected an integer, got float",
     ),
     "dummy-of-true-job": (
         "minwork",
-        _set(["instance", "dummy_of"], {"1": True}),
+        _set(["verdict", "instance", "dummy_of"], {"1": True}),
         "malformed report: expected an integer, got bool",
+    ),
+    # each top-level field replay reads has the type the writer writes
+    "mechanism-list": (
+        "minwork",
+        _set(["mechanism"], ["minwork"]),
+        "stored mechanism is a list, not a string",
+    ),
+    "mechanism-int": (
+        "minwork",
+        _set(["mechanism"], 7),
+        "stored mechanism is an integer, not a string",
+    ),
+    "strategy-list": (
+        "minwork",
+        _set(["strategy"], ["s2x2"]),
+        "stored strategy is a list, not a string",
+    ),
+    "params-list": (
+        MAIN_R1,
+        _set(["params"], ["a", "r"]),
+        "stored params is a list, not an object",
+    ),
+    "transcript-object": (
+        "minwork",
+        _set(["transcript"], {}),
+        "stored transcript is an object, not a list",
+    ),
+    "chain-incomplete-without-queries": (
+        MAIN_R1,
+        _incomplete(1, transcript=[]),
+        "stored r and kc do not give the shape of the stored instance",
+    ),
+    # each stored parameter is under the 4,300-digit limit, the claim b/a not
+    "params-past-the-text-limit": (
+        ["--strategy", "s3x3", "--mechanism", "minwork"],
+        _set(
+            ["params"],
+            {"a": "1/1" + "0" * 2200, "b": "1" + "0" * 2200, "c": "1" + "0" * 2201},
+        ),
+        "replay failed: 3x3 construction writes integers past 4300 digits, the "
+        "interpreter's limit for integer text",
     ),
 }
 
 
 @pytest.mark.parametrize("case", list(VERIFY_DEFECTS))
 def test_verify_names_each_defect_of_an_edited_report(case, tmp_path, capsys):
-    selector, edit, message = VERIFY_DEFECTS[case]
+    run, edit, message = VERIFY_DEFECTS[case]
     report = tmp_path / "r.json"
-    argv = ["attack", "--strategy", "s2x2", "--mechanism", selector]
-    assert main(argv + ["--report", str(report)]) == 0
+    if isinstance(run, str):
+        run = ["--strategy", "s2x2", "--mechanism", run]
+    assert main(["attack", *run, "--report", str(report)]) == 0
     capsys.readouterr()
     assert main(["verify", "--report", str(report)]) == 0
     assert capsys.readouterr().out.startswith("report verified")
     doc = json.loads(report.read_text())
-    edit(doc["verdict"])
+    edit(doc)
     report.write_text(json.dumps(doc))
     assert main(["verify", "--report", str(report)]) == 1
     assert capsys.readouterr().err == f"verification failed: {message}\n"
@@ -1202,7 +1383,7 @@ MUTATED_RUNS = [
     ["--strategy", "s2x2", "--mechanism", "stub:9"],
     ["--strategy", "s2x2", "--mechanism", "stub:1"],
     S3X3_MINWORK,
-    ["--strategy", "main", "--mechanism", "minwork", "--r", "1", "--a", "3313/2048"],
+    MAIN_R1,
     ["--strategy", "s2x2", "--mechanism", EXTERN],
 ]
 

@@ -10,11 +10,11 @@ receiver, and one it cannot type counts for every class with a member of
 that name. The benchmark under bench/ drives the program from outside, so
 an attribute name it loads counts as a use of every member of that name.
 Dunder methods are called by the interpreter and are exempt. The
-package's own __init__.py only re-exports names, so its imports are not
-counted as uses. The allowlist names the deliberate cross-check oracles,
-which the tests compare the program against. The import check applies to
-each module on its own and skips the same __init__.py. Every function
-under src/mechdock that is not a method reads each of its parameters.
+package's __init__.py re-exports nothing, so a name imported there counts
+as an unused import. The allowlist names the deliberate cross-check
+oracles, which the tests compare the program against. The import check
+applies to each module on its own. Every function under src/mechdock that
+is not a method reads each of its parameters.
 """
 
 import ast
@@ -23,7 +23,6 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "mechdock"
 BENCH = TESTS.parent / "bench"
-REEXPORTS = SRC / "__init__.py"
 
 ALLOWED = {
     "compute_b_closed": "closed form the tests check the b_k recurrence against",
@@ -53,12 +52,7 @@ def _loads(tree):
 
 
 def _loaded(trees):
-    return {
-        name
-        for path, tree in trees.items()
-        if path != REEXPORTS
-        for name in _loads(tree)
-    }
+    return {name for tree in trees.values() for name in _loads(tree)}
 
 
 def _parse_src():
@@ -580,8 +574,6 @@ def test_every_imported_name_is_used():
     paths = sorted(SRC.rglob("*.py")) + sorted(TESTS.rglob("*.py"))
     unused = []
     for path in paths:
-        if path == REEXPORTS:
-            continue
         tree = ast.parse(path.read_text())
         names = {
             node.id

@@ -45,7 +45,7 @@ def compute_b(a, r, k_c):
     """The recurrence's block prices and chain weight as Fractions, (b, z),
     from the integer numerators MainParams keeps."""
     num, b_num, z_num = forge._recurrence(a, r, k_c)
-    return forge._block_prices(num, b_num), Fraction(z_num, num[1])
+    return tuple(Fraction(x, num[1]) for x in b_num), Fraction(z_num, num[1])
 
 
 def bound_arms(p):

@@ -14,7 +14,6 @@ from mechdock.exactnum import EPS1, EPS2, GT, INF, LT, ZERO, tv, tv_compare
 from mechdock.mechlib import (
     RecordedAnswers,
     SeededStub,
-    dictator_allocate,
     make_mechanism,
     minwork_allocate,
     optmakespan_allocate,
@@ -64,8 +63,8 @@ def test_optmakespan_allocate():
 
 def test_dictator_allocate():
     T = Instance([[1, 2], [3, 4]])
-    assert dictator_allocate(T, 1) == Allocation([1, 1])
-    assert dictator_allocate(Instance([[5]]), 1) == Allocation([1])
+    assert make_mechanism("dictator:1").query(T) == Allocation([1, 1])
+    assert make_mechanism("dictator:1").query(Instance([[5]])) == Allocation([1])
 
 
 def test_minwork_weakly_monotone_under_fuzz():

@@ -165,7 +165,8 @@ def test_fuzz_minwork_is_clean():
 
 
 def test_fuzz_zero_trials():
-    assert fuzz(make_mechanism("minwork"), FuzzSpec(), trials=0, seed=1) == []
+    spec = FuzzSpec(n=3, m=3, values=(0, 1, 2, 3, 4))
+    assert fuzz(make_mechanism("minwork"), spec, trials=0, seed=1) == []
 
 
 def test_fuzz_deterministic():
