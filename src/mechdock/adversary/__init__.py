@@ -5,6 +5,7 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass
 
+from ..exactnum import quoted
 from ..forge import CONSTRUCTIONS, Spec, chain_shape, resolve_params
 from ..schedmodel import json_text
 from .blocks import block_chain
@@ -55,7 +56,7 @@ def attack(strategy, mech, params=None):
     try:
         spec = STRATEGY_SPECS[strategy]
     except KeyError:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise ValueError(f"unknown strategy {quoted(strategy)}")
     params = resolve_params(spec.params, params or {})
     verdict, transcript = run(spec.fn, mech, *params.values())
     return Report(

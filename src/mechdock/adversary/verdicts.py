@@ -19,6 +19,7 @@ from ..exactnum import (
     json_int,
     leading_ratio,
     parse_rational,
+    quoted,
     quoted_rational,
 )
 from ..schedmodel import Allocation, Instance, makespan, validate_allocation
@@ -99,7 +100,7 @@ def verdict_from_json_dict(d):
         return WmonViolation.from_json_dict(d)
     if kind == "StrategyIncomplete":
         return StrategyIncomplete(step=json_int(d["step"]), diagnostic=d["diagnostic"])
-    raise ValueError(f"unknown verdict kind {kind!r}")
+    raise ValueError(f"unknown verdict kind {quoted(repr(kind), str)}")
 
 
 def verify_verdict(v):
@@ -133,7 +134,8 @@ def verify_verdict(v):
                 elif leading_ratio(ms_mech, ms_cert) is not UNBOUNDED:
                     defects.append("no tier gap between makespans")
             else:
-                defects.append(f"unknown unboundedness reason {v.reason!r}")
+                reason = quoted(repr(v.reason), str)
+                defects.append(f"unknown unboundedness reason {reason}")
             return defects
         if ms_cert.is_zero():
             return defects + ["certificate has zero makespan"]
@@ -165,6 +167,4 @@ def verify_verdict(v):
                 f"{format_value(value)}"
             )
         return defects
-    if isinstance(v, StrategyIncomplete):
-        return defects
-    return [f"unknown verdict type {type(v).__name__}"]
+    return defects

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import closing
 from fractions import Fraction
-from functools import partial
 
 from .adversary import (
     MALFORMED_REPORT,
@@ -30,12 +30,15 @@ from .exactnum import int_digit_limit, parse_rational
 from .forge import (
     CONSTRUCTIONS,
     ForgeError,
+    MAX_HALVINGS,
     MainParams,
     build_instance,
     certified_bound,
     feasibility_defect,
+    least_tolerance,
     resolve_params,
     solve_best_a,
+    unwritable,
 )
 from .mechlib import RecordedAnswers, make_mechanism
 from .schedmodel import DEFAULT_TIMEOUT_MS, TIMEOUT_ENV_VAR, MechanismError, json_text
@@ -52,8 +55,27 @@ REFERENCE_RATIOS = {
 }
 
 
+# The exponent of a number in exponent form, as in "1e5000".
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+class _ExponentPastCut(argparse.ArgumentTypeError):
+    """A number whose exponent _fraction refuses to expand."""
+
+
 def _fraction(text):
+    """A rational from the command line, as Fraction() reads it. An
+    exponent past twice int_digit_limit() is refused first: Fraction()
+    builds 10^|exponent| whole, seconds at 10^7, and the value has an
+    integer past the limit unless it is 0. With no limit, none is refused."""
+    limit = int_digit_limit()
     try:
+        exponent = _EXPONENT.search(text)
+        if limit and exponent and abs(int(exponent[1])) > 2 * limit:
+            raise _ExponentPastCut(
+                f"bad rational {text!r}: exponent past {2 * limit}, twice the "
+                "interpreter's limit for integer text"
+            )
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
@@ -72,13 +94,6 @@ def _decimal(x):
 def _param_types(specs):
     """Each parameter named in a table of specs, with its coercion."""
     return {p.name: p.coerce for spec in specs.values() for p in spec.params}
-
-
-def _add_param_flags(parser, specs):
-    """One --<name> flag per parameter named in a table of specs."""
-    for name, coerce in _param_types(specs).items():
-        kind = _fraction if coerce is parse_rational else int
-        parser.add_argument(f"--{name}", type=kind)
 
 
 def _set_params(args, specs):
@@ -107,29 +122,59 @@ def build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # A flag's prefix is a usage error, not that flag.
-    command = partial(sub.add_parser, allow_abbrev=False)
 
-    gen = command("gen", help="write an instance file")
-    gen.add_argument("--construction", required=True, choices=list(CONSTRUCTIONS))
-    _add_param_flags(gen, CONSTRUCTIONS)
+    def command(name, run, help, specs=None, refusal=None, **required):
+        """The subcommand name, which main runs as run(args): a required
+        --<flag> per keyword, taking its choices (None for any text), then
+        a --<param> flag per parameter of specs. main words a ForgeError
+        from run as "<refusal>: <error>", "<name> failed: <error>" by
+        default."""
+        # A flag's prefix is a usage error, not that flag.
+        cmd = sub.add_parser(name, help=help, allow_abbrev=False)
+        cmd.set_defaults(run=run, refusal=refusal or f"{name} failed")
+        for flag, choices in required.items():
+            cmd.add_argument(f"--{flag}", required=True, choices=choices)
+        for param, coerce in _param_types(specs or {}).items():
+            kind = _fraction if coerce is parse_rational else int
+            cmd.add_argument(f"--{param}", type=kind)
+        return cmd
+
+    gen = command(
+        "gen",
+        cmd_gen,
+        "write an instance file",
+        specs=CONSTRUCTIONS,
+        refusal="cannot build instance",
+        construction=list(CONSTRUCTIONS),
+    )
     gen.add_argument("--out", required=True)
 
-    atk = command("attack", help="run an adversary strategy")
-    atk.add_argument("--strategy", required=True, choices=sorted(STRATEGY_SPECS))
-    atk.add_argument("--mechanism", required=True)
-    _add_param_flags(atk, STRATEGY_SPECS)
+    atk = command(
+        "attack",
+        cmd_attack,
+        "run an adversary strategy",
+        specs=STRATEGY_SPECS,
+        refusal="bad parameters",
+        strategy=sorted(STRATEGY_SPECS),
+        mechanism=None,
+    )
     atk.add_argument("--report")
 
-    bounds = command("bounds", help="certify parameter bounds per r")
+    bounds = command("bounds", cmd_bounds, "certify parameter bounds per r")
     bounds.add_argument("--r-list", default="3,4,5", help="comma-separated r values")
     bounds.add_argument("--kc", type=int, help="chain length (default: r)")
     bounds.add_argument("--optimize", action="store_true")
-    bounds.add_argument("--tol", type=_fraction, default=Fraction(1, 10**4))
+    bounds.add_argument(
+        "--tol",
+        type=_fraction,
+        default=Fraction(1, 10**4),
+        help="bisection tolerance of --optimize (default: 1/10000), no finer "
+        f"than its grid step halved {MAX_HALVINGS} times, about "
+        f"{float(least_tolerance(*BRACKET)):.1e}",
+    )
     bounds.add_argument("--out")
 
-    wm = command("wmon", help="search for monotonicity violations")
-    wm.add_argument("--mechanism", required=True)
+    wm = command("wmon", cmd_wmon, "search for monotonicity violations", mechanism=None)
     wm.add_argument("--trials", type=int, default=10000)
     wm.add_argument("--seed", type=int, default=0)
     wm.add_argument("--n", type=int, help="players (default: 3, or 2 exhaustive)")
@@ -138,8 +183,7 @@ def build_parser():
     wm.add_argument("--exhaustive", action="store_true")
     wm.add_argument("--out")
 
-    ver = command("verify", help="re-check a stored attack report")
-    ver.add_argument("--report", required=True)
+    command("verify", cmd_verify, "re-check a stored attack report", report=None)
     return parser
 
 
@@ -158,27 +202,16 @@ def _write(path, text, done):
 
 
 def cmd_gen(args):
-    try:
-        instance = build_instance(args.construction, _set_params(args, CONSTRUCTIONS))
-    except ForgeError as exc:
-        print(f"cannot build instance: {exc}", file=sys.stderr)
-        return 2
+    instance = build_instance(args.construction, _set_params(args, CONSTRUCTIONS))
     done = f"wrote {instance.n}x{instance.m} instance to {args.out}"
     return _write(args.out, json_text(instance), done)
 
 
 def cmd_attack(args):
     spec = STRATEGY_SPECS[args.strategy]
-    try:
-        params = resolve_params(spec.params, _set_params(args, STRATEGY_SPECS))
-        with closing(make_mechanism(args.mechanism)) as mech:
-            report = attack(args.strategy, mech, params)
-    except ForgeError as exc:
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return 2
-    except MechanismError as exc:
-        print(f"mechanism failure: {exc}", file=sys.stderr)
-        return 4
+    params = resolve_params(spec.params, _set_params(args, STRATEGY_SPECS))
+    with closing(make_mechanism(args.mechanism)) as mech:
+        report = attack(args.strategy, mech, params)
     verdict = report.verdict
     summary = f"verdict {verdict.kind}"
     if verdict.kind == "RatioWitness":
@@ -227,11 +260,7 @@ def cmd_bounds(args):
     if not r_values:
         print(f"bad --r-list {args.r_list!r}", file=sys.stderr)
         return 2
-    try:
-        rows = _bound_rows(r_values, args.kc, args.optimize, args.tol)
-    except ForgeError as exc:
-        print(f"bounds failed: {exc}", file=sys.stderr)
-        return 2
+    rows = _bound_rows(r_values, args.kc, args.optimize, args.tol)
     lines = ["r,n,k_c,a,bound,feasible"]
     for p, bound, note in rows:
         feasible = str(bound != "").lower()
@@ -243,8 +272,11 @@ def cmd_bounds(args):
 
 def cmd_wmon(args):
     try:
-        grid = tuple(Fraction(tok) for tok in args.grid.split(",") if tok.strip())
-    except (ValueError, ZeroDivisionError):
+        grid = tuple(_fraction(tok) for tok in args.grid.split(",") if tok.strip())
+    except _ExponentPastCut as exc:
+        print(f"bad --grid {args.grid!r}: {exc}", file=sys.stderr)
+        return 2
+    except argparse.ArgumentTypeError:
         grid = ()
     if not grid or min(grid) < 0:
         print(f"bad --grid {args.grid!r}: need non-negative rationals", file=sys.stderr)
@@ -261,24 +293,16 @@ def cmd_wmon(args):
     n = shape if args.n is None else args.n
     m = shape if args.m is None else args.m
     if not grid_is_writable(grid, m):
-        print(
-            f"bad --grid {args.grid!r}: writes integers past {int_digit_limit()} "
-            "digits, the interpreter's limit for integer text",
-            file=sys.stderr,
-        )
+        print(unwritable(f"bad --grid {args.grid!r}:"), file=sys.stderr)
         return 2
-    try:
-        with closing(make_mechanism(args.mechanism)) as mech:
-            if args.exhaustive:
-                violations = exhaustive_pairs(mech, n, m, grid)
-                scope = f"exhaustive {n}x{m} grid {args.grid}"
-            else:
-                spec = FuzzSpec(n=n, m=m, values=grid)
-                violations = fuzz(mech, spec, args.trials, args.seed)
-                scope = f"{args.trials} seeded trials"
-    except MechanismError as exc:
-        print(f"mechanism failure: {exc}", file=sys.stderr)
-        return 4
+    with closing(make_mechanism(args.mechanism)) as mech:
+        if args.exhaustive:
+            violations = exhaustive_pairs(mech, n, m, grid)
+            scope = f"exhaustive {n}x{m} grid {args.grid}"
+        else:
+            spec = FuzzSpec(n=n, m=m, values=grid)
+            violations = fuzz(mech, spec, args.trials, args.seed)
+            scope = f"{args.trials} seeded trials"
     print(f"{len(violations)} violation(s) over {scope}")
     if not args.out:
         return 0
@@ -316,15 +340,18 @@ def cmd_verify(args):
 
 
 def main(argv=None):
+    """Run one command and return its exit code. A ForgeError, a refused
+    construction, parameter or bound, is a usage error (2), and a
+    MechanismError a mechanism failure (4), each said in one line."""
     args = build_parser().parse_args(argv)
-    handler = {
-        "gen": cmd_gen,
-        "attack": cmd_attack,
-        "bounds": cmd_bounds,
-        "wmon": cmd_wmon,
-        "verify": cmd_verify,
-    }[args.command]
-    return handler(args)
+    try:
+        return args.run(args)
+    except ForgeError as exc:
+        print(f"{args.refusal}: {exc}", file=sys.stderr)
+        return 2
+    except MechanismError as exc:
+        print(f"mechanism failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from .exactnum import (
     int_digit_limit,
     parse_int,
     parse_rational,
+    quoted,
     tv,
 )
 from .schedmodel import Instance
@@ -228,10 +229,10 @@ def check_writable(a, r, k_c):
     if fits_digit_limit(bits):
         bits = (q ** (r + 1) * p**k_c).bit_length() + r + 8
     if not fits_digit_limit(bits):
-        raise _unwritable(f"block chain r={r} k_c={k_c}")
+        raise unwritable(f"block chain r={r} k_c={k_c}")
 
 
-def _unwritable(what):
+def unwritable(what):
     return ForgeError(
         f"{what} writes integers past {int_digit_limit()} digits, the "
         "interpreter's limit for integer text"
@@ -258,7 +259,7 @@ def _check_small_writable(what, params):
     WMON value, is below 2^5 H, and the check keeps 8 bits to spare.
     """
     if not fits_digit_limit(height_bits(params) + 8):
-        raise _unwritable(what)
+        raise unwritable(what)
 
 
 def build_main(p):
@@ -397,10 +398,10 @@ def resolve_params(params, given):
     unknown or missing names raise one ForgeError naming them all."""
     unknown = set(given) - {p.name for p in params}
     if unknown:
-        raise ForgeError(f"unknown parameter(s) {sorted(unknown)}")
+        raise ForgeError(f"unknown parameter(s) {quoted(repr(sorted(unknown)), str)}")
     missing = [p.name for p in params if p.default is REQUIRED and p.name not in given]
     if missing:
-        raise ForgeError(f"missing parameter(s) {missing}")
+        raise ForgeError(f"missing parameter(s) {quoted(repr(missing), str)}")
     values = {}
     for p in params:
         if p.name in given:
@@ -500,6 +501,19 @@ def _certified_one_plus_a(a, r, k_c):
         return None
 
 
+# solve_best_a's grid over its bracket, and the most halvings of a grid
+# step it bisects: each adds a bit to a's denominator, and the powers of
+# the recurrence grow with it.
+GRID_STEPS = 32
+MAX_HALVINGS = 256
+
+
+def least_tolerance(lo, hi):
+    """The least tolerance solve_best_a takes on [lo, hi]: its grid step
+    halved MAX_HALVINGS times."""
+    return (Fraction(hi) - Fraction(lo)) / GRID_STEPS / 2**MAX_HALVINGS
+
+
 def solve_best_a(r, k_c, lo, hi, tol):
     """Parameters at the largest a in [lo, hi] certifying the full 1 + a.
 
@@ -513,9 +527,13 @@ def solve_best_a(r, k_c, lo, hi, tol):
         raise ForgeError("tolerance must be positive")
     if not lo < hi:
         raise ForgeError("empty bracket")
-    steps = 32
-    step = (hi - lo) / steps
-    for idx in range(steps, -1, -1):
+    if tol < least_tolerance(lo, hi):
+        raise ForgeError(
+            f"tolerance needs more than {MAX_HALVINGS} halvings of the grid "
+            f"step (hi - lo)/{GRID_STEPS}"
+        )
+    step = (hi - lo) / GRID_STEPS
+    for idx in range(GRID_STEPS, -1, -1):
         good = _certified_one_plus_a(lo + step * idx, r, k_c)
         if good is not None:
             break

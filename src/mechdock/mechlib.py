@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .exactnum import LT, tv_compare
+from .exactnum import LT, quoted, tv_compare
 from .optcore import SearchError, opt_makespan
 from .schedmodel import (
     Allocation,
@@ -158,8 +158,10 @@ def make_mechanism(selector):
         try:
             number = int(arg)
         except ValueError:
-            raise MechanismError(f"mechanism selector {selector!r} needs an integer")
+            raise MechanismError(
+                f"mechanism selector {quoted(selector)} needs an integer"
+            )
         if kind == "dictator":
             return BuiltinMechanism(selector, lambda T: Allocation([number] * T.m))
         return SeededStub(number, active_only=kind == "activestub")
-    raise MechanismError(f"unknown mechanism selector {selector!r}")
+    raise MechanismError(f"unknown mechanism selector {quoted(selector)}")

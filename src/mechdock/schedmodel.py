@@ -437,7 +437,8 @@ class Allocation:
         player."""
         owner = d["owner"]
         if type(owner) is not list or any(type(p) is not int for p in owner):
-            raise ValueError(f"owner must be a list of integers, got {owner!r}")
+            got = quoted(repr(owner), str)
+            raise ValueError(f"owner must be a list of integers, got {got}")
         return cls(owner)
 
     def __eq__(self, other):

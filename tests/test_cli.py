@@ -18,6 +18,7 @@ from mechdock import cli
 from mechdock.adversary import replay_report
 from mechdock.cli import main
 from mechdock.exactnum import quoted
+from mechdock.forge import ForgeError
 from mechdock.mechlib import MinWork
 from mechdock.schedmodel import Instance, MechanismError, MechanismHandle
 
@@ -294,27 +295,52 @@ def test_verify_reads_stored_numbers_in_ascii_digits_only(
     assert err.startswith(f"verification failed: {message} {digit!r}")
 
 
+LONG = "x" * 100_000
+
+
 @pytest.mark.parametrize(
-    "path, text",
+    "mech, path, value, length",
     [
-        (["instance", "costs", 0, 0], "x" + "1" * 100_000),
-        (["claimed_bound"], "9" * 4_000),
+        ("minwork", ["verdict", "instance", "costs", 0, 0], "x" + "1" * 100_000, None),
+        ("minwork", ["verdict", "claimed_bound"], "9" * 4_000, None),
+        # a list quoted whole: 1,000,078 bytes
+        ("minwork", ["verdict", "mech_allocation", "owner"], [1.5] * 200_000, 10**6),
+        ("minwork", ["verdict", "kind"], LONG, 100_002),
+        ("dictator:2", ["verdict", "reason"], LONG, 100_002),
+        ("minwork", ["strategy"], LONG, None),
+        ("minwork", ["mechanism"], LONG, None),
+        ("minwork", ["mechanism"], "dictator:" + LONG, None),
+        ("minwork", ["params", LONG], "1", 100_004),
     ],
-    ids=["bad-cell", "long-bound"],
+    ids=[
+        "bad-cell",
+        "long-bound",
+        "owner",
+        "kind",
+        "reason",
+        "strategy",
+        "mechanism",
+        "selector-integer",
+        "param-name",
+    ],
 )
-def test_verify_quotes_a_long_stored_text_on_a_short_line(path, text, tmp_path, capsys):
-    # each line used to quote the text whole: 100,072 and 4,061 bytes
+def test_verify_quotes_a_long_stored_text_on_a_short_line(
+    mech, path, value, length, tmp_path, capsys
+):
+    # each line used to quote the text whole, from 4,061 bytes (long-bound)
+    # to 1,000,078 (owner); length is that of the text's repr where the
+    # message quotes a repr, and of the text itself by default
     report = tmp_path / "r.json"
-    argv = ["attack", "--strategy", "s2x2", "--mechanism", "minwork"]
+    argv = ["attack", "--strategy", "s2x2", "--mechanism", mech]
     assert main(argv + ["--report", str(report)]) == 0
     doc = json.loads(report.read_text())
-    _set(path, text)(doc["verdict"])
+    _set(path, value)(doc)
     report.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "--report", str(report)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and len(err.encode()) < 512
-    assert f"... ({len(text)} characters)" in err
+    assert f"... ({length or len(value)} characters)" in err
 
 
 def test_verify_writes_a_ratio_past_the_integer_text_limit_on_a_short_line(
@@ -677,6 +703,57 @@ def test_no_number_flag_ends_in_a_traceback(tmp_path_factory, argv):
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize(
+    "argv, where, number",
+    [
+        (
+            ["attack", "--strategy", "s3x4", "--x=1e10000000"],
+            "argument --x",
+            "1e10000000",
+        ),
+        (
+            ["attack", "--strategy", "main", "--r", "3", "--a=1e-10000000"],
+            "argument --a",
+            "1e-10000000",
+        ),
+        (
+            ["bounds", "--r-list", "3", "--optimize", "--tol=1e-10000000"],
+            "argument --tol",
+            "1e-10000000",
+        ),
+        (
+            ["wmon", "--trials", "1", "--grid=0,1e10000000"],
+            "bad --grid '0,1e10000000'",
+            "1e10000000",
+        ),
+    ],
+    ids=["x", "a", "tol", "grid"],
+)
+def test_an_exponent_past_twice_the_limit_is_refused_before_it_is_expanded(
+    argv, where, number, capsys
+):
+    # Fraction() used to build 10^10000000 first: 9 s for --x
+    if argv[0] != "bounds":
+        argv = [*argv, "--mechanism", "minwork"]
+    start = time.process_time()
+    if argv[0] == "wmon":
+        assert main(argv) == 2
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert time.process_time() - start < 1
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"{where}: bad rational {number!r}: exponent past 8600, twice the "
+        "interpreter's limit for integer text"
+    )
+
+
+def test_an_exponent_is_expanded_when_there_is_no_digit_limit(monkeypatch):
+    monkeypatch.setattr(cli, "int_digit_limit", lambda: 0)
+    assert cli._fraction("1e9000") == 10**9000
+
+
 def test_gen_names_the_range_of_the_scale_factor(tmp_path, capsys):
     out = tmp_path / "x.json"
     argv = ["gen", "--construction", "an", "--a", "1/2", "--r", "3", "--out", str(out)]
@@ -803,6 +880,33 @@ def test_bounds_rejects_a_tolerance_that_is_not_positive(capsys):
         argv = ["bounds", "--r-list", "5", "--optimize", f"--tol={tol}"]
         assert main(argv) == 2
         assert capsys.readouterr().err == "bounds failed: tolerance must be positive\n"
+
+
+def test_bounds_refuses_a_tolerance_past_256_halvings_of_the_grid_step(capsys):
+    # the bisection used to run on: 63 s at 1e-3000, killed at 65 s at 1e-4400
+    start = time.process_time()
+    assert main(["bounds", "--r-list", "3", "--optimize", "--tol=1e-4400"]) == 2
+    assert time.process_time() - start < 1
+    assert capsys.readouterr() == (
+        "",
+        "bounds failed: tolerance needs more than 256 halvings of the grid step "
+        "(hi - lo)/32\n",
+    )
+    # about 226 halvings, and the 1e-7 of the prior-work ladder
+    for tol in ("1e-70", "1e-7"):
+        assert main(["bounds", "--r-list", "3", "--optimize", f"--tol={tol}"]) == 0
+        assert capsys.readouterr().out.count("\n") == 2
+
+
+def test_a_forge_error_of_any_command_is_one_usage_error_line(monkeypatch, capsys):
+    # only gen, attack and bounds raise one today; another is worded by
+    # its command name, not ended in a traceback
+    def refuse(*args):
+        raise ForgeError("refused")
+
+    monkeypatch.setattr(cli, "fuzz", refuse)
+    assert main(["wmon", "--mechanism", "minwork", "--trials", "1"]) == 2
+    assert capsys.readouterr() == ("", "wmon failed: refused\n")
 
 
 def test_bounds_names_a_bracket_without_a_certifying_scale(capsys):
